@@ -19,6 +19,7 @@ from so4atom import _kernel
 from so4atom import catalog
 from so4atom.catalog import run_suite
 from so4atom import ansatz
+from so4atom.operators import SpinMode
 
 def stage(fn):
     t0 = time.perf_counter()
@@ -26,9 +27,10 @@ def stage(fn):
     return time.perf_counter() - t0
 
 def fresh_r2():
-    # the widest single identity: squared raising vector vs eigenform
-    suite = catalog.get_suite("spectrum_algebra")
-    env = suite.env("abstract")
+    # the widest single identity: squared raising vector vs eigenform, on
+    # an uncached suite so the stage includes elaborating its definitions
+    suite = catalog.load_suite("spectrum_algebra")
+    env = suite.env(SpinMode.ABSTRACT)
     spec = suite.spec("R2_expansion")
     catalog.run_check(spec, env)
 

@@ -305,6 +305,8 @@ class Suite:
         self._envs = {}
 
     def env(self, mode):
+        if not isinstance(mode, SpinMode):
+            raise UsageError("spin mode must be a SpinMode, got %r" % (mode,))
         if mode not in self._envs:
             reg = SymbolRegistry(extra=_REGISTRY_EXTRA.get(self.name, ()))
             self._envs[mode] = lang.elaborate_definitions(self._raw_definitions, reg, mode)
@@ -345,12 +347,23 @@ def load_suite(name, directory=None):
         return Suite(name, fh.read())
 
 
+_SUITES = {}
+
+
 def get_suite(name):
-    """File copy when present, embedded text otherwise."""
-    try:
-        return load_suite(name)
-    except FileNotFoundError:
-        return Suite(name, suite_source(name))
+    """File copy when present, embedded text otherwise.
+
+    One shared Suite per (name, data directory), so each suite is read,
+    parsed and elaborated once per process.
+    """
+    directory = data_dir()
+    key = (name, directory)
+    if key not in _SUITES:
+        try:
+            _SUITES[key] = load_suite(name, directory)
+        except FileNotFoundError:
+            _SUITES[key] = Suite(name, suite_source(name))
+    return _SUITES[key]
 
 
 # --- running checks -------------------------------------------------------

@@ -88,6 +88,8 @@ def _build_config(args):
         raise UsageError("spin must be abstract or half")
     if cfg.mu not in (None, "symbolic", "0", "1", "all"):
         raise UsageError("mu must be symbolic, 0, 1, or all")
+    if cfg.points < 1:
+        raise UsageError("points must be at least 1, got %d" % cfg.points)
     return cfg
 
 

@@ -9,12 +9,18 @@ finite-difference error anywhere; the only noise left is float roundoff,
 which is why a passing identity sits around 1e-15 and the tolerance is a
 comfortable 1e-8.
 
+Every check of a battery samples the same points, so each point's jets are
+built once per order into a shared table, and an identity is evaluated over
+all points at once, one monomial row at a time.  apply() keeps the plain
+point-by-point evaluation as the reference.
+
 Reports are deterministic for a given seed.  Relative residuals are
 normalized by the largest single-monomial contribution of the left side at
 the same point, so massive cancellations are scored honestly.
 """
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -22,7 +28,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import UsageError
-from .jets import Jet
+from .jets import Jet, _keys
 from .operators import SpinMode, VecExpr
 from . import catalog, lang
 
@@ -140,21 +146,40 @@ def _compile(expr, bindings):
     return rows
 
 
-def _eval_compiled(rows, jets, point, radius):
-    total = np.zeros(2, dtype=complex)
-    largest = 0.0
+class _PointTable:
+    """Sample points with every jet partial up to one order, one row per point.
+
+    partials[i, comp, col] is jets[comp].partial(alpha) at points[i], for the
+    alpha that columns maps to col.
+    """
+
+    def __init__(self, points, jets, order):
+        self.points = np.array(points, dtype=float).reshape(-1, 3)
+        self.radii = np.sqrt((self.points ** 2).sum(axis=1))
+        self.columns = {alpha: col for col, alpha in enumerate(_keys(order))}
+        self.partials = np.array(
+            [[[comp.partial(alpha) for alpha in self.columns] for comp in pair]
+             for pair in jets], dtype=complex).reshape(len(points), 2, len(self.columns))
+
+    def __len__(self):
+        return len(self.radii)
+
+
+def _eval_compiled(rows, table):
+    """Values (n, 2) and largest single-row magnitudes (n,) over the table."""
+    total = np.zeros((len(table), 2), dtype=complex)
+    largest = np.zeros(len(table))
     for factor, pos, rad, alpha, mat in rows:
-        scale = factor
+        scale = np.full(len(table), factor, dtype=complex)
         if pos != (0, 0, 0):
-            scale *= point[0] ** pos[0] * point[1] ** pos[1] * point[2] ** pos[2]
+            x, y, z = table.points.T
+            scale *= x ** pos[0] * y ** pos[1] * z ** pos[2]
         if rad:
-            scale *= radius ** rad
-        deriv = np.array([jets[0].partial(alpha), jets[1].partial(alpha)])
-        term = scale * (mat @ deriv)
+            scale *= table.radii ** rad
+        deriv = table.partials[:, :, table.columns[alpha]]
+        term = scale[:, None] * (deriv @ mat.T)
         total += term
-        mag = abs(term[0]) + abs(term[1])
-        if mag > largest:
-            largest = mag
+        np.maximum(largest, np.abs(term).sum(axis=1), out=largest)
     return total, largest
 
 
@@ -176,12 +201,18 @@ def apply(expr, state, point, bindings=None, mu=None, order=None):
         order = need
     elif order < need:
         raise UsageError("jet order %d below the momentum degree %d" % (order, need))
-    jets = state_jets(state, point, order)
-    radius = sqrt(point[0] ** 2 + point[1] ** 2 + point[2] ** 2)
     if isinstance(expr, VecExpr):
         raise UsageError("apply acts with one component at a time")
-    rows = _compile(expr, merged)
-    value, _ = _eval_compiled(rows, jets, point, radius)
+    jets = state_jets(state, point, order)
+    radius = sqrt(point[0] ** 2 + point[1] ** 2 + point[2] ** 2)
+    value = np.zeros(2, dtype=complex)
+    for factor, pos, rad, alpha, mat in _compile(expr, merged):
+        scale = factor
+        if pos != (0, 0, 0):
+            scale *= point[0] ** pos[0] * point[1] ** pos[1] * point[2] ** pos[2]
+        if rad:
+            scale *= radius ** rad
+        value += scale * (mat @ np.array([jets[0].partial(alpha), jets[1].partial(alpha)]))
     return value
 
 
@@ -202,6 +233,43 @@ def _mu_values(policy):
     return (0, 1)
 
 
+def _state_key(state):
+    # poly dicts keep their insertion order: it fixes the jets' summation order
+    return (state.gaussian_width, state.center,
+            tuple(tuple(poly.items()) for poly in state.poly_coeffs), state.spinor)
+
+
+# every check of a battery samples the same points: keep the last few tables
+_TABLES = OrderedDict()
+_TABLE_LIMIT = 16
+
+
+def _point_table(states, points_per_state, seed, order):
+    """The shared table for states x points_per_state points drawn from seed."""
+    key = (tuple(_state_key(s) for s in states), points_per_state, seed, order)
+    table = _TABLES.get(key)
+    if table is None:
+        rng = random.Random(seed)
+        points, jets = [], []
+        for state in states:
+            for point in sample_points(state, points_per_state, rng):
+                points.append(point)
+                jets.append(state_jets(state, point, order))
+        table = _TABLES[key] = _PointTable(points, jets, order)
+        if len(_TABLES) > _TABLE_LIMIT:
+            _TABLES.popitem(last=False)
+    else:
+        _TABLES.move_to_end(key)
+    return table
+
+
+def _check_sample(states, points_per_state):
+    if points_per_state < 1:
+        raise UsageError("points per state must be at least 1, got %r" % points_per_state)
+    if not states:
+        raise UsageError("the oracle needs at least one test state")
+
+
 def residual(spec, states=None, points_per_state=20, seed=42, bindings=None):
     """Max residual of one identity over states x points, both couplings."""
     merged = dict(DEFAULT_BINDINGS)
@@ -209,6 +277,7 @@ def residual(spec, states=None, points_per_state=20, seed=42, bindings=None):
         merged.update(bindings)
     if states is None:
         states = default_states(5, seed)
+    _check_sample(states, points_per_state)
     suite = catalog.get_suite(spec.suite)
     env = suite.env(SpinMode.ABSTRACT)
     lhs = lang.elaborate(spec.lhs, env)
@@ -229,18 +298,15 @@ def residual(spec, states=None, points_per_state=20, seed=42, bindings=None):
             re = re.substitute("mu", Fraction(mu))
             order = max(order, _momentum_order(le), _momentum_order(re))
             sides.append((_compile(le, merged), _compile(re, merged)))
-        rng = random.Random(seed)
-        for state in states:
-            for point in sample_points(state, points_per_state, rng):
-                jets = state_jets(state, point, order)
-                radius = sqrt(point[0] ** 2 + point[1] ** 2 + point[2] ** 2)
-                num_points += 1
-                for lrows, rrows in sides:
-                    lval, lmax = _eval_compiled(lrows, jets, point, radius)
-                    rval, _ = _eval_compiled(rrows, jets, point, radius)
-                    gap = abs(lval[0] - rval[0]) + abs(lval[1] - rval[1])
-                    max_abs = max(max_abs, gap)
-                    max_rel = max(max_rel, gap / lmax if lmax > 0 else gap)
+        table = _point_table(states, points_per_state, seed, order)
+        num_points += len(table)
+        for lrows, rrows in sides:
+            lval, lmax = _eval_compiled(lrows, table)
+            rval, _ = _eval_compiled(rrows, table)
+            gap = np.abs(lval - rval).sum(axis=1)
+            rel = np.divide(gap, lmax, out=gap.copy(), where=lmax > 0)
+            max_abs = max(max_abs, float(gap.max()))
+            max_rel = max(max_rel, float(rel.max()))
     return ResidualReport(spec.check_id, num_points, max_abs, max_rel, seed)
 
 
@@ -279,6 +345,7 @@ def run_battery(pairs=None, states=None, points_per_state=20, seed=42, bindings=
     pairs = pairs or default_battery()
     if states is None:
         states = default_states(5, seed)
+    _check_sample(states, points_per_state)
     reports = []
     for suite_name, cid in pairs:
         spec = catalog.get_suite(suite_name).spec(cid)

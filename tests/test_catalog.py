@@ -8,6 +8,7 @@ import pytest
 from so4atom import catalog
 from so4atom.errors import UsageError
 from so4atom.lang import parse_identity_file
+from so4atom.operators import SpinMode
 
 
 def status_table(results):
@@ -133,7 +134,7 @@ def test_mutation_is_caught(mutation):
     spec = suite.spec(mutation.check_id)
     broken = catalog.apply_mutation(spec, mutation)
     assert broken.check_id.endswith("__mut")
-    result = catalog.run_check(broken, suite.env("abstract"))
+    result = catalog.run_check(broken, suite.env(SpinMode.ABSTRACT))
     assert result.ok is False
     assert result.witness, "a refuted identity must exhibit terms"
 
@@ -143,7 +144,7 @@ def test_mutation_battery_has_hard_failures():
     for mutation in all_mutations():
         suite = catalog.get_suite(mutation.suite)
         broken = catalog.apply_mutation(suite.spec(mutation.check_id), mutation)
-        if catalog.run_check(broken, suite.env("abstract")).status == "fail":
+        if catalog.run_check(broken, suite.env(SpinMode.ABSTRACT)).status == "fail":
             hard += 1
     assert hard >= 8
 
@@ -161,8 +162,8 @@ def test_original_checks_still_pass_after_mutation_runs():
     mutation = all_mutations()[0]
     suite = catalog.get_suite(mutation.suite)
     broken = catalog.apply_mutation(suite.spec(mutation.check_id), mutation)
-    catalog.run_check(broken, suite.env("abstract"))
-    clean = catalog.run_check(suite.spec(mutation.check_id), suite.env("abstract"))
+    catalog.run_check(broken, suite.env(SpinMode.ABSTRACT))
+    clean = catalog.run_check(suite.spec(mutation.check_id), suite.env(SpinMode.ABSTRACT))
     assert clean.ok is True
 
 
@@ -196,6 +197,31 @@ def test_data_dir_override(tmp_path, monkeypatch):
     (tmp_path / "so4.ident").write_text(catalog.suite_source("so4"))
     monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))
     assert Path(catalog.data_dir()) == tmp_path
+
+
+def test_get_suite_shared_per_data_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("SO4ATOM_DATA_DIR", raising=False)
+    packaged = catalog.get_suite("so3")
+    assert catalog.get_suite("so3") is packaged
+    # a data dir holding a one-check so3 gives a separate suite from that file
+    text = catalog.suite_source("so3")
+    head = text[:text.index("\n", text.index("check l_cross_l")) + 1]
+    (tmp_path / "so3.ident").write_text(head)
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))
+    local = catalog.get_suite("so3")
+    assert local is not packaged
+    assert [c.check_id for c in local.checks] == ["l_cross_l"]
+    assert catalog.get_suite("so3") is local
+    monkeypatch.delenv("SO4ATOM_DATA_DIR")
+    assert catalog.get_suite("so3") is packaged
+
+
+def test_suite_env_requires_spin_mode():
+    suite = catalog.get_suite("so3")
+    for mode in ("abstract", "half", None):
+        with pytest.raises(UsageError):
+            suite.env(mode)
+    assert suite.env(SpinMode.ABSTRACT) is suite.env(SpinMode.ABSTRACT)
 
 
 def test_unknown_suite_rejected():

@@ -64,6 +64,15 @@ def test_bad_j_exit_2(capsys):
     assert "--j" in err
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_empty_oracle_sample_exit_2(capsys, points):
+    # an empty sample would report a vacuous pass
+    code, out, err = run(capsys, "oracle", "--suite", "so3", "--points", points)
+    assert code == 2
+    assert "points must be at least 1" in err
+    assert "pass" not in out
+
+
 def test_bad_config_key_exit_2(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 3\n")

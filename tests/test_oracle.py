@@ -1,6 +1,8 @@
 """Numeric oracle: operators acting on smooth spinor test states."""
 
 import random
+from collections import Counter, OrderedDict
+from fractions import Fraction
 
 import pytest
 
@@ -120,3 +122,59 @@ def test_run_battery_all_pass():
     assert len(reports) == len(pairs)
     for rep in reports:
         assert rep.max_rel_residual < 1e-8, rep.check_id
+
+
+def test_empty_sample_rejected():
+    spec = catalog.get_suite("so3").spec("l_cross_l")
+    pairs = [("so3", "l_cross_l")]
+    for points in (0, -3):
+        with pytest.raises(UsageError):
+            oracle.residual(spec, points_per_state=points)
+        with pytest.raises(UsageError):
+            oracle.run_battery(pairs, points_per_state=points)
+    with pytest.raises(UsageError):
+        oracle.residual(spec, states=[])
+    with pytest.raises(UsageError):
+        oracle.run_battery(pairs, states=[])
+
+
+def test_batched_evaluation_matches_pointwise_apply():
+    # the shared table is built at the largest order a check needs; apply
+    # builds its own jets at each operator's order, one point at a time
+    states = oracle.default_states(1, seed=9)
+    for suite_name, cid in oracle.default_battery():
+        suite = catalog.get_suite(suite_name)
+        spec = suite.spec(cid)
+        env = suite.env(SpinMode.ABSTRACT)
+        sides = [elaborate(spec.lhs, env), elaborate(spec.rhs, env)]
+        for mu in oracle._mu_values(spec.mu_policy):
+            ops = [part.substitute("mu", Fraction(mu))
+                   for side in sides for part in oracle._components(side)]
+            order = max(oracle._momentum_order(op) for op in ops)
+            table = oracle._point_table(states, 2, 9, order)
+            for op in ops:
+                rows = oracle._compile(op, oracle.DEFAULT_BINDINGS)
+                values, largest = oracle._eval_compiled(rows, table)
+                for i, point in enumerate(table.points.tolist()):
+                    want = oracle.apply(op, states[0], tuple(point))
+                    gap = abs(values[i] - want).max()
+                    assert gap <= 1e-12 * largest[i], (cid, mu, i, gap)
+
+
+def test_run_battery_builds_each_jet_once(monkeypatch):
+    calls = Counter()
+    build = oracle.state_jets
+
+    def counting(state, point, order):
+        calls[repr(state), tuple(point), order] += 1
+        return build(state, point, order)
+
+    monkeypatch.setattr(oracle, "state_jets", counting)
+    monkeypatch.setattr(oracle, "_TABLES", OrderedDict())
+    states = oracle.default_states(2, seed=5)
+    pairs = [p for p in oracle.default_battery() if p[0] in ("so3", "so4")]
+    reports = oracle.run_battery(pairs, states=states, points_per_state=3, seed=5)
+    assert len(reports) == len(pairs)
+    assert calls and max(calls.values()) == 1
+    orders = {order for _state, _point, order in calls}
+    assert len(calls) == len(states) * 3 * len(orders)

@@ -6,6 +6,7 @@ import pytest
 
 from so4atom import catalog, oracle, report
 from so4atom.errors import UsageError
+from so4atom.operators import SpinMode
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def test_check_entry_witness_truncated():
     (mut,) = [m for m in catalog.mutations_for("spectrum_algebra")
               if m.check_id == "R2_expansion"]
     broken = catalog.apply_mutation(suite.spec(mut.check_id), mut)
-    result = catalog.run_check(broken, suite.env("abstract"))
+    result = catalog.run_check(broken, suite.env(SpinMode.ABSTRACT))
     entry = report.check_entry(result)
     assert entry["status"] == "fail"
     assert len(entry["witness_text"]) <= 460
