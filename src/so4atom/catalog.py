@@ -10,9 +10,9 @@ theorem           the spin-coupled system: covariance set, field strength,
 spectrum_algebra  helicity conservation, Casimir-style contractions, and the
                   su(2) x su(2) split at a fixed eigenvalue
 
-The suite text lives in this module and is also shipped as .ident files under
-data/; the two must elaborate identically (a test enforces it).  Set
-SO4ATOM_DATA_DIR to load the files from somewhere else.
+The suite text lives only in the .ident files under data/, one per suite.
+Set SO4ATOM_DATA_DIR to load the files from somewhere else; a suite whose
+file is missing there is a UsageError.
 
 Checks carry a mu policy.  'all' (the default) means the relation is expected
 to hold for every specialization we track: symbolically in mu if possible,
@@ -30,7 +30,7 @@ from importlib import resources
 
 from .errors import UsageError
 from .scalars import ScalarCoeff, SymbolRegistry
-from .operators import OperatorExpr, SpinMode, VecExpr, dot
+from .operators import SpinMode, VecExpr, dot
 from . import lang
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "Mutation",
     "Finding",
     "FINDINGS",
-    "builtin_suites",
-    "suite_source",
     "load_suite",
     "get_suite",
     "run_check",
@@ -58,191 +56,6 @@ SUITE_NAMES = ("so3", "so4", "inverse", "theorem", "spectrum_algebra")
 
 # statuses that satisfy an 'all' policy claim
 PASSING_STATUSES = frozenset({"pass", "pass_at_mu_0_and_1"})
-
-_CYC = (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
-_ANTI = (("y", "x", "z"), ("z", "y", "x"), ("x", "z", "y"))
-_DIAG = (("x", "x"), ("y", "y"), ("z", "z"))
-
-
-def _cov_family(fid, lhs_a, lhs_b, rhs_v, mu=None):
-    """Nine component checks of [A_u, B_v] == i hbar eps_uvw V_w."""
-    opts = (" mu=%s" % mu) if mu else ""
-    lines = []
-    for u, v, w in _CYC:
-        lines.append("check %s_%s%s : [%s, %s] == i*hbar*%s%s"
-                     % (fid, u, v, lhs_a % u, lhs_b % v, rhs_v % w, opts))
-    for u, v, w in _ANTI:
-        lines.append("check %s_%s%s : [%s, %s] == -(i*hbar*%s)%s"
-                     % (fid, u, v, lhs_a % u, lhs_b % v, rhs_v % w, opts))
-    for u, v in _DIAG:
-        lines.append("check %s_%s%s : [%s, %s] == 0%s"
-                     % (fid, u, v, lhs_a % u, lhs_b % v, opts))
-    return lines
-
-
-def _so3_source():
-    lines = ["# Angular momentum closure and conservation for the plain Coulomb problem.",
-             "",
-             "let H = dot(p,p)/(2*M) - kappa*r^-1",
-             "",
-             "check l_cross_l : cross(l,l) == i*hbar*l"]
-    lines += _cov_family("lr_cov", "l_%s", "r_%s", "r_%s")
-    lines += _cov_family("lp_cov", "l_%s", "p_%s", "p_%s")
-    lines += ["check l_radial : [l, r] == 0",
-              "check l_p2 : [l, dot(p,p)] == 0",
-              "check H_l_conserved : [H, l] == 0"]
-    return "\n".join(lines) + "\n"
-
-
-def _so4_source():
-    lines = ["# Closure of angular momentum with the quantum Runge-Lenz vector.",
-             "# A Hamiltonian factor on a right-hand side always sits left of l.",
-             "",
-             "let H = dot(p,p)/(2*M) - kappa*r^-1",
-             "let R = (cross(p,l) - cross(l,p))/(2*M) - kappa*unitr()",
-             "",
-             "check RxR_eq_H_l : cross(R,R) == -(2*i*hbar/M)*(H*l)",
-             "check H_R_conserved : [H, R] == 0",
-             "check l_dot_R : dot(l,R) == 0",
-             "check R_dot_l : dot(R,l) == 0",
-             "check R2_identity : dot(R,R) == (2/M)*(H*(dot(l,l) + hbar^2)) + kappa^2"]
-    lines += _cov_family("lR_cov", "l_%s", "idx(R,%s)", "idx(R,%s)")
-    return "\n".join(lines) + "\n"
-
-
-_INVERSE_MEMBERS = (
-    (-3, "m3", "dot(p,p)/(2*M)"),
-    (-2, "m2", "dot(p,p)/(2*M) + 1/2*(kappa*r^-2)"),
-    (-1, "m1", "dot(p,p)/(2*M) + kappa*r^-1"),
-    (0, "z0", "dot(p,p)/(2*M) + 3/2*kappa"),
-    (1, "p1", "dot(p,p)/(2*M) + 2*(kappa*r^1)"),
-)
-
-
-def _inverse_source():
-    lines = ["# Runge-Lenz construction over single power-law radial functions.",
-             "# Each Hamiltonian carries the extracted potential (r f' + 3 f)/2;",
-             "# the bracket with H only closes to zero for the 1/r member.",
-             ""]
-    for n, tag, ham in _INVERSE_MEMBERS:
-        lines.append("let f_%s = kappa*r^%d" % (tag, n))
-        lines.append("let H_%s = %s" % (tag, ham))
-        lines.append("let R_%s = (cross(p,l) - cross(l,p))/(2*M) + f_%s*r" % (tag, tag))
-    lines.append("")
-    for _, tag, _h in _INVERSE_MEMBERS:
-        lines.append("check RxR_extract_%s : cross(R_%s,R_%s) == -(2*i*hbar/M)*(H_%s*l)"
-                     % (tag, tag, tag, tag))
-    for n, tag, _h in _INVERSE_MEMBERS:
-        rel = "==" if n == -1 else "!="
-        lines.append("check R_H_%s : [R_%s, H_%s] %s 0" % (tag, tag, tag, rel))
-    return "\n".join(lines) + "\n"
-
-
-_SPIN_DEFS = [
-    "let A = mu*(cross(r,S)*rpow(-2))",
-    "let Pi = p - A",
-    "let J = l + mu*S",
-    "let rS = dot(r,S)",
-    "let h = k1*r^-1 + mu*(k2*(rS*rpow(-2)))",
-    "let V = h + mu*((rS*rS)*rpow(-4))/(2*M)",
-    "let Ham = dot(Pi,Pi)/(2*M) + V",
-    "let R = (cross(Pi,J) - cross(J,Pi))/(2*M) + h*r",
-]
-
-
-def _theorem_source():
-    lines = ["# Spin-coupled system: gauge-like spin potential, its field strength,",
-             "# and the generalized Runge-Lenz vector.",
-             ""]
-    lines += _SPIN_DEFS
-    lines += ["let B = mu*(mu-2)*((rS*rpow(-4))*r)",
-              "let B_printed = i*hbar*B",
-              "",
-              "check J_recast : J == cross(r,Pi) + mu*((rS*rpow(-2))*r)"]
-    lines += _cov_family("JJ_cov", "J_%s", "J_%s", "J_%s")
-    lines += _cov_family("JPi_cov", "J_%s", "idx(Pi,%s)", "idx(Pi,%s)")
-    lines += _cov_family("JPixJ_cov", "J_%s", "idx(cross(Pi,J),%s)", "idx(cross(Pi,J),%s)")
-    lines += _cov_family("JJxPi_cov", "J_%s", "idx(cross(J,Pi),%s)", "idx(cross(J,Pi),%s)")
-    lines += _cov_family("Jr_cov", "J_%s", "r_%s", "r_%s")
-    lines += _cov_family("JS_cov", "J_%s", "S_%s", "S_%s", mu="1")
-    lines += [
-        "check RxR_master : cross(R,R) == -(2*i*hbar/M)*((dot(Pi,Pi)/(2*M)"
-        " + (1/2)*(-(1/(i*hbar))*dot([Pi,h],r) + 3*h + (mu/M)*((rS*rS)*rpow(-4))))*J)"
-        " - (mu/M)*(([Pi,h] - i*hbar*(rpow(-2)*(r*h)))*rS)",
-        "check V_from_constraint : (1/2)*(-(1/(i*hbar))*dot([Pi,h],r) + 3*h"
-        " + (mu/M)*((rS*rS)*rpow(-4))) == V",
-        "check h_constraint : (mu/M)*(([Pi,h] - i*hbar*(rpow(-2)*(r*h)))*rS) == 0",
-        "check h_constraint_inner : [Pi,h] - i*hbar*(rpow(-2)*(r*h)) == 0",
-        "check RR_closure : cross(R,R) == -(2*i*hbar/M)*(Ham*J)",
-        "check J_Ham : [J, Ham] == 0",
-        "check R_Ham : [R, Ham] == 0",
-        "check J_Pisq : [J, dot(Pi,Pi)] == 0",
-        "check J_radial : [J, r] == 0",
-        "check J_rS : [J, rS] == 0 mu=1",
-        "check J2_Ham : [dot(J,J), Ham] == 0",
-        "check Jz_Ham : [J_z, Ham] == 0",
-    ]
-    # canonical pairs of Pi with position
-    for u, v in (("x", "x"), ("y", "y"), ("z", "z")):
-        lines.append("check Pi_r_cc_%s%s : [idx(Pi,%s), r_%s] == -(i*hbar)" % (u, v, u, v))
-    for u, v in (("x", "y"), ("y", "x"), ("y", "z"), ("z", "y"), ("z", "x"), ("x", "z")):
-        lines.append("check Pi_r_cc_%s%s : [idx(Pi,%s), r_%s] == 0" % (u, v, u, v))
-    lines += [
-        "check Pi_rinv : [Pi, r^-1] == i*hbar*(rpow(-3)*r)",
-        "check Pi_rinv2 : [Pi, r^-2] == 2*i*hbar*(rpow(-4)*r)",
-    ]
-    for u, v, w in _CYC:
-        cid = "PiPi_field" if (u, v) == ("x", "y") else "PiPi_field_%s%s" % (u, v)
-        lines.append("check %s : [idx(Pi,%s), idx(Pi,%s)] == i*hbar*idx(B,%s)"
-                     % (cid, u, v, w))
-    for u, v, w in _ANTI:
-        lines.append("check PiPi_field_%s%s : [idx(Pi,%s), idx(Pi,%s)] == -(i*hbar*idx(B,%s))"
-                     % (u, v, u, v, w))
-    for u, v in _DIAG:
-        lines.append("check PiPi_field_%s%s : [idx(Pi,%s), idx(Pi,%s)] == 0" % (u, v, u, v))
-    lines += [
-        "check Pi_comm_Pisq : [Pi, dot(Pi,Pi)] == i*hbar*(cross(Pi,B) - cross(B,Pi))",
-        "check PiJ_anticross : cross(Pi,J) + cross(J,Pi) == 2*i*hbar*Pi",
-        "check Pi_rS_lemma : [Pi, rS*rpow(-2)] == i*hbar*((mu-1)*(rpow(-2)*S))"
-        " + i*hbar*((2-mu)*((rS*rpow(-4))*r))",
-        "",
-        "# Transcribed variant of the field strength with a doubled imaginary unit.",
-        "# It agrees only where the coupling switches the field off; the engine",
-        "# form above is the one that holds for symbolic mu.  See findings().",
-        "check PiPi_field_printed : [idx(Pi,x), idx(Pi,y)] == i*hbar*idx(B_printed,z) mu=0",
-        "check PiPi_printed_deviates : [idx(Pi,x), idx(Pi,y)] != i*hbar*idx(B_printed,z) mu=1",
-        "check Pi_Pisq_printed : [Pi, dot(Pi,Pi)] =="
-        " i*hbar*(cross(Pi,B_printed) - cross(B_printed,Pi)) mu=0",
-        "check Pi_Pisq_printed_deviates : [Pi, dot(Pi,Pi)] !="
-        " i*hbar*(cross(Pi,B_printed) - cross(B_printed,Pi)) mu=1",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _spectrum_source():
-    lines = ["# Conserved helicity, Casimir-style contractions, and the inputs the",
-             "# eigenvalue derivation combines.  Registry carries E and t for the",
-             "# fixed-eigenvalue checks appended by the runner.",
-             ""]
-    lines += _SPIN_DEFS
-    lines += ["let Sr = rS*r^-1",
-              "",
-              "check Sr_conserved : [Sr, Ham] == 0 mu=1",
-              "check J_dot_R : dot(J,R) == mu*(h*rS)",
-              "check R_dot_J : dot(R,J) == mu*(h*rS)",
-              "check R2_expansion : dot(R,R) == -(2/M)*((mu*((rS*rS)*rpow(-2))"
-              " - dot(J,J) - hbar^2)*Ham) + (h*h)*rpow(2)"]
-    lines += _cov_family("JR_cov", "J_%s", "idx(R,%s)", "idx(R,%s)")
-    return "\n".join(lines) + "\n"
-
-
-_SOURCES = {
-    "so3": _so3_source(),
-    "so4": _so4_source(),
-    "inverse": _inverse_source(),
-    "theorem": _theorem_source(),
-    "spectrum_algebra": _spectrum_source(),
-}
 
 _REGISTRY_EXTRA = {"spectrum_algebra": ("E", "t")}
 
@@ -319,17 +132,6 @@ class Suite:
         raise UsageError("no check %r in suite %r" % (check_id, self.name))
 
 
-def builtin_suites():
-    """The suites from the sources embedded in this module."""
-    return {name: Suite(name, _SOURCES[name]) for name in SUITE_NAMES}
-
-
-def suite_source(name):
-    if name not in _SOURCES:
-        raise UsageError("unknown suite %r" % name)
-    return _SOURCES[name]
-
-
 def data_dir():
     override = os.environ.get("SO4ATOM_DATA_DIR")
     if override:
@@ -338,31 +140,31 @@ def data_dir():
 
 
 def load_suite(name, directory=None):
-    """Parse a suite from its .ident file."""
+    """Parse a suite from its .ident file; an unreadable file is a UsageError."""
     if name not in SUITE_NAMES:
         raise UsageError("unknown suite %r" % name)
     directory = directory or data_dir()
     path = os.path.join(directory, name + ".ident")
-    with open(path, "r", encoding="utf-8") as fh:
-        return Suite(name, fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError("cannot read suite file %s: %s" % (path, exc.strerror or exc)) from exc
+    return Suite(name, text)
 
 
 _SUITES = {}
 
 
 def get_suite(name):
-    """File copy when present, embedded text otherwise.
+    """The shared Suite for ``name`` in the current data directory.
 
-    One shared Suite per (name, data directory), so each suite is read,
-    parsed and elaborated once per process.
+    One Suite per (name, data directory), so each suite is read, parsed
+    and elaborated once per process.
     """
-    directory = data_dir()
-    key = (name, directory)
+    key = (name, data_dir())
     if key not in _SUITES:
-        try:
-            _SUITES[key] = load_suite(name, directory)
-        except FileNotFoundError:
-            _SUITES[key] = Suite(name, suite_source(name))
+        _SUITES[key] = load_suite(*key)
     return _SUITES[key]
 
 

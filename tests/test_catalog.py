@@ -7,7 +7,6 @@ import pytest
 
 from so4atom import catalog
 from so4atom.errors import UsageError
-from so4atom.lang import parse_identity_file
 from so4atom.operators import SpinMode
 
 
@@ -170,23 +169,12 @@ def test_original_checks_still_pass_after_mutation_runs():
 # -- packaged identity files ------------------------------------------------
 
 
-def test_packaged_files_match_builtin_sources():
-    directory = Path(catalog.data_dir())
-    for name in catalog.SUITE_NAMES:
-        on_disk = (directory / ("%s.ident" % name)).read_text()
-        assert on_disk == catalog.suite_source(name)
-
-
-def test_packaged_files_parse_to_same_checks():
-    directory = Path(catalog.data_dir())
-    for name in catalog.SUITE_NAMES:
-        from_file = parse_identity_file((directory / ("%s.ident" % name)).read_text())
-        builtin = parse_identity_file(catalog.suite_source(name))
-        assert from_file == builtin
+def packaged_text(name):
+    return (Path(catalog.data_dir()) / ("%s.ident" % name)).read_text()
 
 
 def test_load_suite_from_directory(tmp_path):
-    src = catalog.suite_source("so3")
+    src = packaged_text("so3")
     (tmp_path / "so3.ident").write_text(src)
     suite = catalog.load_suite("so3", tmp_path)
     results = catalog.run_suite("so3", suite=suite)
@@ -194,7 +182,7 @@ def test_load_suite_from_directory(tmp_path):
 
 
 def test_data_dir_override(tmp_path, monkeypatch):
-    (tmp_path / "so4.ident").write_text(catalog.suite_source("so4"))
+    (tmp_path / "so4.ident").write_text(packaged_text("so4"))
     monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))
     assert Path(catalog.data_dir()) == tmp_path
 
@@ -204,7 +192,7 @@ def test_get_suite_shared_per_data_dir(tmp_path, monkeypatch):
     packaged = catalog.get_suite("so3")
     assert catalog.get_suite("so3") is packaged
     # a data dir holding a one-check so3 gives a separate suite from that file
-    text = catalog.suite_source("so3")
+    text = packaged_text("so3")
     head = text[:text.index("\n", text.index("check l_cross_l")) + 1]
     (tmp_path / "so3.ident").write_text(head)
     monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))

@@ -58,6 +58,14 @@ def test_unknown_suite_exit_2(capsys):
     assert "unknown suite" in err
 
 
+def test_missing_suite_file_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))
+    code, out, err = run(capsys, "verify", "--suite", "so3")
+    assert code == 2
+    assert "so3.ident" in err
+    assert "pass" not in out
+
+
 def test_bad_j_exit_2(capsys):
     code, _, err = run(capsys, "spectrum", "--j", "x/y")
     assert code == 2
