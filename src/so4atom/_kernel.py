@@ -396,9 +396,3 @@ def expr_mul(ta, tb, half, hbar_idx):
                         tgt = out[sig] = {}
                     sc_iadd_scaled(tgt, cab, g, hbar_idx, hq + w[6])
     return {s: c for s, c in out.items() if c}
-
-
-def clear_caches():
-    _APPEND.clear()
-    _SPINMUL.clear()
-    _PPAST.clear()

@@ -11,7 +11,9 @@ Exit codes: 0 everything passed, 1 some check failed, 2 the request itself
 was malformed.  A config file (--config, flat key=value lines, '#' comments)
 seeds the options; explicit flags win.  SO4ATOM_DATA_DIR redirects suite
 loading.  Reports go to --out in --format (json or md; csv is the spectrum
-table), and every command echoes the configuration it resolved.
+table), and every command echoes the configuration it resolved.  `all`
+prints only its summary lines; --out or --format there, from a flag or
+from the config file, is a usage error.
 """
 
 import argparse
@@ -225,14 +227,11 @@ def cmd_spectrum(cfg):
 
 
 def cmd_all(cfg):
-    code = 0
-    for handler in (cmd_verify, cmd_oracle, cmd_inverse,
-                    cmd_spin_potential, cmd_spectrum):
-        sub = RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
-        sub.out = None
-        sub.format = None
-        code = max(code, handler(sub))
-    return code
+    given = ["--" + key for key in ("format", "out") if getattr(cfg, key) is not None]
+    if given:
+        raise UsageError("all writes no report file; drop %s" % ", ".join(given))
+    return max(handler(cfg) for handler in (cmd_verify, cmd_oracle, cmd_inverse,
+                                            cmd_spin_potential, cmd_spectrum))
 
 
 _HANDLERS = {

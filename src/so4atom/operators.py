@@ -11,13 +11,18 @@ stored as 10-tuples of integer exponents with exact scalar coefficients
     [r_u, p_v] = i hbar delta_uv        [S_u, S_v] = i hbar eps_uvw S_w
     [p_u, r^m] = -i hbar m r^(m-2) r_u  (spin commutes with r, p, r^m)
 
-Positions and radial powers commute with each other, which makes the
-basis redundant: r^2 and r_x^2 + r_y^2 + r_z^2 are the same element.
-Construction therefore runs a merge pass that collapses an equal
-coefficient triple (r_x^2 + r_y^2 + r_z^2) X into r^2 X, and zero
-testing reduces to a genuine normal form in the quotient ring (see
-``_quotient_terms``).  Evaluation at r = 0 is never attempted; negative
-radial powers are formal Laurent data.
+Positions and radial powers commute with each other and satisfy
+r^2 = r_x^2 + r_y^2 + r_z^2.  Every construction rewrites
+
+    r_x^2 r^m  ->  r^(m+2) - r_y^2 r^m - r_z^2 r^m     (any integer m)
+
+until each r_x exponent is at most 1 (``_normal_form``).  The relation
+is monic of degree 2 in r_x, so this is the complete normal form of the
+quotient with r inverted: two expressions are equal as operators exactly
+when their term dicts are equal, so ``==`` and ``hash`` are mathematical
+and the zero test is an emptiness check.  A radial power r^m stays a
+single term.  Evaluation at r = 0 is never attempted; negative radial
+powers are formal Laurent data.
 
 Spin has two modes.  Abstract: spin words are free modulo the su(2)
 relations only.  Spin-1/2: words carry the extra relation
@@ -30,7 +35,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from so4atom import _kernel as K
 from so4atom.errors import DomainError, UsageError
@@ -74,62 +78,22 @@ def _acc_raw(out, sig, raw):
             del out[sig]
 
 
-def _merge_radial(terms):
-    """Collapse equal-coefficient (r_x^2 + r_y^2 + r_z^2) X triples into
-    r^2 X.  Deterministic: scan signatures in sorted order, restart after
-    each rewrite.  Mixed monomials that do not match the full pattern are
-    left alone; completeness is the zero test's job."""
-    changed = True
-    while changed:
-        changed = False
-        for sig in sorted(terms):
-            px = sig[0]
-            if px < 2:
-                continue
-            c = terms[sig]
-            rest = sig[3:]
-            sy = (px - 2, sig[1] + 2, sig[2]) + rest
-            sz = (px - 2, sig[1], sig[2] + 2) + rest
-            if sy == sig or sz == sig:
-                continue
-            if terms.get(sy) == c and terms.get(sz) == c:
-                del terms[sig], terms[sy], terms[sz]
-                tgt = (px - 2, sig[1], sig[2], sig[3] + 2) + sig[4:]
-                _acc_raw(terms, tgt, c)
-                changed = True
-                break
-    return terms
-
-
-def _quotient_terms(terms):
-    """Rewrite to the true normal form of the quotient by r^2 = sum r_u^2
-    (with r inverted).  Basis: monomials with rad <= 1, and rad <= -1
-    only when the r_x exponent is <= 1.  Empty result iff the element is
-    zero, which makes this a complete zero test."""
-    out = {}
-    work = [(sig, dict(c)) for sig, c in terms.items()]
+def _normal_form(terms):
+    """Drop zero coefficients and rewrite r_x^2 r^m into
+    r^(m+2) - r_y^2 r^m - r_z^2 r^m until every r_x exponent is <= 1."""
+    out = {s: c for s, c in terms.items() if c and s[0] < 2}
+    work = [(s, c) for s, c in terms.items() if c and s[0] >= 2]
     while work:
         sig, c = work.pop()
         px, py, pz, m = sig[0], sig[1], sig[2], sig[3]
-        rest = sig[4:]
-        if m >= 2:
-            delta = m & 1
-            e = (m - delta) // 2
-            for i in range(e + 1):
-                for j in range(e - i + 1):
-                    k = e - i - j
-                    w = comb(e, i) * comb(e - i, j)
-                    scaled = {}
-                    K.sc_iadd_scaled(scaled, c, (w, 0, 1), HBAR_INDEX, 0)
-                    _acc_raw(out, (px + 2 * i, py + 2 * j, pz + 2 * k, delta) + rest, scaled)
-        elif m <= -1 and px >= 2:
-            # r_x^2 r^m = r^(m+2) - r_y^2 r^m - r_z^2 r^m
-            neg = K.sc_neg_raw(c)
-            work.append(((px - 2, py, pz, m + 2) + rest, dict(c)))
-            work.append(((px - 2, py + 2, pz, m) + rest, dict(neg)))
-            work.append(((px - 2, py, pz + 2, m) + rest, neg))
-        else:
+        if px < 2:
             _acc_raw(out, sig, c)
+            continue
+        rest = sig[4:]
+        neg = K.sc_neg_raw(c)
+        work.append(((px - 2, py, pz, m + 2) + rest, c))
+        work.append(((px - 2, py + 2, pz, m) + rest, neg))
+        work.append(((px - 2, py, pz + 2, m) + rest, neg))
     return out
 
 
@@ -138,24 +102,22 @@ class OperatorExpr:
 
     __slots__ = ("registry", "mode", "_terms")
 
-    def __init__(self, registry, mode, terms, *, _canonical=False):
+    def __init__(self, registry, mode, terms):
         self.registry = registry
         self.mode = mode
-        if not _canonical:
-            terms = _merge_radial({s: c for s, c in terms.items() if c})
-        self._terms = terms
+        self._terms = _normal_form(terms)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, registry, mode=SpinMode.ABSTRACT):
-        return cls(registry, mode, {}, _canonical=True)
+        return cls(registry, mode, {})
 
     @classmethod
     def from_scalar(cls, coeff: ScalarCoeff, mode=SpinMode.ABSTRACT):
         if coeff.is_zero():
             return cls.zero(coeff.registry, mode)
-        return cls(coeff.registry, mode, {_ZERO_SIG: dict(coeff.raw())}, _canonical=True)
+        return cls(coeff.registry, mode, {_ZERO_SIG: dict(coeff.raw())})
 
     @classmethod
     def one(cls, registry, mode=SpinMode.ABSTRACT):
@@ -167,20 +129,13 @@ class OperatorExpr:
         offset = {"pos": 0, "mom": 4, "spin": 7}[kind]
         sig = list(_ZERO_SIG)
         sig[offset + axis] = 1
-        return cls(
-            registry, mode, {tuple(sig): {(): (1, 0, 1)}}, _canonical=True
-        )
+        return cls(registry, mode, {tuple(sig): {(): (1, 0, 1)}})
 
     @classmethod
     def radial_power(cls, registry, m, mode=SpinMode.ABSTRACT):
         if m == 0:
             return cls.one(registry, mode)
-        sig = (0, 0, 0, m, 0, 0, 0, 0, 0, 0)
-        terms = {sig: {(): (1, 0, 1)}}
-        if m >= 2:
-            # r^2 alone is canonical; the merge pass never expands it.
-            return cls(registry, mode, terms, _canonical=True)
-        return cls(registry, mode, terms, _canonical=True)
+        return cls(registry, mode, {(0, 0, 0, m, 0, 0, 0, 0, 0, 0): {(): (1, 0, 1)}})
 
     # -- arithmetic ---------------------------------------------------
 
@@ -209,7 +164,6 @@ class OperatorExpr:
             self.registry,
             self.mode,
             {s: K.sc_neg_raw(c) for s, c in self._terms.items()},
-            _canonical=True,
         )
 
     def __mul__(self, other):
@@ -270,7 +224,6 @@ class OperatorExpr:
             self.registry,
             self.mode,
             {(0, 0, 0, -sig[3], 0, 0, 0, 0, 0, 0): dict(inv.raw())},
-            _canonical=True,
         )
 
     # -- substitution -------------------------------------------------
@@ -313,13 +266,11 @@ class OperatorExpr:
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if not self._terms:
-            return True
-        return not _quotient_terms(self._terms)
+        return not self._terms
 
     def equivalent(self, other) -> bool:
         _check_compat(self, other)
-        return (self - other).is_zero()
+        return self == other
 
     def monomials(self):
         for sig in sorted(self._terms):
@@ -336,16 +287,6 @@ class OperatorExpr:
 
     def momentum_order(self):
         return max((sig[4] + sig[5] + sig[6] for sig in self._terms), default=0)
-
-    def spin_degree(self):
-        return max((sig[7] + sig[8] + sig[9] for sig in self._terms), default=0)
-
-    def max_radial_growth(self):
-        """Largest rad_exp + position degree over all terms; products may
-        shuffle between the two but never increase the total."""
-        return max(
-            (sig[3] + sig[0] + sig[1] + sig[2] for sig in self._terms), default=0
-        )
 
     def raw_terms(self):
         return self._terms

@@ -81,6 +81,22 @@ def test_empty_oracle_sample_exit_2(capsys, points):
     assert "pass" not in out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--out", "r.json"], "--out"),
+    (["--format", "json"], "--format"),
+    (["--config", "run.cfg"], "--format, --out"),
+])
+def test_all_rejects_report_flags_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
+    # all writes no report, so these flags would otherwise be dropped silently
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("format = json\nout = r.json\n")
+    code, out, err = run(capsys, "all", *argv)
+    assert code == 2
+    assert flag in err
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_bad_config_key_exit_2(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 3\n")

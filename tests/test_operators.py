@@ -1,9 +1,9 @@
 """Normal-ordered operator algebra.
 
 Unit checks pin the canonical commutation relations and the quotient
-zero test; the hypothesis block drives the ring through random words
-and confirms associativity, Jacobi, and agreement between the abstract
-spin algebra and its spin-1/2 quotient.
+normal form; the hypothesis block drives the ring through random words
+and confirms associativity, Jacobi, the laws of equality, and agreement
+between the abstract spin algebra and its spin-1/2 quotient.
 """
 
 from fractions import Fraction
@@ -53,9 +53,14 @@ def test_radial_power_relations(reg):
     rm2 = radial_power(reg, -2)
     assert (r2 * rm2).equivalent(OperatorExpr.one(reg))
     x = position_vec(reg)
-    # r^2 == x^2 + y^2 + z^2 in the quotient even though the raw terms differ
+    # one normal form: equal operators compare and hash equal
     assert (dot(x, x) - r2).is_zero()
-    assert not (dot(x, x) - r2).raw_terms() == r2.raw_terms()
+    assert dot(x, x) == r2 and hash(dot(x, x)) == hash(r2)
+    rm1 = radial_power(reg, -1)
+    lhs = x.x * x.x * rm1
+    rhs = radial_power(reg, 1) - x.y * x.y * rm1 - x.z * x.z * rm1
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+    assert x.x * x.x == r2 - x.y * x.y - x.z * x.z
 
 
 def test_momentum_past_radial(reg):
@@ -241,6 +246,25 @@ def test_distributivity_random_words(wa, wb):
     b = _build(_ABSTRACT, wb, 2)
     c = _build(_ABSTRACT, wb[::-1], 1)
     assert (a * (b + c)).equivalent(a * b + a * c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_word, _word, st.integers(-3, 3))
+def test_equality_is_mathematical(wa, wb, num):
+    a = _build(_ABSTRACT, wa, num or 1)
+    b = _build(_ABSTRACT, wb, 1)
+    assert (a == b) == (a - b).is_zero()
+    if a == b:
+        assert hash(a) == hash(b)
+    # equal values built along different paths hash equal
+    assert hash((a * b) * a) == hash(a * (b * a))
+    # r_x^2 and r^2 - r_y^2 - r_z^2 are one operator, as a right or a left factor
+    rx, ry, rz = _ABSTRACT[0:3]
+    r2 = radial_power(_REG, 2)
+    left = a * (rx * rx)
+    right = a * (r2 - ry * ry - rz * rz)
+    assert left == right and hash(left) == hash(right)
+    assert (rx * rx) * b == (r2 - ry * ry - rz * rz) * b
 
 
 @settings(max_examples=40, deadline=None)
