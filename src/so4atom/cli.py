@@ -17,6 +17,7 @@ from the config file, is a usage error.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -92,6 +93,8 @@ def _build_config(args):
         raise UsageError("mu must be symbolic, 0, 1, or all")
     if cfg.points < 1:
         raise UsageError("points must be at least 1, got %d" % cfg.points)
+    if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise UsageError("tol must be a finite number above 0, got %r" % cfg.tol)
     return cfg
 
 

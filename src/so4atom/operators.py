@@ -406,18 +406,6 @@ class VecExpr:
 # Spec-level operations
 
 
-def mul(a, b):
-    return a * b
-
-
-def scale(coeff, a):
-    if isinstance(a, VecExpr):
-        return a.map(lambda c: c.scaled(coeff) if isinstance(coeff, ScalarCoeff) else c * coeff)
-    if isinstance(coeff, ScalarCoeff):
-        return a.scaled(coeff)
-    return a * coeff
-
-
 def commutator(a, b):
     """[a, b].  Vector arguments distribute componentwise on that side."""
     if isinstance(a, VecExpr) and isinstance(b, VecExpr):

@@ -344,18 +344,3 @@ class ScalarCoeff:
 
     def __repr__(self):
         return f"ScalarCoeff({self})"
-
-
-# -- spec-level operation names --------------------------------------------
-
-
-def sc_add(a: ScalarCoeff, b: ScalarCoeff) -> ScalarCoeff:
-    return a + b
-
-
-def sc_mul(a: ScalarCoeff, b: ScalarCoeff) -> ScalarCoeff:
-    return a * b
-
-
-def sc_substitute(a: ScalarCoeff, name, value) -> ScalarCoeff:
-    return a.substitute(name, value)

@@ -236,9 +236,9 @@ def test_09_property_battery():
     res = spectrum.solve_lowest(sec, params0, grid_n=2000, r_max=150.0, count=6)
     for a, b in zip(res.energies[0::2], res.energies[1::2]):
         ok = ok and abs(a - b) < 1e-9
-    dec = spectrum.decoupled_levels(sec, params0, 2000, 150.0, 6)
-    for got, (want, _) in zip(res.energies, dec):
-        ok = ok and abs(got - want) < 1e-8  # coupled vs channel basis
+    band = spectrum.coupled_levels(sec, params0, 2000, 150.0, 6)
+    for got, want in zip(res.energies, band):
+        ok = ok and abs(got - want) < 1e-8  # channel basis vs coupled band
 
     # coupling-strength covariance: k1 -> lam*k1 with the box shrunk by
     # lam scales every eigenvalue by lam^2 on the nose

@@ -81,6 +81,41 @@ def test_empty_oracle_sample_exit_2(capsys, points):
     assert "pass" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--levels", "0"],
+    ["--levels", "-1"],
+    ["--j", "1/2", "--levels", "0"],
+])
+def test_bad_level_count_exit_2(capsys, argv):
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 2
+    assert "need at least 1" in err
+    assert "matched" not in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--grid-n", "2000", "--rmax", "150"],
+    ["oracle", "--suite", "so3"],
+])
+def test_bad_tol_exit_2(capsys, argv, tol):
+    # a nan tolerance would pass every comparison it meets: no FAIL, exit 0
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 2
+    assert "tol must be a finite number above 0" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bad_tol_in_config_exit_2(capsys, tmp_path, tol):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = %s\n" % tol)
+    code, out, err = run(capsys, "oracle", "--suite", "so3", "--config", str(cfg))
+    assert code == 2
+    assert "tol must be a finite number above 0" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--out", "r.json"], "--out"),
     (["--format", "json"], "--format"),
@@ -202,6 +237,14 @@ def test_spectrum_csv_to_stdout(capsys):
     assert code == 0
     assert "sector_j,channel,level_index" in out
     assert "j=1/2" in out
+
+
+def test_spectrum_with_no_level_below_cutoff_fails(capsys):
+    # no charge: nothing is bound, so nothing is matched, and that is no pass
+    code, out, _ = run(capsys, "spectrum", "--k1", "0")
+    assert code == 1
+    assert "spectrum: 0 matched levels" in out
+    assert "[FAIL]" in out
 
 
 def test_spectrum_coarse_grid_fails_tolerance(capsys):

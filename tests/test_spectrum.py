@@ -45,6 +45,18 @@ def test_grid_guardrails():
         spectrum.solve_lowest(sec, grid_n=100)
     with pytest.raises(UsageError):
         spectrum.solve_lowest(sec, grid_n=2000, r_max=-5.0)
+    for count in (0, -2, 2001):
+        with pytest.raises(UsageError, match="levels"):
+            spectrum.solve_lowest(sec, grid_n=2000, count=count)
+
+
+def test_coupled_band_is_a_mu1_reference():
+    with pytest.raises(UsageError):
+        spectrum.coupled_levels(spectrum.RadialSector(0, l=0),
+                                spectrum.CouplingParams(), 2000, 150.0, 2)
+    with pytest.raises(UsageError, match="levels"):
+        spectrum.coupled_levels(spectrum.RadialSector(1, j=HALF),
+                                spectrum.CouplingParams(), 2000, 150.0, 0)
 
 
 # -- plain Coulomb sector ---------------------------------------------------
@@ -99,17 +111,24 @@ def test_k2_zero_levels_are_doubly_degenerate():
     res = spectrum.solve_lowest(sec, params, count=6, **PIN)
     for a, b in zip(res.energies[0::2], res.energies[1::2]):
         assert abs(a - b) < 1e-9
+    # a tridiagonal channel has a simple spectrum, so the two members of a
+    # degenerate pair come one from each channel
+    for pair in zip(res.channels[0::2], res.channels[1::2]):
+        assert sorted(pair) == [-HALF, HALF]
 
 
 def test_coupled_matrix_agrees_with_decoupled_limit():
-    # with the off-diagonal coupling off, the interleaved band solve must
-    # reproduce the two scalar channels to eigensolver precision
-    sec = spectrum.RadialSector(1, j=Fraction(3, 2))
-    params = spectrum.CouplingParams(k2=0.0)
-    res = spectrum.solve_lowest(sec, params, 2000, 150.0, 6)
-    dec = spectrum.decoupled_levels(sec, params, 2000, 150.0, 6)
-    for got, (want, _) in zip(res.energies, dec):
-        assert abs(got - want) < 1e-8
+    # the interleaved band in the orbital basis, coupling row included, must
+    # reproduce the two rotated scalar channels to eigensolver precision
+    for k2 in (0.0, 0.2, 0.4):
+        for j in (HALF, Fraction(3, 2)):
+            sec = spectrum.RadialSector(1, j=j)
+            params = spectrum.CouplingParams(k2=k2)
+            res = spectrum.solve_lowest(sec, params, 2000, 150.0, 6)
+            band = spectrum.coupled_levels(sec, params, 2000, 150.0, 6)
+            assert len(band) == len(res.energies) == 6
+            for got, want in zip(res.energies, band):
+                assert abs(got - want) < 1e-9, (k2, j)
 
 
 def test_lowest_coupled_level_is_not_the_collapsed_one():
@@ -209,6 +228,15 @@ def test_default_study_all_match():
     assert worst < 1e-3
     sectors = {r.sector_j for r in rows}
     assert {"l=0", "l=1", "l=2", "l=3", "j=1/2", "j=3/2"} <= sectors
+
+
+def test_no_level_below_cutoff_is_not_a_match():
+    # no charge at mu=0: a free particle in a box, every level above the cutoff
+    res = spectrum.solve_lowest(spectrum.RadialSector(0, l=0),
+                                spectrum.CouplingParams(k1=0.0), 1000, 100.0, 3)
+    rows, ok = spectrum.match_spectrum(res)
+    assert rows == []
+    assert ok is False
 
 
 def test_energy_cutoff_scales_with_box():
