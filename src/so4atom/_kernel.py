@@ -53,10 +53,6 @@ def g_mul(x, y):
     return g_norm(xa * ya - xb * yb, xa * yb + xb * ya, xd * yd)
 
 
-def g_neg(x):
-    return (-x[0], -x[1], x[2])
-
-
 def g_inv(x):
     a, b, d = x
     n = a * a + b * b

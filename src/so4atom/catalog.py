@@ -36,7 +36,6 @@ from . import lang
 __all__ = [
     "SUITE_NAMES",
     "PASSING_STATUSES",
-    "Definition",
     "IdentitySpec",
     "CheckResult",
     "Suite",
@@ -61,13 +60,6 @@ _REGISTRY_EXTRA = {"spectrum_algebra": ("E", "t")}
 
 
 # --- suite objects --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Definition:
-    """A named expression a suite binds before its checks run."""
-    name: str
-    source: str
 
 
 @dataclass(frozen=True)
@@ -108,8 +100,7 @@ class Suite:
         self.name = name
         self.text = text
         parsed = lang.parse_identity_file(text)
-        self.definitions = tuple(Definition(d.name, d.source) for d in parsed.definitions)
-        self._raw_definitions = parsed.definitions
+        self.definitions = parsed.definitions
         self.checks = tuple(
             IdentitySpec(c.check_id, name, c.lhs, c.rhs, c.relation, c.mode,
                          c.mu, c.lhs_source, c.rhs_source)
@@ -122,7 +113,7 @@ class Suite:
             raise UsageError("spin mode must be a SpinMode, got %r" % (mode,))
         if mode not in self._envs:
             reg = SymbolRegistry(extra=_REGISTRY_EXTRA.get(self.name, ()))
-            self._envs[mode] = lang.elaborate_definitions(self._raw_definitions, reg, mode)
+            self._envs[mode] = lang.elaborate_definitions(self.definitions, reg, mode)
         return self._envs[mode]
 
     def spec(self, check_id):
@@ -132,11 +123,12 @@ class Suite:
         raise UsageError("no check %r in suite %r" % (check_id, self.name))
 
 
+# the packaged suites' directory, resolved once: every get_suite asks for it
+_PACKAGED_DATA = str(resources.files("so4atom") / "data")
+
+
 def data_dir():
-    override = os.environ.get("SO4ATOM_DATA_DIR")
-    if override:
-        return override
-    return str(resources.files("so4atom") / "data")
+    return os.environ.get("SO4ATOM_DATA_DIR") or _PACKAGED_DATA
 
 
 def load_suite(name, directory=None):

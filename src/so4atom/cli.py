@@ -80,13 +80,16 @@ def _parse_config_file(path):
 
 def _build_config(args):
     cfg = RunConfig()
-    if args.config:
-        for key, value in _parse_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        given = getattr(args, f.name, None)
-        if given is not None:
-            setattr(cfg, f.name, given)
+    given = _parse_config_file(args.config) if args.config else {}
+    given.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None)
+    for key, value in given.items():
+        setattr(cfg, key, value)
+    if "k2" in given and cfg.j is None and args.command in ("spectrum", "all"):
+        raise UsageError("k2 needs j: without j the spectrum sweeps k2 over 0, 0.2 and 0.4")
+    for key in ("k1", "k2", "rmin", "rmax"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise UsageError("%s must be a finite number, got %r" % (key, getattr(cfg, key)))
     if cfg.spin not in ("abstract", "half"):
         raise UsageError("spin must be abstract or half")
     if cfg.mu not in (None, "symbolic", "0", "1", "all"):

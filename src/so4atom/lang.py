@@ -362,9 +362,6 @@ class ElabEnv:
     mode: SpinMode
     bindings: dict
 
-    def child(self):
-        return ElabEnv(self.registry, self.mode, dict(self.bindings))
-
 
 def _scalar_expr(env, coeff):
     return OperatorExpr.from_scalar(coeff, mode=env.mode)

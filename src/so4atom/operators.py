@@ -285,9 +285,6 @@ class OperatorExpr:
     def term_count(self):
         return len(self._terms)
 
-    def momentum_order(self):
-        return max((sig[4] + sig[5] + sig[6] for sig in self._terms), default=0)
-
     def raw_terms(self):
         return self._terms
 

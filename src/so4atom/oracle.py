@@ -1,35 +1,39 @@
 """Numeric confirmation of catalog identities on random wavefunctions.
 
-Every canonical monomial acts concretely: position factors multiply, the
-radial power becomes |r|^m, each momentum factor is -i*hbar times the
-corresponding derivative, and spin components act as hbar/2 times Pauli
-matrices on a two-component spinor.  Derivatives come from exact Taylor
-jets of the test state (polynomial times Gaussian), so there is no
-finite-difference error anywhere; the only noise left is float roundoff,
-which is why a passing identity sits around 1e-15 and the tolerance is a
-comfortable 1e-8.
+The oracle never consults the symbolic engine.  It walks a check's syntax
+tree, and the suite's let bodies, right to left over a batched spinor jet:
+the Taylor coefficients of a test state (polynomial times Gaussian) at every
+sample point.  p_u = -i*hbar d/du shifts coefficients and lowers the jet
+order by one; r_u, r^m, rpow(m) and unitr() multiply by jets of the position
+and of |r|^m; S_u is hbar/2 times a Pauli matrix on the spinor axis;
+[A, B] = A(B psi) - B(A psi), a bare r against a vector meaning |r|; dot,
+cross and idx act per component.  Each sub-walk keeps only the jet order its
+consumer needs.  A check read at both couplings mu = 0 and 1 is walked once:
+mu scales a lens axis of the jets.  Derivatives are exact, so a passing
+identity sits at float roundoff, about 1e-15, far below the tolerance of
+1e-8.  One sample table per battery holds the state jets at the highest
+order any check needs.
 
-Every check of a battery samples the same points, so each point's jets are
-built once per order into a shared table, and an identity is evaluated over
-all points at once, one monomial row at a time.  apply() keeps the plain
-point-by-point evaluation as the reference.
-
-Reports are deterministic for a given seed.  Relative residuals are
-normalized by the largest single-monomial contribution of the left side at
-the same point, so massive cancellations are scored honestly.
+The relative residual at a point is |lhs - rhs|, a 1-norm over the spinor,
+divided by the largest such norm among the left side's top-level summands:
+the tree split at +, - and unary minus, constant factors kept on each
+summand, idx distributed, dot split into its three products, a cross
+component into its two and [A, B] into AB and BA.  Where every summand
+vanishes, the gap stands as it is.  Reports are deterministic for a seed.
 """
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import sqrt
+from operator import add, mul, sub, truediv
 
 import numpy as np
 
-from .errors import UsageError
-from .jets import Jet, _keys
-from .operators import SpinMode, VecExpr
+from .errors import LangError, UsageError
+from .jets import Jet
+from .lang import Apply, BinOp, Commutator, Index, Neg, Num, Sym, VecBuiltin
 from . import catalog, lang
 
 __all__ = [
@@ -39,7 +43,6 @@ __all__ = [
     "default_states",
     "sample_points",
     "state_jets",
-    "apply",
     "residual",
     "default_battery",
     "run_battery",
@@ -56,6 +59,13 @@ _SIGMA = (
 _QUAD_KEYS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
               (2, 0, 0), (0, 2, 0), (0, 0, 2),
               (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+_AXES = ("x", "y", "z")
+_BUILTINS = {name: VecBuiltin(name) for name in ("r", "p", "S", "l")}
+_R = _BUILTINS["r"]
+_RADIUS = Apply("rpow", (Num(Fraction(1)),))
+_UNIT = BinOp("*", _R, Apply("rpow", (Num(Fraction(-1)),)))
+_ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": truediv}
 
 
 @dataclass(frozen=True)
@@ -110,119 +120,252 @@ def sample_points(state, count, rng):
 
 
 def state_jets(state, point, order):
-    """Taylor jets of both spinor components around the point."""
-    quad = Jet.constant(order, 0.0)
-    for u in range(3):
-        d = Jet.variable(order, u, point[u]) - Jet.constant(order, state.center[u])
-        quad = quad + d * d
-    gauss = quad.scale(-1.0 / (2.0 * state.gaussian_width ** 2)).exp()
-    return tuple(
-        (Jet.from_poly(order, state.poly_coeffs[comp], point) * gauss)
-        .scale(state.spinor[comp])
-        for comp in range(2)
-    )
+    """Taylor jet of the state around point; spinor components on the last axis."""
+    d = [Jet.variable(order, u, point[u] - c) for u, c in enumerate(state.center)]
+    gauss = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).scale(-0.5 / state.gaussian_width ** 2)
+    polys = [Jet.from_poly(order, poly, point).coeffs * weight
+             for poly, weight in zip(state.poly_coeffs, state.spinor)]
+    return Jet(order, np.stack(polys, axis=-1)) * Jet(order, gauss.exp().coeffs[:, None])
 
 
-def _spin_matrix(spin_word, hbar):
-    mat = np.eye(2, dtype=complex)
-    for u in range(3):
-        if spin_word[u]:
-            base = (hbar / 2.0) * _SIGMA[u]
-            for _ in range(spin_word[u]):
-                mat = mat @ base
-    return mat
+# the battery in progress: its (states, points per state, seed), its sample
+# points (n, 3), the state jets there, coefficients (K, 1, 2, n) with a lens
+# axis that mu widens, and |r|^2
+_SAMPLE = None
 
 
-def _compile(expr, bindings):
-    """Freeze an operator expression into plain numeric monomial data."""
-    hbar = bindings["hbar"]
-    rows = []
-    for m in expr.monomials():
-        coeff = m.coeff.evaluate(bindings)
-        degree = sum(m.mom_exps)
-        factor = coeff * (-1j * hbar) ** degree
-        rows.append((factor, m.pos_exps, m.rad_exp, m.mom_exps,
-                     _spin_matrix(m.spin_word, hbar)))
-    return rows
+def _sample(states, points_per_state, seed, order):
+    global _SAMPLE
+    key = (list(states), points_per_state, seed)
+    if _SAMPLE is None or _SAMPLE[0] != key or _SAMPLE[2].order < order:
+        rng = random.Random(seed)
+        pairs = [(s, p) for s in states for p in sample_points(s, points_per_state, rng)]
+        psi = np.stack([state_jets(s, p, order).coeffs for s, p in pairs], axis=-1)
+        points = np.array([p for _s, p in pairs])
+        x = [Jet.variable(order, u, points[None, None, :, u]) for u in range(3)]
+        _SAMPLE = (key, points, Jet(order, psi[:, None]),
+                   x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    return _SAMPLE[1:]
 
 
-class _PointTable:
-    """Sample points with every jet partial up to one order, one row per point.
+def _exponent(node, span):
+    n = lang._as_exponent(node)
+    if n is None:
+        raise LangError("exponent must be an integer literal", span)
+    return n
 
-    partials[i, comp, col] is jets[comp].partial(alpha) at points[i], for the
-    alpha that columns maps to col.
+
+def _radial(node):
+    """m for rpow(m) and r^m, else None."""
+    if isinstance(node, Apply) and node.func == "rpow" and len(node.args) == 1:
+        return _exponent(node.args[0], node.span)
+    if isinstance(node, BinOp) and node.op == "^" and node.lhs == _R:
+        return _exponent(node.rhs, node.span)
+    return None
+
+
+class _Walk:
+    """Acts with a suite's syntax trees on a batched spinor jet, right to left.
+
+    apply(node, axis, psi, need) applies node (its component axis, if a
+    vector) to psi, to jet order need; psi must reach need plus node's
+    momentum order.  A summand is (coefficient, jet): constants, signs,
+    -i*hbar and hbar/2 stay scalars until summands of different coefficients
+    meet.  act() gives node's top-level summands, which the normaliser reads.
+    Shape, momentum order, constant value and the way to act are kept per
+    node for the walk; jets are not kept.
     """
 
-    def __init__(self, points, jets, order):
-        self.points = np.array(points, dtype=float).reshape(-1, 3)
-        self.radii = np.sqrt((self.points ** 2).sum(axis=1))
-        self.columns = {alpha: col for col, alpha in enumerate(_keys(order))}
-        self.partials = np.array(
-            [[[comp.partial(alpha) for alpha in self.columns] for comp in pair]
-             for pair in jets], dtype=complex).reshape(len(points), 2, len(self.columns))
+    def __init__(self, suite, bindings, mus):
+        self.defs = {d.name: d.expr for d in suite.definitions}
+        # under one lens mu folds like any constant; under two it scales a lens axis
+        self.consts = dict(bindings, i=1j, mu=mus[0])
+        if len(mus) > 1:
+            del self.consts["mu"]
+        self.lenses = np.array(mus, dtype=float).reshape(-1, 1, 1)
+        self._info = {}
 
-    def __len__(self):
-        return len(self.radii)
+    def at(self, points, radius2):
+        """Act at these points (n, 3), whose |r|^2 jet is radius2."""
+        self.points, self.radius2 = points, radius2
+        return self
+
+    def _alias(self, node):
+        """(tree, axis) that a name or unitr() stands for, or (None, value)."""
+        if not isinstance(node, Sym):
+            return (_UNIT, None) if isinstance(node, Apply) and node.func == "unitr" else None
+        base, _, axis = node.name.rpartition("_")
+        if node.name in self.defs:
+            return self.defs[node.name], None
+        if axis in _AXES and (base in self.defs or base in _BUILTINS):
+            return self.defs.get(base, _BUILTINS.get(base)), _AXES.index(axis)
+        if node.name in self.consts:
+            return None, complex(self.consts[node.name])
+        raise LangError("unbound name %r" % node.name, node.span)
+
+    def info(self, node):
+        """(is a vector, momentum order, constant value or None, how to act)."""
+        key = id(node)
+        if key not in self._info:
+            self._info[key] = self._describe(node)
+        return self._info[key]
+
+    def order(self, spec):
+        return max(self.info(spec.lhs)[1], self.info(spec.rhs)[1])
+
+    def _describe(self, node):
+        if isinstance(node, Sym) and node.name == "mu" and "mu" not in self.consts:
+            return False, 0, None, ("mu",)
+        alias, m = self._alias(node), _radial(node)
+        if alias and alias[0] is None or isinstance(node, Num):
+            return False, 0, alias[1] if alias else complex(node.value), ("const",)
+        if alias:
+            vec, order, value, _how = self.info(alias[0])
+            return vec and alias[1] is None, order, value, ("alias",) + alias
+        if m is not None:
+            return False, 0, None, ("radial", m / 2)
+        if isinstance(node, VecBuiltin):
+            return True, int(node.name in ("p", "l")), None, (node.name,)
+        if isinstance(node, Neg):
+            vec, order, value, _how = self.info(node.operand)
+            return vec, order, None if value is None else -value, ("scale", node.operand, -1.0)
+        if isinstance(node, Index):
+            return False, self.info(node.target)[1], None, \
+                ("index", node.target, _AXES.index(node.axis))
+        if isinstance(node, BinOp) and node.op == "^":
+            n = _exponent(node.rhs, node.span)
+            _vec, order, value, _how = self.info(node.lhs)
+            if value is None and n < 0:
+                raise LangError("only constants and r take negative powers", node.span)
+            return False, order * n, None if value is None else value ** n, \
+                ("power", node.lhs, n, order)
+        a, b = self._sides(node)
+        (avec, aorder, aval, _a), (bvec, border, bval, _b) = self.info(a), self.info(b)
+        if not isinstance(node, BinOp):
+            how = node.func if isinstance(node, Apply) else "bracket"
+            return avec or bvec if how == "bracket" else how == "cross", aorder + border, \
+                None, (how, a, b)
+        if node.op == "/" and not bval:
+            raise LangError("division only by nonzero constants", node.span)
+        value = None if aval is None or bval is None else _ARITHMETIC[node.op](aval, bval)
+        order = {"*": aorder + border, "/": aorder}.get(node.op, max(aorder, border))
+        if node.op in ("+", "-"):
+            how = ("sum", a, b, node.op == "-")
+        elif bval is not None or aval is not None:
+            how = ("scale", b, aval) if bval is None else \
+                ("scale", a, bval if node.op == "*" else 1.0 / bval)
+        else:
+            how = ("pair", a, b)
+        return avec or bvec, order, value, how
+
+    def _sides(self, node):
+        """The operands; in a bracket against a vector, a bare r is |r|."""
+        if isinstance(node, Apply):
+            if node.func not in ("dot", "cross") or len(node.args) != 2:
+                raise LangError("bad call of %r" % node.func, node.span)
+            return node.args
+        a, b = node.lhs, node.rhs
+        if isinstance(node, Commutator) and self.info(a)[0] and self.info(b)[0]:
+            if _R not in (a, b):
+                raise LangError("commutator of two vectors; take components", node.span)
+            a, b = (_RADIUS, b) if a == _R else (a, _RADIUS)
+        return a, b
+
+    def apply(self, node, axis, psi, need):
+        """node (its component axis) applied to psi as one summand: a
+        coefficient and a jet of order need, or (0, None)."""
+        _vec, _order, value, (how, *args) = self.info(node)
+        hbar = self.consts["hbar"]
+        if value is not None:
+            return value, psi.truncate(need)
+        if how == "alias":
+            return self.apply(args[0], axis if args[1] is None else args[1], psi, need)
+        if how == "radial" and not need:   # at order 0, a plain factor |r|^m per point
+            return 1.0, psi.truncate(0).scale(self.radius2.value() ** args[0])
+        if how == "radial":
+            return 1.0, self.radius2.truncate(need).fractional_power(args[0]) * psi.truncate(need)
+        if how in ("p", "l") and psi.order <= need:
+            raise UsageError("jet order %d is too low for %s at order %d" % (psi.order, how, need))
+        if how == "p":
+            return -1j * hbar, psi.truncate(need + 1).diff(axis)
+        if how == "l":   # (r x p)_axis = -i hbar (r x grad)_axis
+            return -1j * hbar, psi.truncate(need + 1).cross_grad(axis, self.points.T)
+        if how == "S":
+            return 0.5 * hbar, Jet(need, _SIGMA[axis] @ psi.truncate(need).coeffs)
+        if how == "r":
+            return 1.0, psi.truncate(need).times_variable(axis, self.points[:, axis])
+        if how == "mu":
+            return 1.0, psi.truncate(need).scale(self.lenses)
+        if how == "power":
+            base, n, order = args
+            coeff = 1.0
+            for left in range(n - 1, -1, -1):
+                factor, psi = self.apply(base, axis, psi, need + left * order)
+                coeff *= factor
+                if not coeff:
+                    return 0.0, None
+            return coeff, psi
+        return _combine(self.act(node, axis, psi, need))
+
+    def _pair(self, a, j, b, k, psi, need, sign=1.0):
+        """A_j (B_k psi) as one summand."""
+        inner_coeff, inner = self.apply(b, k, psi, need + self.info(a)[1])
+        if not inner_coeff:
+            return 0.0, None
+        coeff, outer = self.apply(a, j, inner, need)
+        return sign * coeff * inner_coeff, outer
+
+    def act(self, node, axis, psi, need):
+        """The top-level summands of node applied to psi, as apply() gives each."""
+        _vec, _order, value, (how, *args) = self.info(node)
+        if value is not None or how not in ("index", "scale", "sum", "pair", "bracket",
+                                            "dot", "cross"):
+            return [self.apply(node, axis, psi, need)]
+        if how == "index":
+            return self.act(args[0], args[1], psi, need)
+        if how == "scale":
+            parts = self.act(args[0], axis, psi, need) if args[1] else []
+            return [(args[1] * c, jet) for c, jet in parts]
+        if how == "sum":
+            rhs = self.act(args[1], axis, psi, need)
+            return self.act(args[0], axis, psi, need) + \
+                ([(-c, jet) for c, jet in rhs] if args[2] else rhs)
+        a, b = args
+        if how == "pair":
+            return [self._pair(a, axis, b, axis, psi, need)]
+        if how == "bracket":
+            return [self._pair(a, axis, b, axis, psi, need),
+                    self._pair(b, axis, a, axis, psi, need, -1.0)]
+        if how == "dot":
+            return [self._pair(a, u, b, u, psi, need) for u in range(3)]
+        j, k = (axis + 1) % 3, (axis + 2) % 3
+        return [self._pair(a, j, b, k, psi, need), self._pair(a, k, b, j, psi, need, -1.0)]
+
+    def gaps(self, lhs, rhs, psi):
+        """Per component: |lhs - rhs| and the largest lhs summand, per point."""
+        lvec, rvec = self.info(lhs)[0], self.info(rhs)[0]
+        for axis in (0, 1, 2) if lvec or rvec else (None,):
+            parts = [c * jet.value() for c, jet in self.act(lhs, axis, psi, 0) if c]
+            norms = [np.abs(part).sum(axis=-2) for part in parts] or [np.zeros(len(self.points))]
+            coeff, jet = self.apply(rhs, axis, psi, 0)
+            gap = sum(parts) - (coeff * jet.value() if coeff else 0.0)
+            yield np.abs(gap).sum(axis=-2), reduce(np.maximum, norms)
 
 
-def _eval_compiled(rows, table):
-    """Values (n, 2) and largest single-row magnitudes (n,) over the table."""
-    total = np.zeros((len(table), 2), dtype=complex)
-    largest = np.zeros(len(table))
-    for factor, pos, rad, alpha, mat in rows:
-        scale = np.full(len(table), factor, dtype=complex)
-        if pos != (0, 0, 0):
-            x, y, z = table.points.T
-            scale *= x ** pos[0] * y ** pos[1] * z ** pos[2]
-        if rad:
-            scale *= table.radii ** rad
-        deriv = table.partials[:, :, table.columns[alpha]]
-        term = scale[:, None] * (deriv @ mat.T)
-        total += term
-        np.maximum(largest, np.abs(term).sum(axis=1), out=largest)
-    return total, largest
-
-
-def _momentum_order(expr):
-    if isinstance(expr, VecExpr):
-        return max(c.momentum_order() for c in expr.components)
-    return expr.momentum_order()
-
-
-def apply(expr, state, point, bindings=None, mu=None, order=None):
-    """Act with expr on the state's wavefunction; returns a complex 2-vector."""
-    merged = dict(DEFAULT_BINDINGS)
-    if bindings:
-        merged.update(bindings)
-    if mu is not None:
-        expr = expr.substitute("mu", Fraction(mu))
-    need = _momentum_order(expr)
-    if order is None:
-        order = need
-    elif order < need:
-        raise UsageError("jet order %d below the momentum degree %d" % (order, need))
-    if isinstance(expr, VecExpr):
-        raise UsageError("apply acts with one component at a time")
-    jets = state_jets(state, point, order)
-    radius = sqrt(point[0] ** 2 + point[1] ** 2 + point[2] ** 2)
-    value = np.zeros(2, dtype=complex)
-    for factor, pos, rad, alpha, mat in _compile(expr, merged):
-        scale = factor
-        if pos != (0, 0, 0):
-            scale *= point[0] ** pos[0] * point[1] ** pos[1] * point[2] ** pos[2]
-        if rad:
-            scale *= radius ** rad
-        value += scale * (mat @ np.array([jets[0].partial(alpha), jets[1].partial(alpha)]))
-    return value
-
-
-def _components(expr, like=None):
-    if isinstance(expr, VecExpr):
-        return list(expr.components)
-    if like is not None and isinstance(like, VecExpr):
-        # scalar zero standing in for a vector right-hand side
-        return [expr, expr, expr]
-    return [expr]
+def _combine(terms):
+    """The sum of (coefficient, jet) terms as one; terms whose coefficients
+    are equal or opposite add or subtract without scaling a jet."""
+    coeff, total = 0.0, None
+    for c, jet in terms:
+        if not c:
+            continue
+        if total is None:
+            coeff, total = c, jet
+        elif c == coeff or c == -coeff:
+            total = total + jet if c == coeff else total - jet
+        else:
+            total = total + jet.scale(c / coeff)
+    return coeff, total
 
 
 def _mu_values(policy):
@@ -231,36 +374,6 @@ def _mu_values(policy):
     if policy == "1":
         return (1,)
     return (0, 1)
-
-
-def _state_key(state):
-    # poly dicts keep their insertion order: it fixes the jets' summation order
-    return (state.gaussian_width, state.center,
-            tuple(tuple(poly.items()) for poly in state.poly_coeffs), state.spinor)
-
-
-# every check of a battery samples the same points: keep the last few tables
-_TABLES = OrderedDict()
-_TABLE_LIMIT = 16
-
-
-def _point_table(states, points_per_state, seed, order):
-    """The shared table for states x points_per_state points drawn from seed."""
-    key = (tuple(_state_key(s) for s in states), points_per_state, seed, order)
-    table = _TABLES.get(key)
-    if table is None:
-        rng = random.Random(seed)
-        points, jets = [], []
-        for state in states:
-            for point in sample_points(state, points_per_state, rng):
-                points.append(point)
-                jets.append(state_jets(state, point, order))
-        table = _TABLES[key] = _PointTable(points, jets, order)
-        if len(_TABLES) > _TABLE_LIMIT:
-            _TABLES.popitem(last=False)
-    else:
-        _TABLES.move_to_end(key)
-    return table
 
 
 def _check_sample(states, points_per_state):
@@ -272,42 +385,22 @@ def _check_sample(states, points_per_state):
 
 def residual(spec, states=None, points_per_state=20, seed=42, bindings=None):
     """Max residual of one identity over states x points, both couplings."""
-    merged = dict(DEFAULT_BINDINGS)
-    if bindings:
-        merged.update(bindings)
+    merged = dict(DEFAULT_BINDINGS, **(bindings or {}))
     if states is None:
         states = default_states(5, seed)
     _check_sample(states, points_per_state)
     suite = catalog.get_suite(spec.suite)
-    env = suite.env(SpinMode.ABSTRACT)
-    lhs = lang.elaborate(spec.lhs, env)
-    rhs = lang.elaborate(spec.rhs, env)
-    lhs_parts = _components(lhs, like=rhs)
-    rhs_parts = _components(rhs, like=lhs)
-    if len(lhs_parts) != len(rhs_parts):
-        raise UsageError("check %s mixes vector and scalar sides" % spec.check_id)
-
-    max_abs = 0.0
-    max_rel = 0.0
-    num_points = 0
-    for mu in _mu_values(spec.mu_policy):
-        sides = []
-        order = 0
-        for le, re in zip(lhs_parts, rhs_parts):
-            le = le.substitute("mu", Fraction(mu))
-            re = re.substitute("mu", Fraction(mu))
-            order = max(order, _momentum_order(le), _momentum_order(re))
-            sides.append((_compile(le, merged), _compile(re, merged)))
-        table = _point_table(states, points_per_state, seed, order)
-        num_points += len(table)
-        for lrows, rrows in sides:
-            lval, lmax = _eval_compiled(lrows, table)
-            rval, _ = _eval_compiled(rrows, table)
-            gap = np.abs(lval - rval).sum(axis=1)
-            rel = np.divide(gap, lmax, out=gap.copy(), where=lmax > 0)
-            max_abs = max(max_abs, float(gap.max()))
-            max_rel = max(max_rel, float(rel.max()))
-    return ResidualReport(spec.check_id, num_points, max_abs, max_rel, seed)
+    mus = _mu_values(spec.mu_policy)
+    walk = _Walk(suite, merged, mus)
+    points, psi, radius2 = _sample(states, points_per_state, seed, walk.order(spec))
+    max_abs, max_rel = 0.0, 0.0
+    # every lens at once: a check that never reads mu stays one lens wide
+    for gap, largest in walk.at(points, radius2).gaps(spec.lhs, spec.rhs, psi):
+        gap, largest = np.broadcast_arrays(gap, largest)
+        rel = np.divide(gap, largest, out=gap.copy(), where=largest > 0)
+        max_abs = max(max_abs, float(gap.max()))
+        max_rel = max(max_rel, float(rel.max()))
+    return ResidualReport(spec.check_id, len(points) * len(mus), max_abs, max_rel, seed)
 
 
 # checks the numeric battery runs by default: every equation from the two
@@ -346,10 +439,10 @@ def run_battery(pairs=None, states=None, points_per_state=20, seed=42, bindings=
     if states is None:
         states = default_states(5, seed)
     _check_sample(states, points_per_state)
-    reports = []
-    for suite_name, cid in pairs:
-        spec = catalog.get_suite(suite_name).spec(cid)
-        reports.append(residual(spec, states=states,
-                                points_per_state=points_per_state,
-                                seed=seed, bindings=bindings))
-    return reports
+    specs = [catalog.get_suite(name).spec(cid) for name, cid in pairs]
+    # one sample table for the battery, at the highest order any check needs
+    top = max(_Walk(catalog.get_suite(s.suite), DEFAULT_BINDINGS, (0,)).order(s) for s in specs)
+    _sample(states, points_per_state, seed, top)
+    return [residual(spec, states=states, points_per_state=points_per_state,
+                     seed=seed, bindings=bindings)
+            for spec in specs]

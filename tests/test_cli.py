@@ -116,6 +116,48 @@ def test_bad_tol_in_config_exit_2(capsys, tmp_path, tol):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--rmax", "nan"],
+    ["--rmin=-inf"],
+    ["--k1", "nan"],
+    ["--j", "1/2", "--k2", "inf"],
+    ["--j", "1/2", "--k2", "nan"],
+])
+def test_non_finite_spectrum_input_exit_2(capsys, argv):
+    # nan slips past the grid's range checks and fails inside the solver
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 2
+    assert "must be a finite number" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("line", ["rmax = nan", "k1 = inf"])
+def test_non_finite_spectrum_input_in_config_exit_2(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+    assert code == 2
+    assert "must be a finite number" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["spectrum", "all"])
+def test_k2_without_j_exit_2(capsys, command):
+    # the default study sweeps its own k2 values, so a given k2 would be ignored
+    code, out, err = run(capsys, command, "--k2", "5")
+    assert code == 2
+    assert "k2 needs j" in err
+    assert out == ""
+
+
+def test_k2_without_j_in_config_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k2 = 0.3\n")
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+    assert code == 2
+    assert "k2 needs j" in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--out", "r.json"], "--out"),
     (["--format", "json"], "--format"),

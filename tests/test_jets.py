@@ -3,7 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so4atom.jets import Jet, alpha_factorial
 
@@ -109,5 +112,93 @@ def test_partials_match_finite_differences():
 def test_truncation_order_respected():
     x = Jet.variable(2, 0, 1.0)
     cube = x * x * x
-    # order-2 jet cannot report third derivatives
-    assert (3, 0, 0) not in cube.terms
+    # an order-2 jet of x^3 at x = 1 knows 3x^2 and 6x, but no third derivative
+    assert cube.order == 2
+    assert cube.partial((2, 0, 0)) == pytest.approx(6.0)
+    assert cube.partial((3, 0, 0)) == 0.0
+    assert cube.partial((0, 0, 0)) == pytest.approx(1.0)
+    slope = cube.partial((1, 0, 0))
+    assert cube.diff(0).order == 1
+    assert cube.diff(0).partial((0, 0, 0)) == pytest.approx(slope)
+    assert cube.diff(0).partial((2, 0, 0)) == 0.0
+
+
+# --- properties on random polynomial-times-Gaussian jets --------------------
+
+_coord = st.floats(-1.5, 1.5)
+_coeff = st.complex_numbers(max_magnitude=2.0)
+_monomial = st.tuples(*(st.integers(0, 2),) * 3)
+
+
+@st.composite
+def poly_gauss(draw, order, point):
+    """A jet of polynomial times Gaussian around point, batched over 2 columns."""
+    columns = []
+    for _ in range(2):
+        poly = draw(st.dictionaries(_monomial, _coeff, min_size=1, max_size=6))
+        width = draw(st.floats(0.6, 2.0))
+        quad = sum((Jet.variable(order, u, point[u]) * Jet.variable(order, u, point[u])
+                    for u in range(3)), Jet.constant(order, 0.0))
+        gauss = quad.scale(-0.5 / width ** 2).exp()
+        columns.append((Jet.from_poly(order, poly, point) * gauss).coeffs)
+    return Jet(order, np.stack(columns, axis=-1))
+
+
+@st.composite
+def jet_triple(draw):
+    order = draw(st.integers(0, 4))
+    point = draw(st.tuples(_coord, _coord, _coord))
+    return order, [draw(poly_gauss(order, point)) for _ in range(3)]
+
+
+def close(a, b):
+    scale = max(np.abs(a.coeffs).max(), np.abs(b.coeffs).max(), 1.0)
+    return a.order == b.order and np.allclose(a.coeffs, b.coeffs, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_triple())
+def test_product_commutes_and_associates(case):
+    _order, (f, g, h) = case
+    assert close(f * g, g * f)
+    assert close((f * g) * h, f * (g * h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_triple(), st.integers(0, 2))
+def test_derivative_obeys_leibniz_and_lowers_order(case, axis):
+    order, (f, g, _h) = case
+    if order == 0:
+        with pytest.raises(ValueError):
+            f.diff(axis)
+        return
+    assert f.diff(axis).order == order - 1
+    assert close((f * g).diff(axis), f.diff(axis) * g + f * g.diff(axis))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_triple(), st.integers(0, 4))
+def test_prefix_of_product_is_product_of_prefixes(case, low):
+    order, (f, g, _h) = case
+    low = min(low, order)
+    cut = (f * g).truncate(low)
+    assert cut.order == low
+    assert np.array_equal(cut.coeffs, (f.truncate(low) * g.truncate(low)).coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_triple(), st.integers(0, 2), _coord)
+def test_times_variable_is_the_product_with_a_variable(case, axis, base):
+    order, (f, _g, _h) = case
+    assert close(f.times_variable(axis, base), Jet.variable(order, axis, np.full(1, base)) * f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jet_triple(), st.integers(0, 2), st.tuples(_coord, _coord, _coord))
+def test_cross_grad_is_position_cross_gradient(case, axis, base):
+    order, (f, _g, _h) = case
+    if order == 0:
+        return
+    j, k = (axis + 1) % 3, (axis + 2) % 3
+    want = f.diff(k).times_variable(j, base[j]) - f.diff(j).times_variable(k, base[k])
+    assert close(f.cross_grad(axis, base), want)
