@@ -1,6 +1,6 @@
 """Radial ansatz scans.
 
-Two questions are answered by brute enumeration over a Laurent window:
+Two questions are answered exactly over a Laurent window:
 
 * which single power-law profile f keeps the Runge-Lenz construction both
   closed and conserved (answer: only 1/r), and
@@ -8,18 +8,19 @@ Two questions are answered by brute enumeration over a Laurent window:
   [Pi, xi] == i*hbar*(r/r^2)*xi that the closure calculation forces on the
   Hamiltonian's potential core (answer: span of 1/r and (r.S)/r^2).
 
-The first residual is quadratic in the unknown coefficients, the second
-linear.  solve() runs an exhaustive single-exponent scan followed by a
-pairwise cross-term sweep; with unknowns left symbolic in the zero test the
-scan proves each verdict for arbitrary coefficient values, not just sampled
-ones.  Hidden two-exponent solutions whose members fail alone would show up
-in the pairwise sweep and are reported rather than silently merged.
+Both residuals are linear in the unknown coefficients.  solve() splits each
+constraint row by its monomial in the physical symbols (hbar, M, ...),
+eliminates the resulting equations exactly over the Gaussian rationals and
+reads the null space off the free unknowns, so solutions of any number of
+terms are found; a row that is not linear in the unknowns is an error.  The
+basis is re-substituted through the full construction as a separate check.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UsageError
+from . import _kernel as K
+from .errors import DomainError, UsageError
 from .scalars import ScalarCoeff, SymbolRegistry
 from . import operators as ops
 from .operators import OperatorExpr, SpinMode
@@ -74,24 +75,12 @@ class LaurentAnsatz:
     def unknowns(self):
         return tuple(t.name for t in self.terms)
 
-    def term(self, name):
-        for t in self.terms:
-            if t.name == name:
-                return t
-        raise UsageError("no ansatz term named %r" % name)
-
 
 def _make_ansatz(prefix, window, spin=False):
     if not window:
         raise UsageError("exponent window is empty")
-    seen = set()
-    terms = []
-    for n in sorted(window):
-        if n in seen:
-            continue
-        seen.add(n)
-        terms.append(AnsatzTerm("%s_%s" % (prefix, _suffix(n)), n, spin))
-    return tuple(terms)
+    return tuple(AnsatzTerm("%s_%s" % (prefix, _suffix(n)), n, spin)
+                 for n in sorted(set(window)))
 
 
 @dataclass(frozen=True)
@@ -105,24 +94,39 @@ class ConstraintRow:
 @dataclass(frozen=True)
 class SolutionSpace:
     unknowns: tuple
-    basis: tuple            # dicts name -> Fraction, unit directions
+    basis: tuple            # dicts name -> constant ScalarCoeff, one per free unknown
     basis_text: tuple       # human-readable profile per direction
-    hidden_pairs: tuple     # pairs solving jointly though neither solves alone
-    conflicting_pairs: tuple  # single solutions whose sum fails (quadratic only)
-    verified: bool          # fresh-coefficient re-substitution came back zero
+    hidden_pairs: tuple     # unknowns of each direction with more than one term
+    conflicting_pairs: tuple  # always (): a linear residual has no conflicts
+    verified: bool          # re-substitution of the basis came back zero
 
     @property
     def dimension(self):
         return len(self.basis)
 
 
+def _eliminate(row, col, pivot):
+    """row minus row[col] times the pivot row, whose entry at col is 1; rows
+    are sparse {column: Gaussian rational}."""
+    if col not in row:
+        return row
+    a, b, d = row[col]
+    out = dict(row)
+    for k, g in pivot.items():
+        s = K.g_add(out.get(k, (0, 0, 1)), K.g_mul((-a, -b, d), g))
+        if s[0] or s[1]:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
 class ConstraintSystem:
     """Residual of one ansatz family, with exact solve over the window."""
 
-    def __init__(self, ansatz, registry, kind, build_residual):
+    def __init__(self, ansatz, registry, build_residual):
         self.ansatz = ansatz
         self.registry = registry
-        self.kind = kind                  # 'linear' or 'quadratic'
         self._build_residual = build_residual
         symbolic = {t.name: ScalarCoeff.symbol(registry, t.name) for t in ansatz.terms}
         self.residual = build_residual(symbolic)
@@ -137,44 +141,56 @@ class ConstraintSystem:
                 rows.append(ConstraintRow(label, sig, m.coeff))
         return tuple(rows)
 
-    def _zero_with(self, keep):
-        """Residual with every unknown outside `keep` set to zero, the kept
-        ones left symbolic; zero here means zero for all coefficient values."""
-        res = self.residual
-        for t in self.ansatz.terms:
-            if t.name not in keep:
-                res = res.substitute(t.name, Fraction(0))
-        return res.is_zero()
+    def _equations(self):
+        """Each row split by its monomial in the physical symbols, as sparse
+        rows {column of the unknown: Gaussian rational}."""
+        column = {self.registry.index(nm): j for j, nm in enumerate(self.ansatz.unknowns)}
+        for row in self.rows:
+            split = {}
+            for key, g in row.form.raw().items():
+                hits = [(idx, e) for idx, e in key if idx in column]
+                if len(hits) != 1 or hits[0][1] != 1:
+                    raise DomainError("row %s %s is not linear in the unknowns: %s"
+                                      % (row.component, row.monomial, row.form))
+                physical = tuple(p for p in key if p[0] not in column)
+                split.setdefault(physical, {})[column[hits[0][0]]] = g
+            yield from split.values()
 
     def solve(self):
-        names = list(self.ansatz.unknowns)
-        singles = [nm for nm in names if self._zero_with({nm})]
-        hidden = []
-        conflicts = []
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                joint = self._zero_with({a, b})
-                if a in singles and b in singles:
-                    if not joint:
-                        conflicts.append((a, b))
-                elif joint:
-                    hidden.append((a, b))
-        basis = tuple({nm: Fraction(1)} for nm in singles)
-        texts = tuple(self.ansatz.term(nm).text for nm in singles)
-        verified = self._reverify(singles)
-        return SolutionSpace(tuple(names), basis, texts,
-                             tuple(hidden), tuple(conflicts), verified)
+        names = self.ansatz.unknowns
+        pivots = {}             # pivot column -> row in reduced echelon form
+        for eq in self._equations():
+            for col, prow in pivots.items():
+                eq = _eliminate(eq, col, prow)
+            if eq:
+                col = min(eq)
+                inv = K.g_inv(eq[col])
+                eq = {c: K.g_mul(g, inv) for c, g in eq.items()}
+                pivots = {pc: _eliminate(prow, col, eq) for pc, prow in pivots.items()}
+                pivots[col] = eq
+        terms = self.ansatz.terms
+        free = [f for f in range(len(names)) if f not in pivots]
+        basis, texts = [], []
+        for f in free:
+            vec = {f: ScalarCoeff.one(self.registry)}
+            vec.update((pc, -ScalarCoeff(self.registry, {(): prow[f]}))
+                       for pc, prow in pivots.items() if f in prow)
+            cols = sorted(vec)
+            basis.append({names[c]: vec[c] for c in cols})
+            texts.append(" + ".join(terms[c].text if vec[c].is_one()
+                                    else "(%s)*%s" % (vec[c], terms[c].text) for c in cols))
+        hidden = tuple(tuple(vec) for vec in basis if len(vec) > 1)
+        verified = self._reverify([names[f] for f in free], basis)
+        return SolutionSpace(names, tuple(basis), tuple(texts), hidden, (), verified)
 
-    def _reverify(self, singles):
-        """Rebuild with fresh coupling symbols on the surviving directions
-        and demand an exact zero through the full construction again."""
-        if not singles:
-            return True
-        fresh = ("k1", "k2", "kappa")
-        if len(singles) > len(fresh):
-            return False
-        assignment = {nm: ScalarCoeff.symbol(self.registry, sym)
-                      for nm, sym in zip(singles, fresh)}
+    def _reverify(self, free, basis):
+        """Rebuild the residual at the general solution, each direction
+        scaled by its own free unknown, and demand an exact zero through
+        the full construction again."""
+        assignment = {nm: ScalarCoeff.zero(self.registry) for nm in self.ansatz.unknowns}
+        for name, vec in zip(free, basis):
+            for nm, c in vec.items():
+                assignment[nm] = assignment[nm] + c * ScalarCoeff.symbol(self.registry, name)
         return self._build_residual(assignment).is_zero()
 
 
@@ -193,7 +209,8 @@ def build_inverse_constraints(window=DEFAULT_INVERSE_WINDOW):
 
     f runs over the window with unknown coefficients; each power feeds the
     potential the closure bracket extracts for it, so the only freedom left
-    is f itself, and [R, H] must vanish.  Quadratic in the unknowns.
+    is f itself, and [R, H] must vanish.  Linear in the unknowns: the one
+    product of two profiles, [f*r, V], is zero.
     """
     ansatz = LaurentAnsatz(_make_ansatz("c", window), ())
     reg = SymbolRegistry(extra=ansatz.unknowns)
@@ -215,7 +232,7 @@ def build_inverse_constraints(window=DEFAULT_INVERSE_WINDOW):
         H = kinetic + V
         return ops.commutator(R, H)
 
-    return ConstraintSystem(ansatz, reg, "quadratic", residual)
+    return ConstraintSystem(ansatz, reg, residual)
 
 
 def build_spin_constraints(scalar_window=DEFAULT_SCALAR_WINDOW,
@@ -224,7 +241,7 @@ def build_spin_constraints(scalar_window=DEFAULT_SCALAR_WINDOW,
 
     xi = sum a_n r^n + sum b_m r^m (r.S) must satisfy
     [Pi, xi] == i*hbar*(r/r^2)*xi with Pi = p - (r x S)/r^2.  Linear in the
-    unknowns, so the scan is a genuine null-space computation.
+    unknowns.
     """
     scalar_terms = _make_ansatz("a", scalar_window)
     spin_terms = _make_ansatz("b", spin_window, spin=True)
@@ -244,4 +261,4 @@ def build_spin_constraints(scalar_window=DEFAULT_SCALAR_WINDOW,
         xi = xi + _radial_profile(reg, mode, assignment, ansatz.spin_terms) * rS
         return ops.commutator(Pi, xi) - (rm2 * (rvec * xi)).scaled(ihbar)
 
-    return ConstraintSystem(ansatz, reg, "linear", residual)
+    return ConstraintSystem(ansatz, reg, residual)

@@ -176,48 +176,48 @@ def _shape_difference(lhs, rhs):
     raise UsageError("one side is a vector and the other is not")
 
 
-def _zero_at_mu(diff, value):
-    return diff.substitute("mu", Fraction(value)).is_zero()
+_MU_VALUES = {"symbolic": (), "0": (0,), "1": (1,), "all": (0, 1)}
 
 
-def _status_eq(diff, policy):
-    """Status of an '==' check under a mu policy; also reports symbolic zero."""
+def _verdict(diff, relation, lens, declared):
+    """(status under the lens, ok under the declared policy, symbolic zero,
+    witness, witness terms) for one difference.
+
+    An '==' check passes where the difference vanishes: symbolically, or at
+    every mu value of the policy ('all' names the values that held).  A
+    '!=' check passes where it vanishes at none of them.  The zero test and
+    each mu substitution run at most once.
+    """
     sym = diff.is_zero()
-    if policy == "symbolic":
-        return ("pass" if sym else "fail"), sym
-    if policy in ("0", "1"):
-        ok = sym or _zero_at_mu(diff, int(policy))
-        return ("pass" if ok else "fail"), sym
-    if sym:
-        return "pass", True
-    z0 = _zero_at_mu(diff, 0)
-    z1 = _zero_at_mu(diff, 1)
-    if z0 and z1:
-        return "pass_at_mu_0_and_1", False
-    if z0:
-        return "pass_at_mu_0", False
-    if z1:
-        return "pass_at_mu_1", False
-    return "fail", False
+    at_mu = {}
 
+    def zero_at(v):
+        if v not in at_mu:
+            shifted = diff.substitute("mu", Fraction(v))
+            at_mu[v] = (shifted, shifted.is_zero())
+        return at_mu[v][1]
 
-def _status_neq(diff, policy):
-    """A '!=' check passes when the difference refuses to vanish."""
-    sym = diff.is_zero()
-    if policy == "symbolic":
-        return ("fail" if sym else "pass"), sym
-    if policy in ("0", "1"):
-        return ("fail" if sym or _zero_at_mu(diff, int(policy)) else "pass"), sym
-    nonzero = not sym and not _zero_at_mu(diff, 0) and not _zero_at_mu(diff, 1)
-    return ("pass" if nonzero else "fail"), sym
+    def status(policy):
+        values = _MU_VALUES[policy]
+        if relation == "!=":
+            return "fail" if sym or any(zero_at(v) for v in values) else "pass"
+        if sym:
+            return "pass"
+        held = [str(v) for v in values if zero_at(v)]
+        if not held:
+            return "fail"
+        return "pass_at_mu_" + "_and_".join(held) if policy == "all" else "pass"
 
-
-_OK_BY_POLICY = {
-    "symbolic": frozenset({"pass"}),
-    "0": frozenset({"pass", "pass_at_mu_0", "pass_at_mu_0_and_1"}),
-    "1": frozenset({"pass", "pass_at_mu_1", "pass_at_mu_0_and_1"}),
-    "all": PASSING_STATUSES,
-}
+    shown = status(lens)
+    ok = (shown if lens == declared else status(declared)) in PASSING_STATUSES
+    witness, terms = "", 0
+    if relation == "==" and (shown == "fail" or not ok):
+        shown_diff = diff if lens in ("symbolic", "all") else at_mu[int(lens)][0]
+        vec = isinstance(shown_diff, VecExpr)
+        parts = shown_diff.components if vec else (shown_diff,)
+        witness = "(%s)" % "; ".join(map(str, parts)) if vec else str(shown_diff)
+        terms = sum(c.term_count() for c in parts)
+    return shown, ok, sym, witness, terms
 
 
 def _compatible(declared, requested):
@@ -226,16 +226,6 @@ def _compatible(declared, requested):
     if requested == "symbolic":
         return False
     return declared == requested
-
-
-def _witness_text(diff, policy):
-    if policy in ("0", "1"):
-        diff = diff.substitute("mu", Fraction(int(policy)))
-    if isinstance(diff, VecExpr):
-        parts = [str(c) for c in diff.components]
-        count = sum(c.term_count() for c in diff.components)
-        return "(" + "; ".join(parts) + ")", count
-    return str(diff), diff.term_count()
 
 
 def run_check(spec, env=None, requested_mu=None, mode="abstract"):
@@ -255,23 +245,8 @@ def run_check(spec, env=None, requested_mu=None, mode="abstract"):
 
     # '!=' checks always speak about their declared policy
     effective = spec.mu_policy if spec.relation == "!=" else (requested_mu or spec.mu_policy)
-    if spec.relation == "==":
-        status, sym = _status_eq(diff, effective)
-    else:
-        status, sym = _status_neq(diff, effective)
-
-    if effective == spec.mu_policy:
-        ok = status in _OK_BY_POLICY[spec.mu_policy] if spec.relation == "==" \
-            else status == "pass"
-    else:
-        declared_status, _ = (_status_eq if spec.relation == "==" else _status_neq)(
-            diff, spec.mu_policy)
-        ok = declared_status in _OK_BY_POLICY[spec.mu_policy] if spec.relation == "==" \
-            else declared_status == "pass"
-
-    witness, terms = ("", 0)
-    if spec.relation == "==" and (status == "fail" or ok is False):
-        witness, terms = _witness_text(diff, effective)
+    status, ok, sym, witness, terms = _verdict(diff, spec.relation, effective,
+                                               spec.mu_policy)
     elapsed = (time.perf_counter() - started) * 1000.0
     return CheckResult(spec.check_id, spec.suite, status, ok, mode, spec.mu_policy,
                        requested_mu or "declared", sym, witness, terms, elapsed)
@@ -374,16 +349,7 @@ def _eigenvalue_results(suite, mode):
 
     def op_case(cid, diff, policy):
         started = time.perf_counter()
-        if policy == "symbolic":
-            ok = diff.is_zero()
-            status = "pass" if ok else "fail"
-            sym = ok
-        else:
-            status, sym = _status_eq(diff, "all")
-            ok = status in PASSING_STATUSES
-        witness, terms = ("", 0)
-        if not ok:
-            witness, terms = _witness_text(diff, "all")
+        status, ok, sym, witness, terms = _verdict(diff, "==", policy, policy)
         elapsed = (time.perf_counter() - started) * 1000.0
         results.append(CheckResult(cid, "spectrum_algebra", status, ok, mode,
                                    policy, "declared", sym, witness, terms, elapsed))

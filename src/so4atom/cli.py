@@ -8,12 +8,12 @@
     so4atom all
 
 Exit codes: 0 everything passed, 1 some check failed, 2 the request itself
-was malformed.  A config file (--config, flat key=value lines, '#' comments)
-seeds the options; explicit flags win.  SO4ATOM_DATA_DIR redirects suite
-loading.  Reports go to --out in --format (json or md; csv is the spectrum
-table), and every command echoes the configuration it resolved.  `all`
-prints only its summary lines; --out or --format there, from a flag or
-from the config file, is a usage error.
+was malformed, such as a flag the command does not read.  A config file
+(--config, flat key=value lines, '#' comments) seeds the options; explicit
+flags win.  SO4ATOM_DATA_DIR redirects suite loading.  Reports go to --out
+in --format (json or md; csv is the spectrum table); every command echoes
+its resolved configuration.  `all` prints only its summary lines; --out or
+--format there, from a flag or from the config file, is a usage error.
 """
 
 import argparse
@@ -78,11 +78,27 @@ def _parse_config_file(path):
     return values
 
 
+# the flags each command reads besides --format, --out and --config; a
+# config file may still carry keys for the other commands
+_READS = {
+    "verify": ("suite", "mu", "spin"),
+    "oracle": ("suite", "seed", "points", "tol"),
+    "inverse": (),
+    "spin-potential": (),
+    "spectrum": ("tol", "j", "k1", "k2", "grid_n", "rmin", "rmax", "levels"),
+    "all": tuple(_FIELD_TYPES),
+}
+
+
 def _build_config(args):
     cfg = RunConfig()
+    flags = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None}
+    reads = _READS[args.command] + ("format", "out")
+    unread = ["--" + key.replace("_", "-") for key in flags if key not in reads]
+    if unread:
+        raise UsageError("%s does not read %s" % (args.command, ", ".join(unread)))
     given = _parse_config_file(args.config) if args.config else {}
-    given.update((f.name, getattr(args, f.name)) for f in fields(RunConfig)
-                 if getattr(args, f.name, None) is not None)
+    given.update(flags)
     for key, value in given.items():
         setattr(cfg, key, value)
     if "k2" in given and cfg.j is None and args.command in ("spectrum", "all"):

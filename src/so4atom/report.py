@@ -26,11 +26,9 @@ __all__ = [
 _WITNESS_LIMIT = 400
 
 
-def check_entry(result, residual=None):
+def check_entry(result):
     """One row of the checks array from a catalog result."""
     entry = {"id": result.check_id, "status": result.status}
-    if residual is not None:
-        entry["residual"] = residual.max_rel_residual
     if result.witness:
         text = result.witness
         if len(text) > _WITNESS_LIMIT:

@@ -7,7 +7,7 @@ import pytest
 
 from so4atom import catalog
 from so4atom.errors import UsageError
-from so4atom.operators import SpinMode
+from so4atom.operators import OperatorExpr, SpinMode, VecExpr
 
 
 def status_table(results):
@@ -107,6 +107,31 @@ def test_lens_failure_carries_witness():
     # a residual proportional to mu*(mu-1) survives the symbolic lens
     assert all(r.witness for r in failed)
     assert all(r.ok for r in failed)
+
+
+@pytest.mark.parametrize("mu", ["0", "1", "all"])
+def test_each_mu_value_substituted_once_per_check(monkeypatch, mu):
+    # the lens status, the declared verdict and the witness share one
+    # substitution per mu value
+    values = []
+    substitute = OperatorExpr.substitute
+
+    def counted(self, name, value):
+        values.append(value)
+        return substitute(self, name, value)
+
+    def counted_vec(self, name, value):
+        values.append(value)
+        return self.map(lambda c: substitute(c, name, value))
+
+    monkeypatch.setattr(OperatorExpr, "substitute", counted)
+    monkeypatch.setattr(VecExpr, "substitute", counted_vec)
+    suite = catalog.get_suite("theorem")
+    for spec in suite.checks:
+        if spec.mode is None and catalog._compatible(spec.mu_policy, mu):
+            values.clear()
+            catalog.run_check(spec, requested_mu=mu)
+            assert len(values) == len(set(values)), spec.check_id
 
 
 # -- mutation battery -------------------------------------------------------

@@ -174,6 +174,22 @@ def test_all_rejects_report_flags_exit_2(capsys, tmp_path, monkeypatch, argv, fl
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--suite", "so3", "--k2", "5", "--grid-n", "7", "--levels", "3"],
+     "verify does not read --k2, --grid-n, --levels"),
+    (["oracle", "--mu", "0"], "oracle does not read --mu"),
+    (["inverse", "--seed", "3"], "inverse does not read --seed"),
+    (["spin-potential", "--spin", "half"], "spin-potential does not read --spin"),
+    (["spectrum", "--suite", "so3"], "spectrum does not read --suite"),
+])
+def test_flag_the_command_does_not_read_exit_2(capsys, argv, named):
+    # an ignored flag would report a run the user did not ask for
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert named in err
+    assert out == ""
+
+
 def test_bad_config_key_exit_2(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 3\n")
