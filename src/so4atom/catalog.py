@@ -92,7 +92,13 @@ class CheckResult:
 
 
 class Suite:
-    """A parsed suite plus per-mode elaboration caches."""
+    """A parsed suite plus per-mode elaboration caches.
+
+    Per spin mode it keeps the definitions' bindings (env) and the
+    difference lhs - rhs of each of its own checks, so a check is
+    elaborated once per mode however many mu lenses read it.  The record
+    is bounded by the suite's checks.
+    """
 
     def __init__(self, name, text):
         if name not in SUITE_NAMES:
@@ -106,7 +112,9 @@ class Suite:
                          c.mu, c.lhs_source, c.rhs_source)
             for c in parsed.checks
         )
+        self._by_id = {c.check_id: c for c in self.checks}
         self._envs = {}
+        self._diffs = {}    # (mode, check_id) -> difference under self._envs[mode]
 
     def env(self, mode):
         if not isinstance(mode, SpinMode):
@@ -117,10 +125,22 @@ class Suite:
         return self._envs[mode]
 
     def spec(self, check_id):
-        for c in self.checks:
-            if c.check_id == check_id:
-                return c
-        raise UsageError("no check %r in suite %r" % (check_id, self.name))
+        if check_id not in self._by_id:
+            raise UsageError("no check %r in suite %r" % (check_id, self.name))
+        return self._by_id[check_id]
+
+    def difference(self, spec, env):
+        """spec's lhs - rhs under env.  Only one of this suite's own checks
+        under its cached env for the mode is read from the record; a
+        mutated or ad-hoc spec, or a hand-built env whose bindings may
+        change, is elaborated afresh.  An elaboration error is never kept.
+        """
+        if self._by_id.get(spec.check_id) is not spec or self._envs.get(env.mode) is not env:
+            return _difference(spec, env)
+        key = (env.mode, spec.check_id)
+        if key not in self._diffs:
+            self._diffs[key] = _difference(spec, env)
+        return self._diffs[key]
 
 
 # the packaged suites' directory, resolved once: every get_suite asks for it
@@ -176,6 +196,15 @@ def _shape_difference(lhs, rhs):
     raise UsageError("one side is a vector and the other is not")
 
 
+def _difference(spec, env):
+    try:
+        lhs = lang.elaborate(spec.lhs, env)
+        rhs = lang.elaborate(spec.rhs, env)
+        return _shape_difference(lhs, rhs)
+    except Exception as exc:
+        raise UsageError("check %s: %s" % (spec.check_id, exc)) from exc
+
+
 _MU_VALUES = {"symbolic": (), "0": (0,), "1": (1,), "all": (0, 1)}
 
 
@@ -229,19 +258,20 @@ def _compatible(declared, requested):
 
 
 def run_check(spec, env=None, requested_mu=None, mode="abstract"):
-    """Evaluate one identity.  env defaults to the suite's cached bindings."""
+    """Evaluate one identity.  env defaults to the suite's cached bindings;
+    a check of a suite get_suite has loaded, under that suite's env, reads
+    its difference from the suite's record (Suite.difference)."""
     started = time.perf_counter()
     spin = SpinMode.SPIN_HALF if mode == "half" else SpinMode.ABSTRACT
     if spec.mode is not None and spec.mode != mode:
         raise UsageError("check %s is declared for mode=%s" % (spec.check_id, spec.mode))
     if env is None:
-        env = get_suite(spec.suite).env(spin)
-    try:
-        lhs = lang.elaborate(spec.lhs, env)
-        rhs = lang.elaborate(spec.rhs, env)
-        diff = _shape_difference(lhs, rhs)
-    except Exception as exc:
-        raise UsageError("check %s: %s" % (spec.check_id, exc)) from exc
+        suite = get_suite(spec.suite)
+        env = suite.env(spin)
+    else:
+        # only a shared suite can own the caller's env; never load one here
+        suite = _SUITES.get((spec.suite, data_dir()))
+    diff = _difference(spec, env) if suite is None else suite.difference(spec, env)
 
     # '!=' checks always speak about their declared policy
     effective = spec.mu_policy if spec.relation == "!=" else (requested_mu or spec.mu_policy)

@@ -18,8 +18,11 @@ The relative residual at a point is |lhs - rhs|, a 1-norm over the spinor,
 divided by the largest such norm among the left side's top-level summands:
 the tree split at +, - and unary minus, constant factors kept on each
 summand, idx distributed, dot split into its three products, a cross
-component into its two and [A, B] into AB and BA.  Where every summand
-vanishes, the gap stands as it is.  Reports are deterministic for a seed.
+component into its two and [A, B] into AB and BA.  A left side that is one
+product A*B is scaled by the products of the summands of A and of B, each
+factor split the same way, since a product that vanishes would otherwise be
+roundoff divided by roundoff.  Where every summand vanishes, the gap stands
+as it is.  Reports are deterministic for a seed.
 """
 
 import random
@@ -341,14 +344,28 @@ class _Walk:
         j, k = (axis + 1) % 3, (axis + 2) % 3
         return [self._pair(a, j, b, k, psi, need), self._pair(a, k, b, j, psi, need, -1.0)]
 
+    def spread(self, node, axis, psi, need):
+        """act(), with a product split into the products of its factors'
+        summands, each factor spread in turn."""
+        how, *args = self.info(node)[3]
+        if how != "pair":
+            return self.act(node, axis, psi, need)
+        a, b = args
+        return [(c * c2, jet)
+                for c, inner in self.spread(b, axis, psi, need + self.info(a)[1]) if c
+                for c2, jet in self.spread(a, axis, inner, need)]
+
     def gaps(self, lhs, rhs, psi):
         """Per component: |lhs - rhs| and the largest lhs summand, per point."""
         lvec, rvec = self.info(lhs)[0], self.info(rhs)[0]
         for axis in (0, 1, 2) if lvec or rvec else (None,):
             parts = [c * jet.value() for c, jet in self.act(lhs, axis, psi, 0) if c]
-            norms = [np.abs(part).sum(axis=-2) for part in parts] or [np.zeros(len(self.points))]
             coeff, jet = self.apply(rhs, axis, psi, 0)
             gap = sum(parts) - (coeff * jet.value() if coeff else 0.0)
+            if self.info(lhs)[3][0] == "pair":
+                # one product is its own only summand: scale by the summands beneath it
+                parts = [c * jet.value() for c, jet in self.spread(lhs, axis, psi, 0) if c]
+            norms = [np.abs(part).sum(axis=-2) for part in parts] or [np.zeros(len(self.points))]
             yield np.abs(gap).sum(axis=-2), reduce(np.maximum, norms)
 
 

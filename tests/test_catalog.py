@@ -1,11 +1,13 @@
 """Identity catalog: statuses, lenses, mutations, packaged files."""
 
 import collections
+import dataclasses
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from so4atom import catalog
+from so4atom import catalog, lang
 from so4atom.errors import UsageError
 from so4atom.operators import OperatorExpr, SpinMode, VecExpr
 
@@ -189,6 +191,69 @@ def test_original_checks_still_pass_after_mutation_runs():
     catalog.run_check(broken, suite.env(SpinMode.ABSTRACT))
     clean = catalog.run_check(suite.spec(mutation.check_id), suite.env(SpinMode.ABSTRACT))
     assert clean.ok is True
+
+
+# -- the per-mode difference record -------------------------------------------
+
+
+def test_lenses_read_recorded_differences(monkeypatch):
+    # once the declared run has elaborated every check, a lens only changes
+    # the mu substitution applied to the recorded difference
+    catalog.run_suite("theorem")
+    calls = []
+    elaborate = lang.elaborate
+
+    def counted(node, env):
+        calls.append(node)
+        return elaborate(node, env)
+
+    monkeypatch.setattr(lang, "elaborate", counted)
+    for mu in ("0", "1", "symbolic"):
+        catalog.run_suite("theorem", mu=mu)
+    assert calls == []
+
+
+def without_timing(results):
+    return [dataclasses.replace(r, elapsed_ms=0.0) for r in results]
+
+
+@pytest.mark.parametrize("mode", ["abstract", "half"])
+def test_recorded_results_match_a_cold_suite(mode):
+    # a suite from load_suite is not the shared one, so run_check never
+    # reads a record for it and elaborates every check afresh
+    cold = catalog.load_suite("theorem")
+    catalog.run_suite("theorem", mode=mode)
+    for mu in (None, "symbolic", "0", "1", "all"):
+        warm = catalog.run_suite("theorem", mode=mode, mu=mu)
+        assert without_timing(warm) == without_timing(
+            catalog.run_suite("theorem", mode=mode, mu=mu, suite=cold)), mu
+
+
+@pytest.mark.parametrize("mutation", all_mutations(),
+                         ids=lambda m: "%s_%s" % (m.suite, m.check_id))
+def test_mutation_refuted_after_its_clean_check_is_recorded(mutation):
+    suite = catalog.get_suite(mutation.suite)
+    env = suite.env(SpinMode.ABSTRACT)
+    spec = suite.spec(mutation.check_id)
+    assert catalog.run_check(spec, env).ok is True
+    size = len(suite._diffs)
+    broken = catalog.apply_mutation(spec, mutation)
+    assert catalog.run_check(broken, env).ok is False
+    assert len(suite._diffs) == size
+    assert catalog.run_check(spec, env).ok is True
+
+
+def test_hand_built_env_is_never_read_from_the_record():
+    suite = catalog.get_suite("so4")
+    env = suite.env(SpinMode.ABSTRACT)
+    spec = suite.spec("RxR_eq_H_l")
+    assert catalog.run_check(spec, env).ok is True
+    size = len(suite._diffs)
+    hand = lang.ElabEnv(env.registry, env.mode, dict(env.bindings))
+    hand.bindings["H"] = hand.bindings["H"].scaled(Fraction(2))
+    assert catalog.run_check(spec, hand).ok is False
+    assert len(suite._diffs) == size
+    assert catalog.run_check(spec, env).ok is True
 
 
 # -- packaged identity files ------------------------------------------------

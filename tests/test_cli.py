@@ -1,9 +1,13 @@
 """Command line behavior: exit codes, config precedence, report output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import so4atom
 from so4atom import report
 from so4atom.cli import RunConfig, main
 
@@ -279,6 +283,13 @@ def test_oracle_seed_echoed(capsys):
     assert "seed 7" in out
 
 
+def test_oracle_theorem_suite_passes(capsys):
+    code, out, _ = run(capsys, "oracle", "--suite", "theorem", "--seed", "42")
+    assert code == 0
+    assert "oracle theorem:" in out
+    assert "[pass]" in out
+
+
 # -- spectrum ---------------------------------------------------------------
 
 
@@ -373,6 +384,15 @@ def test_all_command(capsys):
     for fragment in ("verify so3", "oracle theorem", "inverse:",
                      "spin-potential:", "spectrum:"):
         assert fragment in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(so4atom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "so4atom", "verify", "--suite", "so3"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "verify so3: 22 pass, 0 fail" in proc.stdout
 
 
 def test_runconfig_defaults():

@@ -77,6 +77,15 @@ def test_passing_check_residual_tiny():
     assert report.num_points > 0
 
 
+def test_single_product_left_side_scaled_beneath_the_product():
+    # (mu/M)*((...)*rS) == 0 is one product: scaled by itself it would read
+    # roundoff over roundoff, about 1
+    spec = catalog.get_suite("theorem").spec("h_constraint")
+    report = oracle.residual(spec)
+    assert report.max_abs_residual < 1e-12
+    assert report.max_rel_residual <= 1e-12
+
+
 def test_oracle_runs_without_the_engine(monkeypatch):
     # the oracle reads the syntax trees itself: with the engine's product
     # and elaboration disabled, every kept identity must still hold
