@@ -359,13 +359,11 @@ class _Walk:
         """Per component: |lhs - rhs| and the largest lhs summand, per point."""
         lvec, rvec = self.info(lhs)[0], self.info(rhs)[0]
         for axis in (0, 1, 2) if lvec or rvec else (None,):
-            parts = [c * jet.value() for c, jet in self.act(lhs, axis, psi, 0) if c]
+            # a product alone on the left is its own only summand: split it
+            parts = [c * jet.value() for c, jet in self.spread(lhs, axis, psi, 0) if c]
+            norms = [np.abs(part).sum(axis=-2) for part in parts] or [np.zeros(len(self.points))]
             coeff, jet = self.apply(rhs, axis, psi, 0)
             gap = sum(parts) - (coeff * jet.value() if coeff else 0.0)
-            if self.info(lhs)[3][0] == "pair":
-                # one product is its own only summand: scale by the summands beneath it
-                parts = [c * jet.value() for c, jet in self.spread(lhs, axis, psi, 0) if c]
-            norms = [np.abs(part).sum(axis=-2) for part in parts] or [np.zeros(len(self.points))]
             yield np.abs(gap).sum(axis=-2), reduce(np.maximum, norms)
 
 
