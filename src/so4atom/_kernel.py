@@ -3,14 +3,30 @@
 Everything here works on *raw* data, not on the engine's classes:
 
 * Gaussian rationals are triples ``(a, b, d)`` meaning ``(a + b*i)/d``
-  with ``d > 0`` and ``gcd(a, b, d) == 1``.
+  with ``d > 0`` and ``gcd(a, b, d) == 1``; zero is ``(0, 0, 1)``.
 * Scalar coefficients are dicts mapping sparse exponent keys (sorted
   tuples of ``(symbol_index, exponent)`` with nonzero exponents) to
-  Gaussian rational triples.
+  nonzero Gaussian rational triples.  hbar is symbol ``HBAR_INDEX``, the
+  smallest index, so a power of hbar is always the first entry of a key.
 * Operator expressions are dicts mapping monomial signatures
   ``(px, py, pz, rad, mx, my, mz, sx, sy, sz)`` to scalar coefficients.
   The signature encodes the canonical word
   ``r_x^px r_y^py r_z^pz r^rad p_x^mx p_y^my p_z^mz S_x^sx S_y^sy S_z^sz``.
+
+Products.  Multiplying two monomials
+``(pos_a, rad_a, ma, sa) * (pos_b, rad_b, mb, sb)`` only reorders the
+middle: ``p^ma`` moves past ``r^pos_b r^rad_b`` (``_p_past``) and
+``S^sa S^sb`` is normal-ordered (``spin_mul``).  The words this yields,
+with their Gaussian coefficients and powers of hbar, depend only on
+``(ma, pos_b, rad_b, sa, sb)`` and the spin mode; ``pos_a``, ``rad_a``
+and ``mb`` merely shift each word.  ``_step`` fuses the two expansions
+into one structure-table entry per such shape, built on first use and
+kept for the process, so ``expr_mul`` and ``expr_comm`` loop over term
+pairs times table entries and never expand a shape twice.
+
+Q(i) is a field and the scalar ring Q(i)[s, 1/s, ...] is a domain, so a
+product of nonzero coefficients is never zero: the kernel tests for zero
+only after an addition.
 
 The module is self-contained on purpose; it must not import anything
 from the rest of the package.
@@ -19,6 +35,10 @@ from the rest of the package.
 from math import gcd
 
 KERNEL_NAME = "pure"
+
+# hbar's symbol index; equal to scalars.HBAR_INDEX, which this module may
+# not import.  It is the smallest index, so bumping hbar edits a key's head.
+HBAR_INDEX = 0
 
 _ZERO3 = (0, 0, 0)
 _ONE4 = (1, 0, 1, 0)
@@ -29,11 +49,13 @@ _ONE4 = (1, 0, 1, 0)
 
 
 def g_norm(a, b, d):
+    if d == 1:
+        return (a, b, 1)
     if a == 0 and b == 0:
         return (0, 0, 1)
     if d < 0:
         a, b, d = -a, -b, -d
-    g = gcd(gcd(a, b), d)
+    g = gcd(a, b, d)
     if g > 1:
         a //= g
         b //= g
@@ -44,6 +66,8 @@ def g_norm(a, b, d):
 def g_add(x, y):
     xa, xb, xd = x
     ya, yb, yd = y
+    if xd == 1 and yd == 1:
+        return (xa + ya, xb + yb, 1)
     return g_norm(xa * yd + ya * xd, xb * yd + yb * xd, xd * yd)
 
 
@@ -121,6 +145,16 @@ def k_bump(key, idx, delta):
     return tuple(out)
 
 
+def k_bump_hbar(key, delta):
+    """``key * hbar**delta`` for ``delta != 0``: an edit of the key's head."""
+    if key and key[0][0] == HBAR_INDEX:
+        e = key[0][1] + delta
+        if e:
+            return ((HBAR_INDEX, e),) + key[1:]
+        return key[1:]
+    return ((HBAR_INDEX, delta),) + key
+
+
 # ---------------------------------------------------------------------------
 # Raw scalar coefficients
 
@@ -147,12 +181,17 @@ def sc_neg_raw(x):
 
 
 def sc_mul_raw(x, y):
+    if len(x) == 1 and len(y) == 1:
+        (kx, (xa, xb, xd)), = x.items()
+        (ky, (ya, yb, yd)), = y.items()
+        a = xa * ya - xb * yb
+        b = xa * yb + xb * ya
+        d = xd * yd
+        return {k_mul(kx, ky): (a, b, 1) if d == 1 else g_norm(a, b, d)}
     out = {}
     for kx, gx in x.items():
         for ky, gy in y.items():
             g = g_mul(gx, gy)
-            if g[0] == 0 and g[1] == 0:
-                continue
             k = k_mul(kx, ky)
             cur = out.get(k)
             if cur is None:
@@ -166,23 +205,27 @@ def sc_mul_raw(x, y):
     return out
 
 
-def sc_iadd_scaled(out, x, g, hbar_idx, hpow):
-    """In place: out += x * g * hbar**hpow."""
-    for k, gx in x.items():
-        gv = g_mul(gx, g)
-        if gv[0] == 0 and gv[1] == 0:
-            continue
+def sc_iadd_scaled(out, x, ga, gb, gd, hpow):
+    """In place: out += x * (ga + gb*i)/gd * hbar**hpow."""
+    for k, (xa, xb, xd) in x.items():
+        if xd == 1 and gd == 1:
+            v = (xa * ga - xb * gb, xa * gb + xb * ga, 1)
+        else:
+            v = g_norm(xa * ga - xb * gb, xa * gb + xb * ga, xd * gd)
         if hpow:
-            k = k_bump(k, hbar_idx, hpow)
+            k = k_bump_hbar(k, hpow)
         cur = out.get(k)
         if cur is None:
-            out[k] = gv
+            out[k] = v
+            continue
+        if cur[2] == 1 and v[2] == 1:
+            s = (cur[0] + v[0], cur[1] + v[1], 1)
         else:
-            s = g_add(cur, gv)
-            if s[0] == 0 and s[1] == 0:
-                del out[k]
-            else:
-                out[k] = s
+            s = g_add(cur, v)
+        if s[0] or s[1]:
+            out[k] = s
+        else:
+            del out[k]
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +346,10 @@ def spin_word_half(word):
 # p_u (pos, rad) = (pos, rad) p_u - i hbar pos_u (pos - e_u, rad)
 #                - i hbar rad (pos + e_u, rad - 2)
 
-_PPAST = {}
-
 
 def _p_past(mom, pos, rad):
-    key = (mom, pos, rad)
-    hit = _PPAST.get(key)
-    if hit is not None:
-        return hit
+    """Normal-ordered expansion of ``p^mom r^pos r^rad``, sorted, as
+    ``((pos, rad, mom), (a, b, d, hbar_power))`` pairs."""
     cur = {(pos, rad, _ZERO3): _ONE4}
     for axis in (2, 1, 0):
         for _ in range(mom[axis]):
@@ -318,77 +357,144 @@ def _p_past(mom, pos, rad):
             for (p, r, m), v in cur.items():
                 macc = list(m)
                 macc[axis] += 1
-                _acc3(nxt, (p, r, tuple(macc)), v)
+                _acc(nxt, (p, r, tuple(macc)), v)
                 bu = p[axis]
                 if bu:
                     p2 = list(p)
                     p2[axis] -= 1
-                    _acc3(nxt, (tuple(p2), r, m), _g_mul4(v, (0, -bu, 1, 1)))
+                    _acc(nxt, (tuple(p2), r, m), _g_mul4(v, (0, -bu, 1, 1)))
                 if r:
                     p3 = list(p)
                     p3[axis] += 1
-                    _acc3(nxt, (tuple(p3), r - 2, m), _g_mul4(v, (0, -r, 1, 1)))
+                    _acc(nxt, (tuple(p3), r - 2, m), _g_mul4(v, (0, -r, 1, 1)))
             cur = nxt
-    out = tuple(
-        (p[0], p[1], p[2], r, m[0], m[1], m[2], v[0], v[1], v[2], v[3])
-        for (p, r, m), v in sorted(cur.items())
-    )
-    _PPAST[key] = out
-    return out
-
-
-def _acc3(res, k, v):
-    cur = res.get(k)
-    if cur is None:
-        res[k] = v
-    else:
-        a, b, d = g_add(cur[:3], v[:3])
-        if a == 0 and b == 0:
-            del res[k]
-        else:
-            res[k] = (a, b, d, v[3])
+    return sorted(cur.items())
 
 
 # ---------------------------------------------------------------------------
-# Full product on term dicts
+# The structure table and the products on term dicts
+
+# Per spin mode (index ``half``): (ma, sa) -> (pos_b, rad_b, sb) -> entries.
+_STEPS = ({}, {})
 
 
-def expr_mul(ta, tb, half, hbar_idx):
+def _step(ma, pos_b, rad_b, sa, sb, half):
+    """Structure-table entry for ``p^ma S^sa * r^pos_b r^rad_b S^sb``.
+
+    One flat tuple ``(q0, ..., q6, w0, w1, w2, a, b, d, h)`` per word
+    ``r^(q0, q1, q2) r^q3 p^(q4, q5, q6) S^(w0, w1, w2)`` of the expansion,
+    whose coefficient is ``(a + b*i)/d * hbar**h``.  The product of the
+    full monomials adds ``pos_a``, ``rad_a`` and ``mb`` to the signature
+    offset ``q``.  Words come in the order of the sorted momentum and spin
+    expansions; no entry is zero, since Q(i) has no zero divisors.
+    """
+    spins = spin_mul(sa, sb, half)
+    out = []
+    for (p, r, m), (qa, qb, qd, qh) in _p_past(ma, pos_b, rad_b):
+        for w0, w1, w2, wa, wb, wd, wh in spins:
+            a, b, d = g_mul((qa, qb, qd), (wa, wb, wd))
+            out.append((p[0], p[1], p[2], r, m[0], m[1], m[2], w0, w1, w2, a, b, d, qh + wh))
+    return tuple(out)
+
+
+def _row(sig_a, half):
+    """The table row of the left monomial's ``(ma, sa)``."""
+    key = sig_a[4:10]
+    rows = _STEPS[half]
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = {}
+    return row
+
+
+def _fill(row, sig_a, sig_b, half):
+    """Build and keep the entry for the monomial pair; a row keys it by
+    the right monomial's ``(pos_b, rad_b, sb)``."""
+    steps = row[sig_b[0:4] + sig_b[7:10]] = _step(
+        sig_a[4:7], sig_b[0:3], sig_b[3], sig_a[7:10], sig_b[7:10], half
+    )
+    return steps
+
+
+def expr_mul(ta, tb, half):
+    """Raw terms of ``A*B``, before the quotient normal form."""
     out = {}
+    bs = [(sig_b[0:4] + sig_b[7:10], sig_b[4], sig_b[5], sig_b[6], sig_b, cb)
+          for sig_b, cb in tb.items()]
     for sig_a, ca in ta.items():
-        pa0 = sig_a[0]
-        pa1 = sig_a[1]
-        pa2 = sig_a[2]
-        rada = sig_a[3]
-        ma = sig_a[4:7]
-        sa = sig_a[7:10]
-        for sig_b, cb in tb.items():
-            cab = sc_mul_raw(ca, cb)
-            if not cab:
-                continue
-            spins = spin_mul(sa, sig_b[7:10], half)
-            mb0 = sig_b[4]
-            mb1 = sig_b[5]
-            mb2 = sig_b[6]
-            for q in _p_past(ma, sig_b[0:3], sig_b[3]):
-                base = (
-                    pa0 + q[0],
-                    pa1 + q[1],
-                    pa2 + q[2],
-                    rada + q[3],
-                    q[4] + mb0,
-                    q[5] + mb1,
-                    q[6] + mb2,
-                )
-                gq = (q[7], q[8], q[9])
-                hq = q[10]
-                for w in spins:
-                    sig = base + (w[0], w[1], w[2])
-                    g = g_mul(gq, (w[3], w[4], w[5]))
-                    if g[0] == 0 and g[1] == 0:
-                        continue
+        pa0, pa1, pa2, rada = sig_a[0], sig_a[1], sig_a[2], sig_a[3]
+        row = _row(sig_a, half)
+        for kb, mb0, mb1, mb2, sig_b, cb in bs:
+            steps = row.get(kb) or _fill(row, sig_a, sig_b, half)
+            for ck, (xa, xb, xd) in sc_mul_raw(ca, cb).items():
+                for q0, q1, q2, q3, q4, q5, q6, w0, w1, w2, ga, gb, gd, h in steps:
+                    sig = (pa0 + q0, pa1 + q1, pa2 + q2, rada + q3,
+                           q4 + mb0, q5 + mb1, q6 + mb2, w0, w1, w2)
+                    if xd == 1 and gd == 1:
+                        v = (xa * ga - xb * gb, xa * gb + xb * ga, 1)
+                    else:
+                        v = g_norm(xa * ga - xb * gb, xa * gb + xb * ga, xd * gd)
+                    k = k_bump_hbar(ck, h) if h else ck
                     tgt = out.get(sig)
                     if tgt is None:
-                        tgt = out[sig] = {}
-                    sc_iadd_scaled(tgt, cab, g, hbar_idx, hq + w[6])
+                        out[sig] = {k: v}
+                        continue
+                    cur = tgt.get(k)
+                    if cur is None:
+                        tgt[k] = v
+                        continue
+                    if cur[2] == 1 and v[2] == 1:
+                        s = (cur[0] + v[0], cur[1] + v[1], 1)
+                    else:
+                        s = g_add(cur, v)
+                    if s[0] or s[1]:
+                        tgt[k] = s
+                    else:
+                        del tgt[k]
+    return {s: c for s, c in out.items() if c}
+
+
+def _pair_into(acc, sig_a, sig_b, half, sign):
+    """``acc[(sig, h)] += sign * g`` over the words ``g * hbar**h * sig``
+    of the unit monomial product ``sig_a * sig_b``."""
+    pa0, pa1, pa2, rada = sig_a[0], sig_a[1], sig_a[2], sig_a[3]
+    mb0, mb1, mb2 = sig_b[4], sig_b[5], sig_b[6]
+    row = _row(sig_a, half)
+    steps = row.get(sig_b[0:4] + sig_b[7:10]) or _fill(row, sig_a, sig_b, half)
+    for q0, q1, q2, q3, q4, q5, q6, w0, w1, w2, ga, gb, gd, h in steps:
+        key = ((pa0 + q0, pa1 + q1, pa2 + q2, rada + q3,
+                q4 + mb0, q5 + mb1, q6 + mb2, w0, w1, w2), h)
+        g = (ga, gb, gd) if sign > 0 else (-ga, -gb, gd)
+        cur = acc.get(key)
+        if cur is None:
+            acc[key] = g
+            continue
+        s = g_add(cur, g)
+        if s[0] or s[1]:
+            acc[key] = s
+        else:
+            del acc[key]
+
+
+def expr_comm(ta, tb, half):
+    """Raw terms of ``[A, B] = A*B - B*A``, before the quotient normal form.
+
+    For each monomial pair the words of both orders merge first, as unit
+    products; the leading word always cancels, often everything does, and
+    only the surviving words are scaled by the pair's coefficient.
+    """
+    out = {}
+    for sig_a, ca in ta.items():
+        for sig_b, cb in tb.items():
+            acc = {}
+            _pair_into(acc, sig_a, sig_b, half, 1)
+            _pair_into(acc, sig_b, sig_a, half, -1)
+            if not acc:
+                continue
+            cab = sc_mul_raw(ca, cb)
+            for (sig, h), (ga, gb, gd) in acc.items():
+                tgt = out.get(sig)
+                if tgt is None:
+                    tgt = out[sig] = {}
+                sc_iadd_scaled(tgt, cab, ga, gb, gd, h)
     return {s: c for s, c in out.items() if c}

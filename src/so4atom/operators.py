@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from so4atom import _kernel as K
 from so4atom.errors import DomainError, UsageError
-from so4atom.scalars import HBAR_INDEX, ScalarCoeff, SymbolRegistry
+from so4atom.scalars import ScalarCoeff, SymbolRegistry
 
 _ZERO_SIG = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
@@ -95,6 +95,13 @@ def _normal_form(terms):
         work.append(((px - 2, py + 2, pz, m) + rest, neg))
         work.append(((px - 2, py, pz + 2, m) + rest, neg))
     return out
+
+
+def _scalar_raw(terms):
+    """The coefficient of a term dict whose only word is the identity."""
+    if len(terms) == 1:
+        return terms.get(_ZERO_SIG)
+    return None
 
 
 class OperatorExpr:
@@ -174,9 +181,14 @@ class OperatorExpr:
         if not isinstance(other, OperatorExpr):
             return NotImplemented
         _check_compat(self, other)
-        raw = K.expr_mul(
-            self._terms, other._terms, self.mode is SpinMode.SPIN_HALF, HBAR_INDEX
-        )
+        # a scalar commutes with every generator, so either order just scales
+        scalar = _scalar_raw(other._terms)
+        if scalar is not None:
+            return self._scaled_raw(scalar)
+        scalar = _scalar_raw(self._terms)
+        if scalar is not None:
+            return other._scaled_raw(scalar)
+        raw = K.expr_mul(self._terms, other._terms, self.mode is SpinMode.SPIN_HALF)
         return OperatorExpr(self.registry, self.mode, raw)
 
     def __rmul__(self, other):
@@ -191,13 +203,14 @@ class OperatorExpr:
             coeff = ScalarCoeff.from_rational(self.registry, coeff)
         if coeff.registry is not self.registry:
             raise UsageError("operands belong to different symbol registries")
-        raw = coeff.raw()
-        out = {}
-        for sig, c in self._terms.items():
-            merged = K.sc_mul_raw(c, raw)
-            if merged:
-                out[sig] = merged
-        return OperatorExpr(self.registry, self.mode, out)
+        return self._scaled_raw(coeff.raw())
+
+    def _scaled_raw(self, raw):
+        return OperatorExpr(
+            self.registry,
+            self.mode,
+            {sig: K.sc_mul_raw(c, raw) for sig, c in self._terms.items()},
+        )
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -258,7 +271,7 @@ class OperatorExpr:
             for w in K.spin_word_half(word):
                 sig2 = sig[:7] + (w[0], w[1], w[2])
                 tgt = out.setdefault(sig2, {})
-                K.sc_iadd_scaled(tgt, c, (w[3], w[4], w[5]), HBAR_INDEX, w[6])
+                K.sc_iadd_scaled(tgt, c, w[3], w[4], w[5], w[6])
                 if not tgt:
                     del out[sig2]
         return OperatorExpr(self.registry, SpinMode.SPIN_HALF, out)
@@ -404,13 +417,20 @@ class VecExpr:
 
 
 def commutator(a, b):
-    """[a, b].  Vector arguments distribute componentwise on that side."""
+    """[a, b] = a*b - b*a.  Vector arguments distribute componentwise on
+    that side.  Two operators go to the kernel's ``expr_comm`` in one
+    pass, which cancels the two orders of each monomial pair against each
+    other before scaling, so no ``OperatorExpr.__mul__`` is taken."""
     if isinstance(a, VecExpr) and isinstance(b, VecExpr):
         raise UsageError("commutator of two vectors is not defined; take components")
     if isinstance(a, VecExpr):
         return a.map(lambda c: commutator(c, b))
     if isinstance(b, VecExpr):
         return b.map(lambda c: commutator(a, c))
+    if isinstance(a, OperatorExpr) and isinstance(b, OperatorExpr):
+        _check_compat(a, b)
+        raw = K.expr_comm(a._terms, b._terms, a.mode is SpinMode.SPIN_HALF)
+        return OperatorExpr(a.registry, a.mode, raw)
     return a * b - b * a
 
 

@@ -182,9 +182,29 @@ def test_spin_half_products_match_pauli(reg, wa, wb):
                 out = out * comp
         return out
 
-    got = _expr_matrix(word(wa) * word(wb), hbar=0.83)
-    want = _word_matrix(wa, 0.83) @ _word_matrix(wb, 0.83)
-    assert np.allclose(got, want, atol=1e-13)
+    a, b = word(wa), word(wb)
+    ma, mb = _word_matrix(wa, 0.83), _word_matrix(wb, 0.83)
+    assert np.allclose(_expr_matrix(a * b, hbar=0.83), ma @ mb, atol=1e-13)
+    assert np.allclose(_expr_matrix(commutator(a, b), hbar=0.83), ma @ mb - mb @ ma,
+                       atol=1e-13)
+
+
+@pytest.mark.parametrize("mode", list(SpinMode))
+def test_scalar_factor_scales_in_either_order(reg, mode):
+    # a scalar-only operator commutes with everything, so a product with it
+    # on either side is the same operator as scaling by its coefficient
+    r = position_vec(reg, mode)
+    p = momentum_vec(reg, mode)
+    S = spin_vec(reg, mode)
+    expr = r.x * p.y * S.z + radial_power(reg, -1, mode) * p.x - S.x * S.y
+    coeff = ScalarCoeff.symbol(reg, "k1") + ScalarCoeff.from_gauss(reg, Fraction(1, 2), 1)
+    scalar = OperatorExpr.from_scalar(coeff, mode)
+    want = expr.scaled(coeff)
+    assert expr * scalar == want
+    assert scalar * expr == want
+    assert scalar * scalar == OperatorExpr.from_scalar(coeff * coeff, mode)
+    assert expr * OperatorExpr.one(reg, mode) == expr
+    assert (expr * OperatorExpr.zero(reg, mode)).is_zero()
 
 
 # -- hypothesis: structural laws over random words --------------------------
@@ -209,34 +229,67 @@ _HALF = _gens(SpinMode.SPIN_HALF)
 _word = st.lists(st.integers(0, len(_ABSTRACT) - 1), min_size=1, max_size=4)
 
 
-def _build(gens, word, scale_num):
+def _sym(name, power=1):
+    return ScalarCoeff.symbol(_REG, name, power)
+
+
+# Multi-term symbolic scales with non-unit and complex denominators, so
+# the laws also cover the general scalar paths, not only one-term Fractions.
+_SYMBOLIC = (
+    _sym("k1") + _sym("hbar") * ScalarCoeff.from_rational(_REG, Fraction(1, 3)),
+    ScalarCoeff.from_gauss(_REG, Fraction(1, 2), Fraction(1, 2)),
+    _sym("M", -1) - ScalarCoeff.from_gauss(_REG, 0, Fraction(2, 7)) * _sym("k2") * _sym("hbar", 2),
+    _sym("mu") * _sym("kappa") + ScalarCoeff.from_rational(_REG, Fraction(-5, 6)),
+)
+
+_scale = st.one_of(st.integers(-3, 3).filter(bool), st.sampled_from(_SYMBOLIC))
+
+
+def _build(gens, word, scale):
+    """The word's product, scaled by ``scale/3`` for an int, else by ``scale``."""
     out = gens[word[0]]
     for idx in word[1:]:
         out = out * gens[idx]
-    return out.scaled(ScalarCoeff.from_rational(_REG, Fraction(scale_num, 3)))
+    if isinstance(scale, int):
+        scale = ScalarCoeff.from_rational(_REG, Fraction(scale, 3))
+    return out.scaled(scale)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_word, _word, _word, st.integers(-3, 3))
-def test_associativity_random_words(wa, wb, wc, num):
-    a = _build(_ABSTRACT, wa, num or 1)
-    b = _build(_ABSTRACT, wb, 1)
-    c = _build(_ABSTRACT, wc, 2)
-    assert ((a * b) * c).equivalent(a * (b * c))
+@given(_word, _word, _word, st.integers(-3, 3), _scale)
+def test_associativity_random_words(wa, wb, wc, num, scale):
+    for gens in (_ABSTRACT, _HALF):
+        a = _build(gens, wa, num or 1)
+        b = _build(gens, wb, scale)
+        c = _build(gens, wc, 2)
+        assert ((a * b) * c).equivalent(a * (b * c))
 
 
 @settings(max_examples=40, deadline=None)
-@given(_word, _word, _word)
-def test_jacobi_random_words(wa, wb, wc):
-    a = _build(_ABSTRACT, wa, 1)
-    b = _build(_ABSTRACT, wb, 1)
-    c = _build(_ABSTRACT, wc, 1)
-    total = (
-        commutator(a, commutator(b, c))
-        + commutator(b, commutator(c, a))
-        + commutator(c, commutator(a, b))
-    )
-    assert total.is_zero()
+@given(_word, _word, _word, _scale)
+def test_jacobi_random_words(wa, wb, wc, scale):
+    for gens in (_ABSTRACT, _HALF):
+        a = _build(gens, wa, 1)
+        b = _build(gens, wb, scale)
+        c = _build(gens, wc, 1)
+        total = (
+            commutator(a, commutator(b, c))
+            + commutator(b, commutator(c, a))
+            + commutator(c, commutator(a, b))
+        )
+        assert total.is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_word, _word, _scale, _scale)
+def test_commutator_is_difference_of_products(wa, wb, sa, sb):
+    # the kernel's direct commutator against the two products it replaces
+    for gens in (_ABSTRACT, _HALF):
+        a = _build(gens, wa, sa)
+        b = _build(gens, wb, sb)
+        assert commutator(a, b) == a * b - b * a
+        assert commutator(a, b) == -commutator(b, a)
+        assert commutator(a, a).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
