@@ -419,6 +419,8 @@ def _fill(row, sig_a, sig_b, half):
 def expr_mul(ta, tb, half):
     """Raw terms of ``A*B``, before the quotient normal form."""
     out = {}
+    # the innermost body is sc_iadd_scaled, inlined: it runs once per term
+    # pair, scalar term and word, the engine's hottest loop
     bs = [(sig_b[0:4] + sig_b[7:10], sig_b[4], sig_b[5], sig_b[6], sig_b, cb)
           for sig_b, cb in tb.items()]
     for sig_a, ca in ta.items():

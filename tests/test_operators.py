@@ -2,8 +2,10 @@
 
 Unit checks pin the canonical commutation relations and the quotient
 normal form; the hypothesis block drives the ring through random words
-and confirms associativity, Jacobi, the laws of equality, and agreement
-between the abstract spin algebra and its spin-1/2 quotient.
+with rational and multi-term symbolic scales, in both spin modes, and
+confirms associativity, Jacobi, the direct commutator against the two
+products it replaces, the laws of equality, and agreement between the
+abstract spin algebra and its spin-1/2 quotient.
 """
 
 from fractions import Fraction
