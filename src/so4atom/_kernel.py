@@ -24,6 +24,20 @@ into one structure-table entry per such shape, built on first use and
 kept for the process, so ``expr_mul`` and ``expr_comm`` loop over term
 pairs times table entries and never expand a shape twice.
 
+Normal form.  Positions and radial powers satisfy
+``r^2 = r_x^2 + r_y^2 + r_z^2``.  The canonical form of the quotient keeps
+every r_x exponent at most 1; the relation is monic of degree 2 in r_x, so
+two operators are equal exactly when their term dicts are.  From operands in
+that form only a product can raise an r_x exponent past 1, so ``expr_mul``
+and ``expr_comm`` end in ``_quotient``, which rewrites
+
+    r_x^2 r^m  ->  r^(m+2) - r_y^2 r^m - r_z^2 r^m     (any integer m)
+
+and drops empty coefficients: both return the normal form.  Every other
+operation only merges, rescales or re-keys spin and scalar parts, and
+keeps it.  A stored coefficient dict is never mutated; ``acc_raw`` adds by
+replacing it.
+
 Q(i) is a field and the scalar ring Q(i)[s, 1/s, ...] is a domain, so a
 product of nonzero coefficients is never zero: the kernel tests for zero
 only after an addition.
@@ -174,6 +188,20 @@ def sc_add_raw(x, y):
             else:
                 out[k] = s
     return out
+
+
+def acc_raw(out, sig, raw):
+    """``out[sig] += raw`` on a term dict, dropping a sum that is zero.
+    The coefficient stored under ``sig`` is replaced, never mutated."""
+    cur = out.get(sig)
+    if cur is None:
+        out[sig] = dict(raw)
+    else:
+        merged = sc_add_raw(cur, raw)
+        if merged:
+            out[sig] = merged
+        else:
+            del out[sig]
 
 
 def sc_neg_raw(x):
@@ -416,8 +444,27 @@ def _fill(row, sig_a, sig_b, half):
     return steps
 
 
+def _quotient(out):
+    """The normal form of a raw product: drop empty coefficients and apply
+    the r_x^2 rewrite to the keys with ``px >= 2`` until none is left."""
+    res = {s: c for s, c in out.items() if c and s[0] < 2}
+    work = [(s, c) for s, c in out.items() if c and s[0] >= 2]
+    while work:
+        sig, c = work.pop()
+        px, py, pz, m = sig[0], sig[1], sig[2], sig[3]
+        if px < 2:
+            acc_raw(res, sig, c)
+            continue
+        rest = sig[4:]
+        neg = sc_neg_raw(c)
+        work.append(((px - 2, py, pz, m + 2) + rest, c))
+        work.append(((px - 2, py + 2, pz, m) + rest, neg))
+        work.append(((px - 2, py, pz + 2, m) + rest, neg))
+    return res
+
+
 def expr_mul(ta, tb, half):
-    """Raw terms of ``A*B``, before the quotient normal form."""
+    """Terms of ``A*B`` in the quotient normal form."""
     out = {}
     # the innermost body is sc_iadd_scaled, inlined: it runs once per term
     # pair, scalar term and word, the engine's hottest loop
@@ -453,7 +500,7 @@ def expr_mul(ta, tb, half):
                         tgt[k] = s
                     else:
                         del tgt[k]
-    return {s: c for s, c in out.items() if c}
+    return _quotient(out)
 
 
 def _pair_into(acc, sig_a, sig_b, half, sign):
@@ -479,7 +526,7 @@ def _pair_into(acc, sig_a, sig_b, half, sign):
 
 
 def expr_comm(ta, tb, half):
-    """Raw terms of ``[A, B] = A*B - B*A``, before the quotient normal form.
+    """Terms of ``[A, B] = A*B - B*A`` in the quotient normal form.
 
     For each monomial pair the words of both orders merge first, as unit
     products; the leading word always cancels, often everything does, and
@@ -499,4 +546,4 @@ def expr_comm(ta, tb, half):
                 if tgt is None:
                     tgt = out[sig] = {}
                 sc_iadd_scaled(tgt, cab, ga, gb, gd, h)
-    return {s: c for s, c in out.items() if c}
+    return _quotient(out)

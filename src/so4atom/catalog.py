@@ -262,7 +262,7 @@ def run_check(spec, env=None, requested_mu=None, mode="abstract"):
     a check of a suite get_suite has loaded, under that suite's env, reads
     its difference from the suite's record (Suite.difference)."""
     started = time.perf_counter()
-    spin = SpinMode.SPIN_HALF if mode == "half" else SpinMode.ABSTRACT
+    spin = SpinMode(mode)
     if spec.mode is not None and spec.mode != mode:
         raise UsageError("check %s is declared for mode=%s" % (spec.check_id, spec.mode))
     if env is None:
@@ -289,12 +289,10 @@ def run_suite(name, mode="abstract", mu=None, suite=None):
     ('symbolic', '0', '1', 'all') re-reports compatible checks under that
     lens and skips the incompatible ones.
     """
-    if mode not in ("abstract", "half"):
-        raise UsageError("mode must be abstract or half")
+    spin = SpinMode(mode)
     if mu not in (None, "symbolic", "0", "1", "all"):
         raise UsageError("mu must be symbolic, 0, 1, or all")
     suite = suite or get_suite(name)
-    spin = SpinMode.SPIN_HALF if mode == "half" else SpinMode.ABSTRACT
     env = suite.env(spin)
     results = []
     for spec in suite.checks:
@@ -360,8 +358,7 @@ def _lie_results(reg, mode):
 
 
 def _eigenvalue_results(suite, mode):
-    spin = SpinMode.SPIN_HALF if mode == "half" else SpinMode.ABSTRACT
-    env = suite.env(spin)
+    env = suite.env(SpinMode(mode))
     reg = env.registry
     results = _lie_results(reg, mode)
 

@@ -19,7 +19,7 @@ vanish (used to pin down deviations on record).
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import LangError, UsageError
+from .errors import DomainError, LangError, UsageError
 from .scalars import RESERVED_NAMES, ScalarCoeff
 from . import operators as ops
 from .operators import OperatorExpr, SpinMode, VecExpr
@@ -414,13 +414,8 @@ def _scalar_coeff_of(value):
     """The coefficient of an identity-signature expression, else None."""
     if not isinstance(value, OperatorExpr):
         return None
-    terms = value.raw_terms()
-    if len(terms) != 1:
-        return None
-    (sig, raw), = terms.items()
-    if any(sig):
-        return None
-    return ScalarCoeff(value.registry, raw)
+    raw = ops.scalar_raw(value.raw_terms())
+    return None if raw is None else ScalarCoeff(value.registry, raw)
 
 
 def elaborate(node, env):
@@ -508,13 +503,13 @@ def _elaborate_binop(node, env):
         if rvec:
             raise LangError("cannot divide by a vector", node.span)
         coeff = _scalar_coeff_of(rhs)
-        if coeff is None or coeff.is_zero():
+        if coeff is None:
             raise LangError("division only by nonzero scalar expressions", node.span)
         try:
             inv = coeff.invert()
-        except Exception as exc:
+        except DomainError as exc:
             raise LangError(str(exc), node.span)
-        return lhs.scaled(inv) if isinstance(lhs, VecExpr) else lhs * _scalar_expr(env, inv)
+        return lhs.scaled(inv)
     raise AssertionError(op)
 
 
@@ -527,13 +522,10 @@ def _elaborate_power(node, env):
     base = elaborate(node.lhs, env)
     if isinstance(base, VecExpr):
         raise LangError("cannot raise a vector to a power; use dot()", node.span)
-    if n >= 0:
-        return base ** n
     try:
-        inv = base.try_invert()
-    except Exception as exc:
+        return base ** n
+    except DomainError as exc:
         raise LangError(str(exc), node.span)
-    return inv ** (-n)
 
 
 # --- identity files -------------------------------------------------------

@@ -12,17 +12,15 @@ stored as 10-tuples of integer exponents with exact scalar coefficients
     [p_u, r^m] = -i hbar m r^(m-2) r_u  (spin commutes with r, p, r^m)
 
 Positions and radial powers commute with each other and satisfy
-r^2 = r_x^2 + r_y^2 + r_z^2.  Every construction rewrites
-
-    r_x^2 r^m  ->  r^(m+2) - r_y^2 r^m - r_z^2 r^m     (any integer m)
-
-until each r_x exponent is at most 1 (``_normal_form``).  The relation
-is monic of degree 2 in r_x, so this is the complete normal form of the
-quotient with r inverted: two expressions are equal as operators exactly
-when their term dicts are equal, so ``==`` and ``hash`` are mathematical
-and the zero test is an emptiness check.  A radial power r^m stays a
-single term.  Evaluation at r = 0 is never attempted; negative radial
-powers are formal Laurent data.
+r^2 = r_x^2 + r_y^2 + r_z^2.  Every expression is stored in the complete
+normal form of that quotient with r inverted: each r_x exponent is at
+most 1.  Products emit it (``_kernel.expr_mul`` and ``expr_comm`` end in
+the rewrite r_x^2 r^m -> r^(m+2) - r_y^2 r^m - r_z^2 r^m); every other
+operation keeps it.  So two expressions are equal as operators exactly
+when their term dicts are equal, ``==`` and ``hash`` are mathematical and
+the zero test is an emptiness check.  A radial power r^m stays a single
+term.  Evaluation at r = 0 is never attempted; negative radial powers are
+formal Laurent data.
 
 Spin has two modes.  Abstract: spin words are free modulo the su(2)
 relations only.  Spin-1/2: words carry the extra relation
@@ -38,7 +36,7 @@ from fractions import Fraction
 
 from so4atom import _kernel as K
 from so4atom.errors import DomainError, UsageError
-from so4atom.scalars import ScalarCoeff, SymbolRegistry
+from so4atom.scalars import ScalarCoeff, SymbolRegistry  # noqa: F401 (perfbench reads it here)
 
 _ZERO_SIG = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
@@ -46,6 +44,10 @@ _ZERO_SIG = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 class SpinMode(enum.Enum):
     ABSTRACT = "abstract"
     SPIN_HALF = "half"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise UsageError("mode must be abstract or half, not %r" % (value,))
 
 
 @dataclass(frozen=True)
@@ -66,39 +68,9 @@ def _check_compat(a, b):
         raise UsageError("operands have different spin modes")
 
 
-def _acc_raw(out, sig, raw):
-    cur = out.get(sig)
-    if cur is None:
-        out[sig] = dict(raw)
-    else:
-        merged = K.sc_add_raw(cur, raw)
-        if merged:
-            out[sig] = merged
-        else:
-            del out[sig]
-
-
-def _normal_form(terms):
-    """Drop zero coefficients and rewrite r_x^2 r^m into
-    r^(m+2) - r_y^2 r^m - r_z^2 r^m until every r_x exponent is <= 1."""
-    out = {s: c for s, c in terms.items() if c and s[0] < 2}
-    work = [(s, c) for s, c in terms.items() if c and s[0] >= 2]
-    while work:
-        sig, c = work.pop()
-        px, py, pz, m = sig[0], sig[1], sig[2], sig[3]
-        if px < 2:
-            _acc_raw(out, sig, c)
-            continue
-        rest = sig[4:]
-        neg = K.sc_neg_raw(c)
-        work.append(((px - 2, py, pz, m + 2) + rest, c))
-        work.append(((px - 2, py + 2, pz, m) + rest, neg))
-        work.append(((px - 2, py, pz + 2, m) + rest, neg))
-    return out
-
-
-def _scalar_raw(terms):
-    """The coefficient of a term dict whose only word is the identity."""
+def scalar_raw(terms):
+    """The coefficient of a term dict whose only word is the identity,
+    else None."""
     if len(terms) == 1:
         return terms.get(_ZERO_SIG)
     return None
@@ -110,9 +82,12 @@ class OperatorExpr:
     __slots__ = ("registry", "mode", "_terms")
 
     def __init__(self, registry, mode, terms):
+        """Store ``terms`` as given.  The caller guarantees the invariant:
+        the quotient normal form (every r_x exponent at most 1), no empty
+        coefficient, and coefficient dicts that nothing mutates later."""
         self.registry = registry
         self.mode = mode
-        self._terms = _normal_form(terms)
+        self._terms = terms
 
     # -- constructors -------------------------------------------------
 
@@ -154,9 +129,9 @@ class OperatorExpr:
         if not isinstance(other, OperatorExpr):
             return NotImplemented
         _check_compat(self, other)
-        out = {s: dict(c) for s, c in self._terms.items()}
+        out = dict(self._terms)
         for sig, c in other._terms.items():
-            _acc_raw(out, sig, c)
+            K.acc_raw(out, sig, c)
         return OperatorExpr(self.registry, self.mode, out)
 
     def __sub__(self, other):
@@ -182,10 +157,10 @@ class OperatorExpr:
             return NotImplemented
         _check_compat(self, other)
         # a scalar commutes with every generator, so either order just scales
-        scalar = _scalar_raw(other._terms)
+        scalar = scalar_raw(other._terms)
         if scalar is not None:
             return self._scaled_raw(scalar)
-        scalar = _scalar_raw(self._terms)
+        scalar = scalar_raw(self._terms)
         if scalar is not None:
             return other._scaled_raw(scalar)
         raw = K.expr_mul(self._terms, other._terms, self.mode is SpinMode.SPIN_HALF)
@@ -206,6 +181,8 @@ class OperatorExpr:
         return self._scaled_raw(coeff.raw())
 
     def _scaled_raw(self, raw):
+        if not raw:
+            return OperatorExpr.zero(self.registry, self.mode)
         return OperatorExpr(
             self.registry,
             self.mode,
@@ -242,19 +219,18 @@ class OperatorExpr:
     # -- substitution -------------------------------------------------
 
     def substitute(self, name, value) -> "OperatorExpr":
-        out = {}
-        for sig, c in self._terms.items():
-            c2 = ScalarCoeff(self.registry, c).substitute(name, value)
-            if not c2.is_zero():
-                out[sig] = dict(c2.raw())
-        return OperatorExpr(self.registry, self.mode, out)
+        return self._map_coeffs(ScalarCoeff.substitute, name, value)
 
     def substitute_even_powers(self, name, value: ScalarCoeff) -> "OperatorExpr":
+        return self._map_coeffs(ScalarCoeff.substitute_even_powers, name, value)
+
+    def _map_coeffs(self, fn, *args):
+        """``fn(coeff, *args)`` on every coefficient, dropping zeros."""
         out = {}
         for sig, c in self._terms.items():
-            c2 = ScalarCoeff(self.registry, c).substitute_even_powers(name, value)
-            if not c2.is_zero():
-                out[sig] = dict(c2.raw())
+            c2 = fn(ScalarCoeff(self.registry, c), *args).raw()
+            if c2:
+                out[sig] = c2
         return OperatorExpr(self.registry, self.mode, out)
 
     # -- spin reduction -----------------------------------------------
@@ -262,11 +238,12 @@ class OperatorExpr:
     def reduce_spin_half(self) -> "OperatorExpr":
         if self.mode is SpinMode.SPIN_HALF:
             return self
+        # acc_raw stores a copy, so sc_iadd_scaled only fills dicts made here
         out = {}
         for sig, c in self._terms.items():
             word = sig[7:10]
             if word == (0, 0, 0):
-                _acc_raw(out, sig, c)
+                K.acc_raw(out, sig, c)
                 continue
             for w in K.spin_word_half(word):
                 sig2 = sig[:7] + (w[0], w[1], w[2])
@@ -420,18 +397,19 @@ def commutator(a, b):
     """[a, b] = a*b - b*a.  Vector arguments distribute componentwise on
     that side.  Two operators go to the kernel's ``expr_comm`` in one
     pass, which cancels the two orders of each monomial pair against each
-    other before scaling, so no ``OperatorExpr.__mul__`` is taken."""
+    other before scaling, so no ``OperatorExpr.__mul__`` is taken.  Any
+    other argument is a UsageError."""
     if isinstance(a, VecExpr) and isinstance(b, VecExpr):
         raise UsageError("commutator of two vectors is not defined; take components")
     if isinstance(a, VecExpr):
         return a.map(lambda c: commutator(c, b))
     if isinstance(b, VecExpr):
         return b.map(lambda c: commutator(a, c))
-    if isinstance(a, OperatorExpr) and isinstance(b, OperatorExpr):
-        _check_compat(a, b)
-        raw = K.expr_comm(a._terms, b._terms, a.mode is SpinMode.SPIN_HALF)
-        return OperatorExpr(a.registry, a.mode, raw)
-    return a * b - b * a
+    if not (isinstance(a, OperatorExpr) and isinstance(b, OperatorExpr)):
+        raise UsageError("commutator takes operators or vectors")
+    _check_compat(a, b)
+    raw = K.expr_comm(a._terms, b._terms, a.mode is SpinMode.SPIN_HALF)
+    return OperatorExpr(a.registry, a.mode, raw)
 
 
 def cross(a: VecExpr, b: VecExpr) -> VecExpr:
@@ -445,14 +423,6 @@ def cross(a: VecExpr, b: VecExpr) -> VecExpr:
 
 def dot(a: VecExpr, b: VecExpr) -> OperatorExpr:
     return a.x * b.x + a.y * b.y + a.z * b.z
-
-
-def is_zero(a) -> bool:
-    return a.is_zero()
-
-
-def reduce_spin_half(a):
-    return a.reduce_spin_half()
 
 
 # ---------------------------------------------------------------------------

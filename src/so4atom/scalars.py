@@ -44,7 +44,7 @@ class SymbolRegistry:
         for name in extra:
             self.register(name)
 
-    def register(self, name: str) -> "ScalarSymbol":
+    def register(self, name: str) -> None:
         if not _NAME_RE.match(name) or keyword.iskeyword(name):
             raise UsageError(f"invalid symbol name {name!r}")
         if name in RESERVED_NAMES:
@@ -53,7 +53,6 @@ class SymbolRegistry:
             raise UsageError(f"symbol {name!r} already registered")
         self._index[name] = len(self._names)
         self._names.append(name)
-        return ScalarSymbol(name, self)
 
     def index(self, name: str) -> int:
         try:
@@ -73,33 +72,6 @@ class SymbolRegistry:
 
     def __len__(self):
         return len(self._names)
-
-    def symbol(self, name: str) -> "ScalarSymbol":
-        self.index(name)
-        return ScalarSymbol(name, self)
-
-
-class ScalarSymbol:
-    """Handle to a registered symbol."""
-
-    __slots__ = ("name", "registry")
-
-    def __init__(self, name, registry):
-        self.name = name
-        self.registry = registry
-
-    def __repr__(self):
-        return f"ScalarSymbol({self.name!r})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScalarSymbol)
-            and other.name == self.name
-            and other.registry is self.registry
-        )
-
-    def __hash__(self):
-        return hash((self.name, id(self.registry)))
 
 
 def _check_same_registry(a, b):

@@ -143,9 +143,9 @@ _gate_cache = {}
 
 def reduced_form_check(mode="abstract"):
     """Engine certificate behind the channel reduction; cached per mode."""
-    if mode in _gate_cache:
-        return _gate_cache[mode]
-    spin = SpinMode.SPIN_HALF if mode == "half" else SpinMode.ABSTRACT
+    spin = SpinMode(mode)
+    if spin in _gate_cache:
+        return _gate_cache[spin]
     env = catalog.get_suite("theorem").env(spin)
 
     def ev(src):
@@ -153,7 +153,7 @@ def reduced_form_check(mode="abstract"):
 
     reduced = ev("2*(M*(Ham - dot(p,p)/(2*M) - k1*r^-1 - mu*(k2*(rS*rpow(-2)))))")
     ok = reduced.substitute("mu", Fraction(0)).is_zero()
-    if mode == "half":
+    if spin is SpinMode.SPIN_HALF:
         gate = ev("(2*dot(S,l) + 3/4*hbar^2)*rpow(-2)")
     else:
         gate = ev("(2*dot(S,l) + dot(S,S))*rpow(-2)")
@@ -161,7 +161,7 @@ def reduced_form_check(mode="abstract"):
     # the centrifugal recombination both channels share
     jj = ev("dot(l,l) + 2*dot(S,l) + dot(S,S)") - ev("dot(J,J)").substitute("mu", Fraction(1))
     ok = ok and jj.is_zero()
-    _gate_cache[mode] = ok
+    _gate_cache[spin] = ok
     return ok
 
 
@@ -190,9 +190,9 @@ def _check_count(count, size):
                          % (count, size))
 
 
-def energy_cutoff(r_max, quality=1.0):
+def energy_cutoff(r_max):
     """Levels above this sit too close to the box wall to trust."""
-    return -(5.0 / r_max) * quality
+    return -5.0 / r_max
 
 
 def solve_lowest(sector, params=None, grid_n=4000, r_max=200.0, count=8, r_min=0.0):

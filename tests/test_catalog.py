@@ -302,6 +302,16 @@ def test_suite_env_requires_spin_mode():
     assert suite.env(SpinMode.ABSTRACT) is suite.env(SpinMode.ABSTRACT)
 
 
+@pytest.mark.parametrize("mode", ["Half", "HALF", "spin-1/2", None])
+def test_unknown_spin_mode_rejected(mode):
+    spec = catalog.get_suite("so3").checks[0]
+    with pytest.raises(UsageError):
+        catalog.run_check(spec, mode=mode)
+    with pytest.raises(UsageError):
+        catalog.run_suite("so3", mode=mode)
+    assert catalog.run_check(spec, mode="half").mode == "half"
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(UsageError):
         catalog.get_suite("nope")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from so4atom import lang
 from so4atom.errors import LangError
-from so4atom.operators import SpinMode, is_zero
+from so4atom.operators import SpinMode
 from so4atom.scalars import SymbolRegistry
 
 
@@ -36,15 +36,15 @@ def test_round_trip_through_to_text():
     for text in texts:
         node = lang.parse_expr(text)
         again = lang.parse_expr(lang.to_text(node))
-        assert is_zero(lang.elaborate(node, env) - lang.elaborate(again, env))
+        assert (lang.elaborate(node, env) - lang.elaborate(again, env)).is_zero()
 
 
 def test_precedence_and_unary_minus():
     env = fresh_env()
-    assert is_zero(ev("2*hbar + 3*hbar - 5*hbar", env))
-    assert is_zero(ev("-hbar^2 - hbar^2", env))       # unary - binds before ^
-    assert is_zero(ev("2^3 - 8", env))
-    assert is_zero(ev("6/2/3 - 1", env))              # division left-associates
+    assert ev("2*hbar + 3*hbar - 5*hbar", env).is_zero()
+    assert ev("-hbar^2 - hbar^2", env).is_zero()  # unary - binds before ^
+    assert ev("2^3 - 8", env).is_zero()
+    assert ev("6/2/3 - 1", env).is_zero()  # division left-associates
 
 
 def test_power_requires_literal_exponent():
@@ -57,21 +57,21 @@ def test_power_requires_literal_exponent():
 def test_vector_atoms_and_indexing():
     env = fresh_env()
     val = ev("r_x * p_y - p_y * r_x", env)  # commuting axes
-    assert is_zero(val)
-    assert not is_zero(ev("r_x * p_x - p_x * r_x", env))
+    assert val.is_zero()
+    assert not ev("r_x * p_x - p_x * r_x", env).is_zero()
 
 
 def test_commutator_and_builtins():
     env = fresh_env()
-    assert is_zero(ev("[r_x, p_x] - i*hbar", env))
-    assert is_zero(ev("dot(r, r) - rpow(2)", env))
-    assert is_zero(ev("[l, dot(l, l)]", env))
+    assert ev("[r_x, p_x] - i*hbar", env).is_zero()
+    assert ev("dot(r, r) - rpow(2)", env).is_zero()
+    assert ev("[l, dot(l, l)]", env).is_zero()
 
 
 def test_vector_scalar_mixing():
     env = fresh_env()
     v = ev("2 * r + r", env)
-    assert is_zero(v - ev("3 * r", env))
+    assert (v - ev("3 * r", env)).is_zero()
     # bare vector*vector must name its contraction
     with pytest.raises(LangError) as exc:
         ev("r * S", env)
@@ -80,13 +80,11 @@ def test_vector_scalar_mixing():
 
 def test_spin_mode_consistency():
     # elaborating in the quotient == elaborating abstractly then reducing
-    from so4atom.operators import reduce_spin_half
-
     reg = SymbolRegistry()
     for text in ("dot(S, S)", "cross(S, S) - i*hbar*S", "dot(r,S)*dot(r,S)"):
         abstract = ev(text, lang.ElabEnv(reg, SpinMode.ABSTRACT, {}))
         half = ev(text, lang.ElabEnv(reg, SpinMode.SPIN_HALF, {}))
-        assert is_zero(reduce_spin_half(abstract) - half)
+        assert (abstract.reduce_spin_half() - half).is_zero()
 
 
 # -- errors carry spans ----------------------------------------------------
@@ -103,6 +101,20 @@ def test_parse_or_elab_errors_have_spans(text):
     span = exc.value.span
     assert isinstance(span, tuple) and len(span) == 2
     assert 0 <= span[0] <= span[1] <= len(text)
+
+
+@pytest.mark.parametrize("text, span", [
+    ("p_x^-1", (0, 6)),                    # no inverse beyond radial powers
+    ("(k1 + hbar)^-2", (1, 14)),           # a two-monomial scalar
+    ("(r_x + 1)^-1", (1, 12)),             # a two-term operator
+    ("2*r^-2 + p_x^-1", (9, 15)),
+    ("r_x / (k1 + hbar)", (0, 16)),
+    ("r / 0", (0, 5)),
+])
+def test_non_invertible_power_or_divisor_reports_its_node(text, span):
+    with pytest.raises(LangError) as exc:
+        ev(text)
+    assert exc.value.span == span
 
 
 def test_unknown_symbol_reports_name():
@@ -172,7 +184,7 @@ def test_elaborate_definitions_resolves_in_order():
     assert "A" in env.bindings and "B" in env.bindings
     check = parsed.checks[0]
     diff = lang.elaborate(check.lhs, env) - lang.elaborate(check.rhs, env)
-    assert is_zero(diff)
+    assert diff.is_zero()
 
 
 # -- round-trip property ---------------------------------------------------
@@ -200,4 +212,4 @@ def test_to_text_round_trip_property(text):
     again = lang.parse_expr(lang.to_text(node))
     va = lang.elaborate(node, env)
     vb = lang.elaborate(again, env)
-    assert is_zero(va - vb)
+    assert (va - vb).is_zero()

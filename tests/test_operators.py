@@ -4,10 +4,12 @@ Unit checks pin the canonical commutation relations and the quotient
 normal form; the hypothesis block drives the ring through random words
 with rational and multi-term symbolic scales, in both spin modes, and
 confirms associativity, Jacobi, the direct commutator against the two
-products it replaces, the laws of equality, and agreement between the
-abstract spin algebra and its spin-1/2 quotient.
+products it replaces, the laws of equality, agreement between the
+abstract spin algebra and its spin-1/2 quotient, and that every operation
+returns the stored normal form without touching its operands.
 """
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so4atom.errors import DomainError
+from so4atom.errors import DomainError, UsageError
 from so4atom.operators import (
     OperatorExpr,
     SpinMode,
@@ -111,6 +113,18 @@ def test_reduce_spin_half_is_multiplicative(reg):
     assert reduced.equivalent((Sh.x * Sh.y) * Sh.z)
 
 
+def test_reduce_spin_half_leaves_its_operand_alone(reg):
+    # S_x^2 reduces onto the identity word, whose coefficient the operand
+    # stores too; the reduction must add into a copy
+    S = spin_vec(reg)
+    x = OperatorExpr.one(reg) + S.x * S.x
+    before = copy.deepcopy(x.raw_terms())
+    quarter = ScalarCoeff.from_rational(reg, Fraction(1, 4))
+    want = ScalarCoeff.one(reg) + ScalarCoeff.symbol(reg, "hbar", 2) * quarter
+    assert x.reduce_spin_half() == OperatorExpr.from_scalar(want, SpinMode.SPIN_HALF)
+    assert x.raw_terms() == before
+
+
 def test_unit_radial_vector_normalized(reg):
     n = unit_radial_vec(reg)
     assert dot(n, n).equivalent(OperatorExpr.one(reg))
@@ -136,6 +150,16 @@ def test_try_invert(reg):
         p.x.try_invert()
     with pytest.raises(DomainError):
         (r3 + OperatorExpr.one(reg)).try_invert()
+
+
+def test_commutator_rejects_non_operators(reg):
+    r = position_vec(reg)
+    with pytest.raises(UsageError):
+        commutator(r.x, 2)
+    with pytest.raises(UsageError):
+        commutator(ScalarCoeff.one(reg), r)
+    with pytest.raises(UsageError):
+        commutator(r, r)
 
 
 def test_substitute_mu(reg):
@@ -331,3 +355,32 @@ def test_quotient_commutes_with_product(wa, wb):
     a_half = _build(_HALF, wa, 1)
     b_half = _build(_HALF, wb, 1)
     assert (a_abs * b_abs).reduce_spin_half().equivalent(a_half * b_half)
+
+
+def _assert_normal_form(x):
+    # the stored invariant: every r_x exponent at most 1, no empty coefficient
+    terms = x.raw_terms()
+    assert all(sig[0] <= 1 for sig in terms), x
+    assert all(terms.values()), x
+
+
+@settings(max_examples=40, deadline=None)
+@given(_word, _word, _scale, st.one_of(st.just(0), _scale), st.integers(0, 1))
+def test_every_operation_returns_the_normal_form(wa, wb, sa, sb, mu):
+    for gens in (_ABSTRACT, _HALF):
+        a = _build(gens, wa, sa)
+        b = _build(gens, wb, 1)
+        total = a + b
+        before = [copy.deepcopy(x.raw_terms()) for x in (a, b, total)]
+        results = (
+            a * b, b * a, commutator(a, b), total, a - b, a - a, -a,
+            a.scaled(sb), a.scaled(ScalarCoeff.zero(_REG)),
+            a.substitute("mu", mu), (a * b).substitute("mu", mu),
+            a.reduce_spin_half(), total.reduce_spin_half(),
+        )
+        for x in results:
+            _assert_normal_form(x)
+        assert a.scaled(0).raw_terms() == {}
+        assert (a * 0).raw_terms() == {}
+        # no operation mutates a coefficient its operands store
+        assert [x.raw_terms() for x in (a, b, total)] == before

@@ -23,6 +23,12 @@ def test_reduced_form_gate_abstract_and_half():
     assert spectrum.reduced_form_check("half") is True
 
 
+@pytest.mark.parametrize("mode", ["HALF", "Abstract", "spin-1/2"])
+def test_reduced_form_gate_rejects_unknown_modes(mode):
+    with pytest.raises(UsageError):
+        spectrum.reduced_form_check(mode)
+
+
 # -- sector bookkeeping -----------------------------------------------------
 
 
