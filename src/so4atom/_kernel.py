@@ -42,6 +42,10 @@ Q(i) is a field and the scalar ring Q(i)[s, 1/s, ...] is a domain, so a
 product of nonzero coefficients is never zero: the kernel tests for zero
 only after an addition.
 
+Zero tests.  ``expr_zero_at`` decides whether a term dict vanishes with
+one symbol set to 0 or 1 by reading the keys, without building the
+substituted terms; the engine's mu lenses use it.
+
 The module is self-contained on purpose; it must not import anything
 from the rest of the package.
 """
@@ -547,3 +551,54 @@ def expr_comm(ta, tb, half):
                     tgt = out[sig] = {}
                 sc_iadd_scaled(tgt, cab, ga, gb, gd, h)
     return _quotient(out)
+
+
+# ---------------------------------------------------------------------------
+# Zero tests at a value of one symbol
+
+
+def expr_zero_at(terms, idx, v):
+    """Whether the term dict vanishes once symbol ``idx`` is set to ``v``,
+    for ``v`` in {0, 1}, without building the substituted terms.
+
+    At 0 a term survives unless its key holds a positive power of the
+    symbol; every key is scanned first, and a negative power raises
+    ZeroDivisionError, since 0 has no inverse.  At 1 the symbol drops out
+    of each key, so a signature vanishes exactly when its coefficients sum
+    to zero over the keys that then coincide.
+    """
+    if v == 0:
+        zero = True
+        for c in terms.values():
+            for key in c:
+                e = 0
+                for s, ee in key:
+                    if s == idx:
+                        e = ee
+                        break
+                if e < 0:
+                    raise ZeroDivisionError("a negative power of symbol %d at 0" % idx)
+                if not e:
+                    zero = False
+        return zero
+    if v != 1:
+        raise ValueError("expr_zero_at takes 0 or 1, not %r" % (v,))
+    for c in terms.values():
+        sums = {}
+        for key, g in c.items():
+            for i, (s, _) in enumerate(key):
+                if s == idx:
+                    key = key[:i] + key[i + 1:]
+                    break
+            cur = sums.get(key)
+            if cur is None:
+                sums[key] = g
+            else:
+                s = g_add(cur, g)
+                if s[0] or s[1]:
+                    sums[key] = s
+                else:
+                    del sums[key]
+        if sums:
+            return False
+    return True

@@ -92,12 +92,17 @@ class CheckResult:
 
 
 class Suite:
-    """A parsed suite plus per-mode elaboration caches.
+    """A parsed suite plus, per spin mode, its definitions' bindings (env)
+    and an elaboration memo.
 
-    Per spin mode it keeps the definitions' bindings (env) and the
-    difference lhs - rhs of each of its own checks, so a check is
-    elaborated once per mode however many mu lenses read it.  The record
-    is bounded by the suite's checks.
+    The memo maps every compound syntax subtree elaborated under the
+    mode's env to its value (lang.elaborate), for this suite's own checks,
+    mutated or ad-hoc specs and the eigenvalue layer alike.  So a product
+    is taken once per mode however many checks, sides or mu lenses reach
+    it.  It is read and filled only under the suite's own cached env,
+    whose bindings never change; a hand-built env never touches it.  Each
+    distinct subtree is stored once per mode and entries are never
+    evicted, so the memo is bounded by the distinct subtrees elaborated.
     """
 
     def __init__(self, name, text):
@@ -114,7 +119,7 @@ class Suite:
         )
         self._by_id = {c.check_id: c for c in self.checks}
         self._envs = {}
-        self._diffs = {}    # (mode, check_id) -> difference under self._envs[mode]
+        self._memos = {}    # mode -> memo of lang.elaborate under self._envs[mode]
 
     def env(self, mode):
         if not isinstance(mode, SpinMode):
@@ -122,6 +127,7 @@ class Suite:
         if mode not in self._envs:
             reg = SymbolRegistry(extra=_REGISTRY_EXTRA.get(self.name, ()))
             self._envs[mode] = lang.elaborate_definitions(self.definitions, reg, mode)
+            self._memos[mode] = {}
         return self._envs[mode]
 
     def spec(self, check_id):
@@ -129,18 +135,14 @@ class Suite:
             raise UsageError("no check %r in suite %r" % (check_id, self.name))
         return self._by_id[check_id]
 
+    def memo(self, env):
+        """The elaboration memo for env: the mode's memo if env is this
+        suite's cached env for its mode, else None (elaborate afresh)."""
+        return self._memos.get(env.mode) if self._envs.get(env.mode) is env else None
+
     def difference(self, spec, env):
-        """spec's lhs - rhs under env.  Only one of this suite's own checks
-        under its cached env for the mode is read from the record; a
-        mutated or ad-hoc spec, or a hand-built env whose bindings may
-        change, is elaborated afresh.  An elaboration error is never kept.
-        """
-        if self._by_id.get(spec.check_id) is not spec or self._envs.get(env.mode) is not env:
-            return _difference(spec, env)
-        key = (env.mode, spec.check_id)
-        if key not in self._diffs:
-            self._diffs[key] = _difference(spec, env)
-        return self._diffs[key]
+        """spec's lhs - rhs under env, both sides through memo(env)."""
+        return _difference(spec, env, self.memo(env))
 
 
 # the packaged suites' directory, resolved once: every get_suite asks for it
@@ -196,10 +198,10 @@ def _shape_difference(lhs, rhs):
     raise UsageError("one side is a vector and the other is not")
 
 
-def _difference(spec, env):
+def _difference(spec, env, memo=None):
     try:
-        lhs = lang.elaborate(spec.lhs, env)
-        rhs = lang.elaborate(spec.rhs, env)
+        lhs = lang.elaborate(spec.lhs, env, memo)
+        rhs = lang.elaborate(spec.rhs, env, memo)
         return _shape_difference(lhs, rhs)
     except Exception as exc:
         raise UsageError("check %s: %s" % (spec.check_id, exc)) from exc
@@ -214,17 +216,17 @@ def _verdict(diff, relation, lens, declared):
 
     An '==' check passes where the difference vanishes: symbolically, or at
     every mu value of the policy ('all' names the values that held).  A
-    '!=' check passes where it vanishes at none of them.  The zero test and
-    each mu substitution run at most once.
+    '!=' check passes where it vanishes at none of them.  Each zero test
+    runs at most once, and at a mu value it builds nothing (zero_at); only
+    a witness at mu=0 or mu=1 substitutes mu into the difference.
     """
     sym = diff.is_zero()
     at_mu = {}
 
     def zero_at(v):
         if v not in at_mu:
-            shifted = diff.substitute("mu", Fraction(v))
-            at_mu[v] = (shifted, shifted.is_zero())
-        return at_mu[v][1]
+            at_mu[v] = diff.zero_at("mu", v)
+        return at_mu[v]
 
     def status(policy):
         values = _MU_VALUES[policy]
@@ -241,7 +243,7 @@ def _verdict(diff, relation, lens, declared):
     ok = (shown if lens == declared else status(declared)) in PASSING_STATUSES
     witness, terms = "", 0
     if relation == "==" and (shown == "fail" or not ok):
-        shown_diff = diff if lens in ("symbolic", "all") else at_mu[int(lens)][0]
+        shown_diff = diff if lens in ("symbolic", "all") else diff.substitute("mu", Fraction(lens))
         vec = isinstance(shown_diff, VecExpr)
         parts = shown_diff.components if vec else (shown_diff,)
         witness = "(%s)" % "; ".join(map(str, parts)) if vec else str(shown_diff)
@@ -258,11 +260,13 @@ def _compatible(declared, requested):
 
 
 def run_check(spec, env=None, requested_mu=None, mode="abstract"):
-    """Evaluate one identity.  env defaults to the suite's cached bindings;
-    a check of a suite get_suite has loaded, under that suite's env, reads
-    its difference from the suite's record (Suite.difference)."""
+    """Evaluate one identity.  env defaults to the suite's cached bindings.
+    Under the cached env of a suite get_suite has loaded, both sides go
+    through that suite's elaboration memo (Suite.difference).  mode is a
+    mode name or a SpinMode; the result reports its name."""
     started = time.perf_counter()
     spin = SpinMode(mode)
+    mode = spin.value
     if spec.mode is not None and spec.mode != mode:
         raise UsageError("check %s is declared for mode=%s" % (spec.check_id, spec.mode))
     if env is None:
@@ -287,9 +291,11 @@ def run_suite(name, mode="abstract", mu=None, suite=None):
 
     mu=None evaluates each check at its declared policy.  An explicit mu
     ('symbolic', '0', '1', 'all') re-reports compatible checks under that
-    lens and skips the incompatible ones.
+    lens and skips the incompatible ones.  mode is a mode name or a
+    SpinMode; the results report its name.
     """
     spin = SpinMode(mode)
+    mode = spin.value
     if mu not in (None, "symbolic", "0", "1", "all"):
         raise UsageError("mu must be symbolic, 0, 1, or all")
     suite = suite or get_suite(name)
@@ -359,16 +365,18 @@ def _lie_results(reg, mode):
 
 def _eigenvalue_results(suite, mode):
     env = suite.env(SpinMode(mode))
+    memo = suite.memo(env)
     reg = env.registry
     results = _lie_results(reg, mode)
 
     def ev(src):
-        return lang.elaborate(lang.parse_expr(src), env)
+        return lang.elaborate(lang.parse_expr(src), env, memo)
 
     t = ScalarCoeff.symbol(reg, "t")
     t2_value = ScalarCoeff.symbol(reg, "M") * (_sc(reg, -2) * ScalarCoeff.symbol(reg, "E")).invert()
     J = env.bindings["J"]
     R = env.bindings["R"]
+    JJ = ev("dot(J,J)")
 
     # X is the bracket the expansion of R.R factors through
     X = ev("mu*((rS*rS)*rpow(-2)) - dot(J,J) - hbar^2")
@@ -388,18 +396,18 @@ def _eigenvalue_results(suite, mode):
 
     W = (J + R.scaled(t)).scaled(Fraction(1, 2))
     K = (J - R.scaled(t)).scaled(Fraction(1, 2))
-    sum_wk = dot(W, W) + dot(K, K)
-    half_jj_rr = (dot(J, J) + dot(R, R).scaled(t * t)).scaled(Fraction(1, 2))
-    op_case("WK_sum_bilinear", sum_wk - half_jj_rr, "symbolic")
+    WW = dot(W, W)
+    KK = dot(K, K)
+    half_jj_rr = (JJ + ev("dot(R,R)").scaled(t * t)).scaled(Fraction(1, 2))
+    op_case("WK_sum_bilinear", WW + KK - half_jj_rr, "symbolic")
 
-    lhs = (dot(J, J) + rhs_E.scaled(t * t)).scaled(Fraction(1, 2)) \
+    lhs = (JJ + rhs_E.scaled(t * t)).scaled(Fraction(1, 2)) \
         .substitute_even_powers("t", t2_value)
     target = ev("(1/2)*(mu*((rS*rS)*rpow(-2)) - hbar^2 - (M/(2*E))*((h*h)*rpow(2)))")
     op_case("Casimir_sum_eigenform", lhs - target, "symbolic")
 
-    diff_wk = dot(W, W) - dot(K, K)
     target = ev("mu*(h*rS)").scaled(t)
-    op_case("WK_diff_reduction", diff_wk - target, "all")
+    op_case("WK_diff_reduction", WW - KK - target, "all")
     return results
 
 

@@ -418,8 +418,32 @@ def _scalar_coeff_of(value):
     return None if raw is None else ScalarCoeff(value.registry, raw)
 
 
-def elaborate(node, env):
-    """Turn an Ast into an OperatorExpr or VecExpr under env."""
+# the nodes elaborate never memoises: a literal or a name is as cheap as a lookup
+_LEAVES = (Num, Sym, VecBuiltin)
+
+
+def elaborate(node, env, memo=None):
+    """Turn an Ast into an OperatorExpr or VecExpr under env.
+
+    memo, when given, is a dict from compound nodes (anything but Num, Sym
+    and VecBuiltin) to their values under this env, read before and filled
+    after each such node, at every depth.  Spans do not take part in node
+    equality, so equal subtrees anywhere share one entry.  A node whose
+    elaboration raises stores nothing, so each occurrence reports its own
+    span.  The caller keeps the memo with env and never changes env's
+    bindings while it lives: the value of a node is then a pure function
+    of the node.  The memo grows by one entry per distinct compound
+    subtree and is never evicted.
+    """
+    if memo is None or isinstance(node, _LEAVES):
+        return _elaborate(node, env, memo)
+    value = memo.get(node)
+    if value is None:
+        value = memo[node] = _elaborate(node, env, memo)
+    return value
+
+
+def _elaborate(node, env, memo):
     if isinstance(node, Num):
         return _scalar_expr(env, ScalarCoeff.from_rational(env.registry, node.value))
     if isinstance(node, Sym):
@@ -427,24 +451,24 @@ def elaborate(node, env):
     if isinstance(node, VecBuiltin):
         return _builtin_vec(env, node.name)
     if isinstance(node, Neg):
-        return -elaborate(node.operand, env)
+        return -elaborate(node.operand, env, memo)
     if isinstance(node, Index):
-        target = elaborate(node.target, env)
+        target = elaborate(node.target, env, memo)
         if not isinstance(target, VecExpr):
             raise LangError("idx needs a vector", node.span)
         return target.component(node.axis)
     if isinstance(node, Apply):
-        return _elaborate_call(node, env)
+        return _elaborate_call(node, env, memo)
     if isinstance(node, Commutator):
-        return _elaborate_commutator(node, env)
+        return _elaborate_commutator(node, env, memo)
     if isinstance(node, BinOp):
-        return _elaborate_binop(node, env)
+        return _elaborate_binop(node, env, memo)
     raise TypeError("not an Ast node: %r" % (node,))
 
 
-def _elaborate_call(node, env):
+def _elaborate_call(node, env, memo):
     name = node.func
-    args = [elaborate(a, env) for a in node.args]
+    args = [elaborate(a, env, memo) for a in node.args]
     if name in ("cross", "dot"):
         if len(args) != 2 or not all(isinstance(a, VecExpr) for a in args):
             raise LangError("%s takes two vectors" % name, node.span)
@@ -463,9 +487,9 @@ def _elaborate_call(node, env):
     raise LangError("unknown function %r" % name, node.span)
 
 
-def _elaborate_commutator(node, env):
-    lhs = elaborate(node.lhs, env)
-    rhs = elaborate(node.rhs, env)
+def _elaborate_commutator(node, env, memo):
+    lhs = elaborate(node.lhs, env, memo)
+    rhs = elaborate(node.rhs, env, memo)
     if isinstance(lhs, VecExpr) and isinstance(rhs, VecExpr):
         # a bare r against a vector means the radial coordinate, not r-vec
         if isinstance(node.lhs, VecBuiltin) and node.lhs.name == "r":
@@ -481,12 +505,12 @@ def _elaborate_commutator(node, env):
         raise LangError(str(exc), node.span)
 
 
-def _elaborate_binop(node, env):
+def _elaborate_binop(node, env, memo):
     op = node.op
     if op == "^":
-        return _elaborate_power(node, env)
-    lhs = elaborate(node.lhs, env)
-    rhs = elaborate(node.rhs, env)
+        return _elaborate_power(node, env, memo)
+    lhs = elaborate(node.lhs, env, memo)
+    rhs = elaborate(node.rhs, env, memo)
     lvec = isinstance(lhs, VecExpr)
     rvec = isinstance(rhs, VecExpr)
     if op in ("+", "-"):
@@ -513,13 +537,13 @@ def _elaborate_binop(node, env):
     raise AssertionError(op)
 
 
-def _elaborate_power(node, env):
+def _elaborate_power(node, env, memo):
     n = _as_exponent(node.rhs)
     if n is None:
         raise LangError("exponent must be an integer literal", node.span)
     if isinstance(node.lhs, VecBuiltin) and node.lhs.name == "r":
         return ops.radial_power(env.registry, n, env.mode)
-    base = elaborate(node.lhs, env)
+    base = elaborate(node.lhs, env, memo)
     if isinstance(base, VecExpr):
         raise LangError("cannot raise a vector to a power; use dot()", node.span)
     try:

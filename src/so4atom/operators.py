@@ -224,6 +224,15 @@ class OperatorExpr:
     def substitute_even_powers(self, name, value: ScalarCoeff) -> "OperatorExpr":
         return self._map_coeffs(ScalarCoeff.substitute_even_powers, name, value)
 
+    def zero_at(self, name, value) -> bool:
+        """``self.substitute(name, value).is_zero()`` for ``value`` 0 or 1,
+        without building the substituted expression; the same DomainError
+        where ``substitute`` raises one."""
+        try:
+            return K.expr_zero_at(self._terms, self.registry.index(name), value)
+        except ZeroDivisionError:
+            raise DomainError(f"substituting 0 for {name!r} hits a negative power") from None
+
     def _map_coeffs(self, fn, *args):
         """``fn(coeff, *args)`` on every coefficient, dropping zeros."""
         out = {}
@@ -378,6 +387,10 @@ class VecExpr:
 
     def substitute(self, name, value):
         return self.map(lambda c: c.substitute(name, value))
+
+    def zero_at(self, name, value):
+        # every component is tested, so a DomainError anywhere surfaces
+        return all([c.zero_at(name, value) for c in self.components])
 
     def reduce_spin_half(self):
         return self.map(lambda c: c.reduce_spin_half())

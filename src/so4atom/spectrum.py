@@ -146,13 +146,15 @@ def reduced_form_check(mode="abstract"):
     spin = SpinMode(mode)
     if spin in _gate_cache:
         return _gate_cache[spin]
-    env = catalog.get_suite("theorem").env(spin)
+    suite = catalog.get_suite("theorem")
+    env = suite.env(spin)
+    memo = suite.memo(env)
 
     def ev(src):
-        return lang.elaborate(lang.parse_expr(src), env)
+        return lang.elaborate(lang.parse_expr(src), env, memo)
 
     reduced = ev("2*(M*(Ham - dot(p,p)/(2*M) - k1*r^-1 - mu*(k2*(rS*rpow(-2)))))")
-    ok = reduced.substitute("mu", Fraction(0)).is_zero()
+    ok = reduced.zero_at("mu", 0)
     if spin is SpinMode.SPIN_HALF:
         gate = ev("(2*dot(S,l) + 3/4*hbar^2)*rpow(-2)")
     else:

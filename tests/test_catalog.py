@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from so4atom import catalog, lang
+from so4atom import _kernel, catalog, lang
 from so4atom.errors import UsageError
 from so4atom.operators import OperatorExpr, SpinMode, VecExpr
 
@@ -193,24 +193,34 @@ def test_original_checks_still_pass_after_mutation_runs():
     assert clean.ok is True
 
 
-# -- the per-mode difference record -------------------------------------------
+# -- the per-mode elaboration memo --------------------------------------------
 
 
 def test_lenses_read_recorded_differences(monkeypatch):
-    # once the declared run has elaborated every check, a lens only changes
-    # the mu substitution applied to the recorded difference
-    catalog.run_suite("theorem")
+    # once the declared run has filled the memo, a lens takes no product,
+    # no commutator and no substitution: each side is one memo lookup and
+    # the mu zero tests build nothing
+    suite = catalog.get_suite("theorem")
+    for mode in ("abstract", "half"):
+        catalog.run_suite("theorem", mode=mode)
+    sizes = {mode: len(memo) for mode, memo in suite._memos.items()}
     calls = []
-    elaborate = lang.elaborate
 
-    def counted(node, env):
-        calls.append(node)
-        return elaborate(node, env)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(lang, "elaborate", counted)
-    for mu in ("0", "1", "symbolic"):
-        catalog.run_suite("theorem", mu=mu)
+    monkeypatch.setattr(_kernel, "expr_mul", counted("expr_mul", _kernel.expr_mul))
+    monkeypatch.setattr(_kernel, "expr_comm", counted("expr_comm", _kernel.expr_comm))
+    monkeypatch.setattr(OperatorExpr, "substitute",
+                        counted("substitute", OperatorExpr.substitute))
+    for mode in ("abstract", "half"):
+        for mu in ("0", "1", "symbolic", "all"):
+            catalog.run_suite("theorem", mode=mode, mu=mu)
     assert calls == []
+    assert {mode: len(memo) for mode, memo in suite._memos.items()} == sizes
 
 
 def without_timing(results):
@@ -220,13 +230,41 @@ def without_timing(results):
 @pytest.mark.parametrize("mode", ["abstract", "half"])
 def test_recorded_results_match_a_cold_suite(mode):
     # a suite from load_suite is not the shared one, so run_check never
-    # reads a record for it and elaborates every check afresh
-    cold = catalog.load_suite("theorem")
-    catalog.run_suite("theorem", mode=mode)
-    for mu in (None, "symbolic", "0", "1", "all"):
-        warm = catalog.run_suite("theorem", mode=mode, mu=mu)
-        assert without_timing(warm) == without_timing(
-            catalog.run_suite("theorem", mode=mode, mu=mu, suite=cold)), mu
+    # reads the shared memo for its checks and elaborates each one afresh
+    for name in catalog.SUITE_NAMES:
+        cold = catalog.load_suite(name)
+        catalog.run_suite(name, mode=mode)
+        for mu in (None, "symbolic", "0", "1", "all"):
+            warm = catalog.run_suite(name, mode=mode, mu=mu)
+            assert without_timing(warm) == without_timing(
+                catalog.run_suite(name, mode=mode, mu=mu, suite=cold)), (name, mu)
+
+
+def raw_value(value):
+    parts = value.components if isinstance(value, VecExpr) else (value,)
+    return [p.raw_terms() for p in parts]
+
+
+@pytest.mark.parametrize("mode", list(SpinMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_memoised_differences_match_a_cold_elaboration(name, mode):
+    # every check and every mutation of the suite, after the declared run
+    # has filled the memo, against a memo-free elaboration in a fresh suite
+    suite = catalog.get_suite(name)
+    env = suite.env(mode)
+    catalog.run_suite(name, mode=mode.value)
+    specs = list(suite.checks) + [catalog.apply_mutation(suite.spec(m.check_id), m)
+                                  for m in catalog.mutations_for(name)]
+    cold_env = catalog.load_suite(name).env(mode)
+    memo = suite.memo(env)
+    assert memo is suite._memos[mode]
+    for spec in specs:
+        if spec.mode not in (None, mode.value):
+            continue
+        warm = suite.difference(spec, env)
+        assert raw_value(warm) == raw_value(catalog._difference(spec, cold_env)), spec.check_id
+        for side in (spec.lhs, spec.rhs):
+            assert isinstance(side, (lang.Num, lang.Sym, lang.VecBuiltin)) or side in memo
 
 
 @pytest.mark.parametrize("mutation", all_mutations(),
@@ -236,10 +274,13 @@ def test_mutation_refuted_after_its_clean_check_is_recorded(mutation):
     env = suite.env(SpinMode.ABSTRACT)
     spec = suite.spec(mutation.check_id)
     assert catalog.run_check(spec, env).ok is True
-    size = len(suite._diffs)
+    memo = suite.memo(env)
+    clean = {side: memo[side] for side in (spec.lhs, spec.rhs) if side in memo}
+    assert spec.lhs in clean
     broken = catalog.apply_mutation(spec, mutation)
     assert catalog.run_check(broken, env).ok is False
-    assert len(suite._diffs) == size
+    # the mutant's own subtrees may join the memo; the clean entries stay
+    assert all(memo[side] is value for side, value in clean.items())
     assert catalog.run_check(spec, env).ok is True
 
 
@@ -248,12 +289,32 @@ def test_hand_built_env_is_never_read_from_the_record():
     env = suite.env(SpinMode.ABSTRACT)
     spec = suite.spec("RxR_eq_H_l")
     assert catalog.run_check(spec, env).ok is True
-    size = len(suite._diffs)
+    memo = suite.memo(env)
+    size = len(memo)
+    clean = {side: memo[side] for side in (spec.lhs, spec.rhs)}
     hand = lang.ElabEnv(env.registry, env.mode, dict(env.bindings))
     hand.bindings["H"] = hand.bindings["H"].scaled(Fraction(2))
+    assert suite.memo(hand) is None
     assert catalog.run_check(spec, hand).ok is False
-    assert len(suite._diffs) == size
+    assert len(memo) == size
+    assert all(memo[side] is value for side, value in clean.items())
     assert catalog.run_check(spec, env).ok is True
+
+
+def test_spin_mode_member_reads_as_its_name():
+    suite = catalog.get_suite("so3")
+    spec = suite.checks[0]
+    by_member = catalog.run_check(spec, mode=SpinMode.SPIN_HALF)
+    assert by_member.mode == "half"
+    assert without_timing([by_member]) == without_timing(
+        [catalog.run_check(spec, mode="half")])
+    assert without_timing(catalog.run_suite("so3", mode=SpinMode.SPIN_HALF)) == \
+        without_timing(catalog.run_suite("so3", mode="half"))
+    # a check declared for one mode runs under that mode's member
+    half_only = dataclasses.replace(spec, mode="half")
+    assert catalog.run_check(half_only, mode=SpinMode.SPIN_HALF).ok is True
+    with pytest.raises(UsageError):
+        catalog.run_check(half_only, mode=SpinMode.ABSTRACT)
 
 
 # -- packaged identity files ------------------------------------------------

@@ -2,8 +2,9 @@
 
 The Gaussian-rational operations are checked against a ``Fraction``
 reference and for their canonical form; the hbar bump against the general
-key bump; and the module's own promises (no package imports, no table
-built at import) directly.
+key bump; the zero test at mu = 0 or 1 against substitution; and the
+module's own promises (no package imports, no table built at import)
+directly.
 """
 
 import ast
@@ -16,8 +17,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from so4atom import _kernel as K
 from so4atom import scalars
+from so4atom.errors import DomainError
+from so4atom.operators import OperatorExpr, SpinMode
 
 _ints = st.integers(-60, 60)
 _dens = st.integers(-40, 40).filter(bool)
@@ -142,3 +147,73 @@ def test_table_entry_fuses_momentum_and_spin():
         (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 2),
         (1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 2, 1),
     ])
+
+
+# -- the zero test at a value of mu -------------------------------------------
+
+_REG = scalars.SymbolRegistry()
+_MU = _REG.index("mu")
+# small units, so that coefficients that meet at mu=1 often cancel
+_units = st.sampled_from([(1, 0, 1), (-1, 0, 1), (2, 0, 1), (-2, 0, 1),
+                          (0, 1, 1), (0, -1, 1), (1, 0, 2), (-1, 0, 2)])
+_bases = st.dictionaries(st.sampled_from([0, 1, 2, 3, 4]), st.integers(-2, 2).filter(bool),
+                         max_size=2).map(lambda d: tuple(sorted(d.items())))
+
+
+@st.composite
+def _coeff(draw):
+    """A nonzero coefficient: per base key, a few powers of mu in -2..3,
+    often a pair that cancels once mu is 1."""
+    out = {}
+    for base in draw(st.lists(_bases, min_size=1, max_size=3, unique=True)):
+        if draw(st.booleans()):
+            e1, e2 = draw(st.lists(st.integers(-2, 3), min_size=2, max_size=2, unique=True))
+            a, b, d = draw(_units)
+            powers = {e1: (a, b, d), e2: (-a, -b, d)}
+        else:
+            powers = draw(st.dictionaries(st.integers(-2, 3), _units, min_size=1, max_size=3))
+        for e, g in powers.items():
+            out[K.k_bump(base, _MU, e)] = g
+    return out
+
+
+_sigs = st.tuples(st.integers(0, 1), st.integers(0, 2), st.just(0), st.integers(-2, 1),
+                  st.integers(0, 1), st.just(0), st.just(0), st.just(0), st.just(0),
+                  st.integers(0, 1))
+_terms = st.dictionaries(_sigs, _coeff(), max_size=3)
+
+
+def _substituted_zero(terms, v):
+    """substitute(mu, v).is_zero(), or the DomainError it raised."""
+    try:
+        return OperatorExpr(_REG, SpinMode.ABSTRACT, terms).substitute("mu", v).is_zero()
+    except DomainError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms, st.sampled_from([0, 1]))
+def test_zero_at_agrees_with_substitution(terms, v):
+    want = _substituted_zero(terms, v)
+    expr = OperatorExpr(_REG, SpinMode.ABSTRACT, terms)
+    if isinstance(want, DomainError):
+        assert v == 0
+        with pytest.raises(ZeroDivisionError):
+            K.expr_zero_at(terms, _MU, v)
+        with pytest.raises(DomainError) as exc:
+            expr.zero_at("mu", v)
+        assert str(exc.value) == str(want)
+    else:
+        assert K.expr_zero_at(terms, _MU, v) is want
+        assert expr.zero_at("mu", v) is want
+
+
+def test_zero_at_one_sums_across_keys():
+    # (mu - mu^-2) r vanishes at mu=1 only once its two keys meet
+    terms = {(0, 0, 0, 1, 0, 0, 0, 0, 0, 0): {((_MU, 1),): (1, 0, 1), ((_MU, -2),): (-1, 0, 1)}}
+    assert K.expr_zero_at(terms, _MU, 1) is True
+    # at 0 the mu^-2 key raises even after a term that survives was seen
+    terms = {(0, 0, 0, 0, 0, 0, 0, 0, 0, 0): {(): (1, 0, 1)}, **terms}
+    assert K.expr_zero_at(terms, _MU, 1) is False
+    with pytest.raises(ZeroDivisionError):
+        K.expr_zero_at(terms, _MU, 0)

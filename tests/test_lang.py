@@ -187,6 +187,35 @@ def test_elaborate_definitions_resolves_in_order():
     assert diff.is_zero()
 
 
+# -- the elaboration memo ----------------------------------------------------
+
+
+def test_memo_shares_equal_subtrees_across_spans():
+    env = fresh_env()
+    memo = {}
+    node = lang.parse_expr("dot(r,p) * dot(r,p) - dot(r,p)")
+    value = lang.elaborate(node, env, memo)
+    assert value.raw_terms() == lang.elaborate(node, env).raw_terms()
+    first, second = node.lhs.lhs, node.lhs.rhs
+    assert first == second and first.span != second.span
+    # one entry per distinct compound subtree; names and literals stay out
+    assert set(memo) == {node, node.lhs, first}
+    assert lang.elaborate(lang.parse_expr("dot(r, p)"), env, memo) is memo[first]
+
+
+def test_memo_keeps_nothing_of_a_failed_subtree():
+    env = fresh_env()
+    memo = {}
+    bad = "dot(r, hbar)"
+    for text in ("dot(p,p) * dot(r, hbar)", "dot(r, hbar) - dot(p,p)"):
+        with pytest.raises(LangError) as exc:
+            lang.elaborate(lang.parse_expr(text), env, memo)
+        # each occurrence reports its own span, not the first one's
+        start = text.index(bad)
+        assert exc.value.span == (start, start + len(bad))
+    assert set(memo) == {lang.parse_expr("dot(p,p)")}
+
+
 # -- round-trip property ---------------------------------------------------
 
 _ATOMS = ("hbar", "M", "kappa", "r_x", "p_y", "S_z", "rpow(-1)", "dot(r,p)", "2", "i")

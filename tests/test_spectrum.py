@@ -6,6 +6,7 @@ import pytest
 
 from so4atom import spectrum
 from so4atom.errors import UsageError
+from so4atom.operators import OperatorExpr, SpinMode
 
 HALF = Fraction(1, 2)
 PIN = dict(grid_n=4000, r_max=200.0)
@@ -27,6 +28,27 @@ def test_reduced_form_gate_abstract_and_half():
 def test_reduced_form_gate_rejects_unknown_modes(mode):
     with pytest.raises(UsageError):
         spectrum.reduced_form_check(mode)
+
+
+@pytest.mark.parametrize("mode", list(SpinMode), ids=lambda m: m.value)
+def test_reduced_form_gate_substitutes_only_at_mu_1(monkeypatch, mode):
+    # the mu=0 test builds nothing; the gate and the J.J recombination
+    # are compared at mu=1 on substituted expressions
+    monkeypatch.setattr(spectrum, "_gate_cache", {})
+    values = []
+    substitute = OperatorExpr.substitute
+
+    def counted(self, name, value):
+        values.append(value)
+        return substitute(self, name, value)
+
+    monkeypatch.setattr(OperatorExpr, "substitute", counted)
+    assert spectrum.reduced_form_check(mode) is True
+    assert values == [1, 1]
+    # a member and its name share one cached gate
+    assert spectrum.reduced_form_check(mode.value) is True
+    assert list(spectrum._gate_cache) == [mode]
+    assert values == [1, 1]
 
 
 # -- sector bookkeeping -----------------------------------------------------
