@@ -358,9 +358,21 @@ def to_text(node):
 
 @dataclass
 class ElabEnv:
+    """What names mean while elaborating: the symbol registry, the spin mode
+    and the let bindings.
+
+    memo, when not None, is a dict from compound nodes (anything but Num,
+    Sym and VecBuiltin) to their values under this env, which elaborate
+    reads before and fills after each such node, at every depth.  Its
+    entries are right only while the bindings stay as they were when it
+    was filled, so whoever gives an env a memo never changes its bindings
+    afterwards.  A hand-built env, or one from elaborate_definitions, has
+    none and elaborates afresh.
+    """
     registry: object
     mode: SpinMode
     bindings: dict
+    memo: dict = field(default=None, repr=False, compare=False)
 
 
 def _scalar_expr(env, coeff):
@@ -422,28 +434,25 @@ def _scalar_coeff_of(value):
 _LEAVES = (Num, Sym, VecBuiltin)
 
 
-def elaborate(node, env, memo=None):
+def elaborate(node, env):
     """Turn an Ast into an OperatorExpr or VecExpr under env.
 
-    memo, when given, is a dict from compound nodes (anything but Num, Sym
-    and VecBuiltin) to their values under this env, read before and filled
-    after each such node, at every depth.  Spans do not take part in node
-    equality, so equal subtrees anywhere share one entry.  A node whose
-    elaboration raises stores nothing, so each occurrence reports its own
-    span.  The caller keeps the memo with env and never changes env's
-    bindings while it lives: the value of a node is then a pure function
-    of the node.  The memo grows by one entry per distinct compound
+    Through env.memo, if env has one (ElabEnv).  Spans do not take part in
+    node equality, so equal subtrees anywhere share one entry.  A node
+    whose elaboration raises stores nothing, so each occurrence reports
+    its own span.  The memo grows by one entry per distinct compound
     subtree and is never evicted.
     """
+    memo = env.memo
     if memo is None or isinstance(node, _LEAVES):
-        return _elaborate(node, env, memo)
+        return _elaborate(node, env)
     value = memo.get(node)
     if value is None:
-        value = memo[node] = _elaborate(node, env, memo)
+        value = memo[node] = _elaborate(node, env)
     return value
 
 
-def _elaborate(node, env, memo):
+def _elaborate(node, env):
     if isinstance(node, Num):
         return _scalar_expr(env, ScalarCoeff.from_rational(env.registry, node.value))
     if isinstance(node, Sym):
@@ -451,24 +460,24 @@ def _elaborate(node, env, memo):
     if isinstance(node, VecBuiltin):
         return _builtin_vec(env, node.name)
     if isinstance(node, Neg):
-        return -elaborate(node.operand, env, memo)
+        return -elaborate(node.operand, env)
     if isinstance(node, Index):
-        target = elaborate(node.target, env, memo)
+        target = elaborate(node.target, env)
         if not isinstance(target, VecExpr):
             raise LangError("idx needs a vector", node.span)
         return target.component(node.axis)
     if isinstance(node, Apply):
-        return _elaborate_call(node, env, memo)
+        return _elaborate_call(node, env)
     if isinstance(node, Commutator):
-        return _elaborate_commutator(node, env, memo)
+        return _elaborate_commutator(node, env)
     if isinstance(node, BinOp):
-        return _elaborate_binop(node, env, memo)
+        return _elaborate_binop(node, env)
     raise TypeError("not an Ast node: %r" % (node,))
 
 
-def _elaborate_call(node, env, memo):
+def _elaborate_call(node, env):
     name = node.func
-    args = [elaborate(a, env, memo) for a in node.args]
+    args = [elaborate(a, env) for a in node.args]
     if name in ("cross", "dot"):
         if len(args) != 2 or not all(isinstance(a, VecExpr) for a in args):
             raise LangError("%s takes two vectors" % name, node.span)
@@ -487,9 +496,9 @@ def _elaborate_call(node, env, memo):
     raise LangError("unknown function %r" % name, node.span)
 
 
-def _elaborate_commutator(node, env, memo):
-    lhs = elaborate(node.lhs, env, memo)
-    rhs = elaborate(node.rhs, env, memo)
+def _elaborate_commutator(node, env):
+    lhs = elaborate(node.lhs, env)
+    rhs = elaborate(node.rhs, env)
     if isinstance(lhs, VecExpr) and isinstance(rhs, VecExpr):
         # a bare r against a vector means the radial coordinate, not r-vec
         if isinstance(node.lhs, VecBuiltin) and node.lhs.name == "r":
@@ -505,12 +514,12 @@ def _elaborate_commutator(node, env, memo):
         raise LangError(str(exc), node.span)
 
 
-def _elaborate_binop(node, env, memo):
+def _elaborate_binop(node, env):
     op = node.op
     if op == "^":
-        return _elaborate_power(node, env, memo)
-    lhs = elaborate(node.lhs, env, memo)
-    rhs = elaborate(node.rhs, env, memo)
+        return _elaborate_power(node, env)
+    lhs = elaborate(node.lhs, env)
+    rhs = elaborate(node.rhs, env)
     lvec = isinstance(lhs, VecExpr)
     rvec = isinstance(rhs, VecExpr)
     if op in ("+", "-"):
@@ -537,13 +546,13 @@ def _elaborate_binop(node, env, memo):
     raise AssertionError(op)
 
 
-def _elaborate_power(node, env, memo):
+def _elaborate_power(node, env):
     n = _as_exponent(node.rhs)
     if n is None:
         raise LangError("exponent must be an integer literal", node.span)
     if isinstance(node.lhs, VecBuiltin) and node.lhs.name == "r":
         return ops.radial_power(env.registry, n, env.mode)
-    base = elaborate(node.lhs, env, memo)
+    base = elaborate(node.lhs, env)
     if isinstance(base, VecExpr):
         raise LangError("cannot raise a vector to a power; use dot()", node.span)
     try:

@@ -221,9 +221,6 @@ class OperatorExpr:
     def substitute(self, name, value) -> "OperatorExpr":
         return self._map_coeffs(ScalarCoeff.substitute, name, value)
 
-    def substitute_even_powers(self, name, value: ScalarCoeff) -> "OperatorExpr":
-        return self._map_coeffs(ScalarCoeff.substitute_even_powers, name, value)
-
     def zero_at(self, name, value) -> bool:
         """``self.substitute(name, value).is_zero()`` for ``value`` 0 or 1,
         without building the substituted expression; the same DomainError

@@ -209,36 +209,6 @@ class ScalarCoeff:
                     out[tuple(rest)] = s2
         return ScalarCoeff(self.registry, out)
 
-    def substitute_even_powers(self, name, value: "ScalarCoeff") -> "ScalarCoeff":
-        """Replace every even power ``name^(2q)`` by ``value^q``, leaving
-        a residual first power for odd exponents.  Used to eliminate a
-        symbol that is only known through its square."""
-        _check_same_registry(self, value)
-        idx = self.registry.index(name)
-        out = {}
-        for key, g in self._terms.items():
-            e = 0
-            rest = []
-            for s, ee in key:
-                if s == idx:
-                    e = ee
-                else:
-                    rest.append((s, ee))
-            q, r = divmod(e, 2)
-            base = {tuple(rest) if not r else K.k_bump(tuple(rest), idx, r): g}
-            piece = ScalarCoeff(self.registry, base) * (value**q)
-            for k2, g2 in piece._terms.items():
-                cur = out.get(k2)
-                if cur is None:
-                    out[k2] = g2
-                else:
-                    s2 = K.g_add(cur, g2)
-                    if s2[0] == 0 and s2[1] == 0:
-                        del out[k2]
-                    else:
-                        out[k2] = s2
-        return ScalarCoeff(self.registry, out)
-
     # -- queries ------------------------------------------------------
 
     def is_zero(self):

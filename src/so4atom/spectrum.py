@@ -148,10 +148,9 @@ def reduced_form_check(mode="abstract"):
         return _gate_cache[spin]
     suite = catalog.get_suite("theorem")
     env = suite.env(spin)
-    memo = suite.memo(env)
 
     def ev(src):
-        return lang.elaborate(lang.parse_expr(src), env, memo)
+        return lang.elaborate(lang.parse_expr(src), env)
 
     reduced = ev("2*(M*(Ham - dot(p,p)/(2*M) - k1*r^-1 - mu*(k2*(rS*rpow(-2)))))")
     ok = reduced.zero_at("mu", 0)

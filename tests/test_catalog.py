@@ -53,6 +53,16 @@ def test_results_sorted_and_unique():
     assert len(set(ids)) == len(ids)
 
 
+@pytest.mark.parametrize("mode", ["abstract", "half"])
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_run_suite_reports_exactly_the_suite_files_checks(name, mode):
+    # one source per suite: every result comes from a check line of its file
+    text = (Path(catalog.data_dir()) / ("%s.ident" % name)).read_text()
+    ids = [c.check_id for c in lang.parse_identity_file(text).checks
+           if c.mode in (None, mode)]
+    assert [r.check_id for r in catalog.run_suite(name, mode=mode)] == sorted(ids)
+
+
 def test_spectrum_algebra_includes_derived_chain():
     ids = {r.check_id for r in catalog.run_suite("spectrum_algebra")}
     for required in (
@@ -92,6 +102,29 @@ def test_theorem_under_mu_lenses():
         "pass_at_mu_0": 2,
     }
     assert ok_count(both) == 94
+
+
+EIGENFORM_CHECKS = ("WW_su2", "KK_su2", "WK_commute", "Rprime_closure",
+                    "R2_prime_eigenform", "WK_sum_bilinear", "Casimir_sum_eigenform")
+
+
+@pytest.mark.parametrize("mode", ["abstract", "half"])
+@pytest.mark.parametrize("mu", [None, "symbolic", "0", "1", "all"])
+def test_su2_split_checks_follow_the_lens(mode, mu):
+    by_id = {r.check_id: r for r in catalog.run_suite("spectrum_algebra", mode=mode, mu=mu)}
+    for cid in EIGENFORM_CHECKS:
+        r = by_id[cid]
+        assert (r.status, r.ok, r.symbolic_zero, r.mu_policy) == \
+            ("pass", True, True, "symbolic"), cid
+        assert r.requested_mu == (mu or "declared")
+    # WW - KK = t*mu*(h*rS) needs mu: it holds at mu=0 and mu=1 only
+    diff = by_id["WK_diff_reduction"]
+    assert diff.ok is True and diff.symbolic_zero is False
+    want = {None: "pass_at_mu_0_and_1", "all": "pass_at_mu_0_and_1",
+            "0": "pass", "1": "pass", "symbolic": "fail"}[mu]
+    assert diff.status == want
+    assert bool(diff.witness) == (mu == "symbolic")
+    assert diff.requested_mu == (mu or "declared")
 
 
 def test_skipped_results_have_no_verdict():
@@ -146,9 +179,9 @@ def all_mutations():
     return out
 
 
-def test_nine_mutations_registered():
+def test_mutations_registered():
     muts = all_mutations()
-    assert len(muts) == 9
+    assert len(muts) == 11
     per_suite = collections.Counter(m.suite for m in muts)
     assert set(per_suite) == set(catalog.SUITE_NAMES)
 
@@ -203,7 +236,7 @@ def test_lenses_read_recorded_differences(monkeypatch):
     suite = catalog.get_suite("theorem")
     for mode in ("abstract", "half"):
         catalog.run_suite("theorem", mode=mode)
-    sizes = {mode: len(memo) for mode, memo in suite._memos.items()}
+    sizes = {mode: len(suite.env(mode).memo) for mode in SpinMode}
     calls = []
 
     def counted(name, fn):
@@ -220,17 +253,36 @@ def test_lenses_read_recorded_differences(monkeypatch):
         for mu in ("0", "1", "symbolic", "all"):
             catalog.run_suite("theorem", mode=mode, mu=mu)
     assert calls == []
-    assert {mode: len(memo) for mode, memo in suite._memos.items()} == sizes
+    assert {mode: len(suite.env(mode).memo) for mode in SpinMode} == sizes
 
 
 def without_timing(results):
     return [dataclasses.replace(r, elapsed_ms=0.0) for r in results]
 
 
+def test_a_loaded_suite_keeps_its_own_memo(monkeypatch):
+    # the memo rides on the suite's env, so a Suite held by the caller
+    # takes each product once, like the shared one
+    suite = catalog.load_suite("theorem")
+    first = catalog.run_suite("theorem", suite=suite)
+    assert suite.env(SpinMode.ABSTRACT).memo
+    products = []
+    mul = _kernel.expr_mul
+
+    def counted(*args):
+        products.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(_kernel, "expr_mul", counted)
+    again = catalog.run_suite("theorem", suite=suite)
+    assert products == []
+    assert without_timing(again) == without_timing(first)
+
+
 @pytest.mark.parametrize("mode", ["abstract", "half"])
 def test_recorded_results_match_a_cold_suite(mode):
-    # a suite from load_suite is not the shared one, so run_check never
-    # reads the shared memo for its checks and elaborates each one afresh
+    # a suite from load_suite is not the shared one: its checks fill and
+    # read its own memo, from empty, never the shared suite's
     for name in catalog.SUITE_NAMES:
         cold = catalog.load_suite(name)
         catalog.run_suite(name, mode=mode)
@@ -255,13 +307,13 @@ def test_memoised_differences_match_a_cold_elaboration(name, mode):
     catalog.run_suite(name, mode=mode.value)
     specs = list(suite.checks) + [catalog.apply_mutation(suite.spec(m.check_id), m)
                                   for m in catalog.mutations_for(name)]
-    cold_env = catalog.load_suite(name).env(mode)
-    memo = suite.memo(env)
-    assert memo is suite._memos[mode]
+    cold_env = dataclasses.replace(catalog.load_suite(name).env(mode), memo=None)
+    memo = env.memo
+    assert memo
     for spec in specs:
         if spec.mode not in (None, mode.value):
             continue
-        warm = suite.difference(spec, env)
+        warm = catalog._difference(spec, env)
         assert raw_value(warm) == raw_value(catalog._difference(spec, cold_env)), spec.check_id
         for side in (spec.lhs, spec.rhs):
             assert isinstance(side, (lang.Num, lang.Sym, lang.VecBuiltin)) or side in memo
@@ -274,7 +326,7 @@ def test_mutation_refuted_after_its_clean_check_is_recorded(mutation):
     env = suite.env(SpinMode.ABSTRACT)
     spec = suite.spec(mutation.check_id)
     assert catalog.run_check(spec, env).ok is True
-    memo = suite.memo(env)
+    memo = env.memo
     clean = {side: memo[side] for side in (spec.lhs, spec.rhs) if side in memo}
     assert spec.lhs in clean
     broken = catalog.apply_mutation(spec, mutation)
@@ -289,12 +341,12 @@ def test_hand_built_env_is_never_read_from_the_record():
     env = suite.env(SpinMode.ABSTRACT)
     spec = suite.spec("RxR_eq_H_l")
     assert catalog.run_check(spec, env).ok is True
-    memo = suite.memo(env)
+    memo = env.memo
     size = len(memo)
     clean = {side: memo[side] for side in (spec.lhs, spec.rhs)}
     hand = lang.ElabEnv(env.registry, env.mode, dict(env.bindings))
     hand.bindings["H"] = hand.bindings["H"].scaled(Fraction(2))
-    assert suite.memo(hand) is None
+    assert hand.memo is None
     assert catalog.run_check(spec, hand).ok is False
     assert len(memo) == size
     assert all(memo[side] is value for side, value in clean.items())

@@ -192,24 +192,34 @@ def test_elaborate_definitions_resolves_in_order():
 
 def test_memo_shares_equal_subtrees_across_spans():
     env = fresh_env()
-    memo = {}
+    memo = env.memo = {}
     node = lang.parse_expr("dot(r,p) * dot(r,p) - dot(r,p)")
-    value = lang.elaborate(node, env, memo)
-    assert value.raw_terms() == lang.elaborate(node, env).raw_terms()
+    value = lang.elaborate(node, env)
+    assert value.raw_terms() == lang.elaborate(node, fresh_env()).raw_terms()
     first, second = node.lhs.lhs, node.lhs.rhs
     assert first == second and first.span != second.span
     # one entry per distinct compound subtree; names and literals stay out
     assert set(memo) == {node, node.lhs, first}
-    assert lang.elaborate(lang.parse_expr("dot(r, p)"), env, memo) is memo[first]
+    assert lang.elaborate(lang.parse_expr("dot(r, p)"), env) is memo[first]
+
+
+def test_env_without_a_memo_elaborates_afresh():
+    env = fresh_env()
+    assert env.memo is None
+    node = lang.parse_expr("dot(r,p) * dot(r,p)")
+    assert lang.elaborate(node, env) is not lang.elaborate(node, env)
+    assert env.memo is None
+    defs = lang.parse_identity_file("let L = cross(r,p)\n").definitions
+    assert lang.elaborate_definitions(defs, SymbolRegistry(), SpinMode.ABSTRACT).memo is None
 
 
 def test_memo_keeps_nothing_of_a_failed_subtree():
     env = fresh_env()
-    memo = {}
+    memo = env.memo = {}
     bad = "dot(r, hbar)"
     for text in ("dot(p,p) * dot(r, hbar)", "dot(r, hbar) - dot(p,p)"):
         with pytest.raises(LangError) as exc:
-            lang.elaborate(lang.parse_expr(text), env, memo)
+            lang.elaborate(lang.parse_expr(text), env)
         # each occurrence reports its own span, not the first one's
         start = text.index(bad)
         assert exc.value.span == (start, start + len(bad))

@@ -2,11 +2,12 @@
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from so4atom import catalog, lang, operators, oracle
+from so4atom import catalog, cli, lang, operators, oracle
 from so4atom.errors import UsageError
 from so4atom.jets import Jet
 from so4atom.lang import parse_expr
@@ -136,6 +137,28 @@ def test_run_battery_all_pass():
     assert len(reports) == len(pairs)
     for rep in reports:
         assert rep.max_rel_residual < 1e-8, rep.check_id
+
+
+def test_oracle_walks_every_equation_of_every_suite_file():
+    # a name the oracle cannot bind, or a walk that cannot evaluate a check,
+    # shows here before it reaches a battery
+    pairs = [(name, spec.check_id) for name in catalog.SUITE_NAMES
+             for spec in catalog.get_suite(name).checks if spec.relation == "=="]
+    reports = oracle.run_battery(pairs, states=oracle.default_states(1, seed=42),
+                                 points_per_state=3)
+    assert len(reports) == len(pairs)
+    for rep in reports:
+        assert rep.max_rel_residual < 1e-8, rep.check_id
+
+
+def test_check_whose_sides_both_vanish_reads_zero(tmp_path, monkeypatch, capsys):
+    text = (Path(catalog.data_dir()) / "so3.ident").read_text()
+    (tmp_path / "so3.ident").write_text(text + "check zero_both : 0*l == 0\n")
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))
+    report = oracle.residual(catalog.get_suite("so3").spec("zero_both"), points_per_state=3)
+    assert (report.max_abs_residual, report.max_rel_residual) == (0.0, 0.0)
+    assert cli.main(["oracle", "--suite", "so3", "--points", "3"]) == 0
+    assert "oracle so3:" in capsys.readouterr().out
 
 
 def test_empty_sample_rejected():

@@ -86,13 +86,6 @@ def test_substitute_zero_negative_power_rejected(reg):
         inv.substitute("mu", 0)
 
 
-def test_substitute_even_powers_keeps_odd_residue(reg):
-    expr = sym(reg, "mu", 4) + sym(reg, "mu", 3) + sym(reg, "mu")
-    out = expr.substitute_even_powers("mu", rat(reg, 2))
-    # mu^4 -> 4, mu^3 -> 2*mu, mu -> mu
-    assert out == rat(reg, 4) + rat(reg, 3) * sym(reg, "mu")
-
-
 def test_evaluate_complex(reg):
     expr = sym(reg, "hbar", 2) * ScalarCoeff.imag_unit(reg) + rat(reg, Fraction(3, 4))
     assert expr.evaluate({"hbar": 2.0}) == pytest.approx(0.75 + 4j)
