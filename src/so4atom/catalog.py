@@ -6,7 +6,8 @@ so3               angular momentum closure and conservation, no spin coupling
 so4               Runge-Lenz closure with the Coulomb Hamiltonian
 inverse           power-law scan showing only 1/r keeps the construction conserved
 theorem           the spin-coupled system: covariance set, field strength,
-                  constraint residuals, conservation laws
+                  constraint residuals, conservation laws, and the channel
+                  reduction the spectrum solver is gated on
 spectrum_algebra  helicity conservation, Casimir-style contractions, and the
                   su(2) x su(2) split at a fixed eigenvalue E = -M/(2 t^2)
 
@@ -324,6 +325,8 @@ _MUTATIONS = (
              "3*h", "2*h"),
     Mutation("theorem", "Pi_rS_lemma", "wrong lemma weight",
              "(2-mu)", "(3-mu)"),
+    Mutation("theorem", "reduced_gate", "halved spin-orbit weight",
+             "2*dot(S,l)", "dot(S,l)"),
     Mutation("spectrum_algebra", "R2_expansion", "doubled vacuum shift",
              "dot(J,J) - hbar^2", "dot(J,J) - 2*hbar^2"),
     Mutation("spectrum_algebra", "J_dot_R", "doubled contraction",

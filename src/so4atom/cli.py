@@ -218,7 +218,7 @@ def cmd_spectrum(cfg):
     if cfg.j is not None:
         try:
             j = Fraction(cfg.j)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise UsageError("cannot parse --j %r" % cfg.j) from exc
         sector = spectrum.RadialSector(1, j=j)
         result = spectrum.solve_lowest(sector, params, cfg.grid_n, cfg.rmax,

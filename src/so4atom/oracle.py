@@ -15,15 +15,15 @@ identity sits at float roundoff, about 1e-15, far below the tolerance of
 order any check needs.
 
 The relative residual at a point is |lhs - rhs|, a 1-norm over the spinor,
-divided by the largest such norm among the left side's top-level summands:
-the tree split at +, - and unary minus, constant factors kept on each
-summand, idx distributed, dot split into its three products, a cross
-component into its two and [A, B] into AB and BA.  A left side that is one
-product A*B is scaled by the products of the summands of A and of B, each
-factor split the same way, since a product that vanishes would otherwise be
-roundoff divided by roundoff.  Where every summand vanishes, the gap stands
-as it is; where both sides vanish outright, it is 0.  Reports are
-deterministic for a seed.
+divided by the largest such norm among the left side's top-level summands: a
+let name read as its body, the tree split at +, - and unary minus, constant
+factors kept on each summand, idx distributed, dot split into its three
+products, a cross component into its two and [A, B] into AB and BA.  A left
+side that is one product A*B is scaled by the products of the summands of A
+and of B, each factor split the same way, since a product that vanishes
+would otherwise be roundoff divided by roundoff.  Where every summand
+vanishes, the gap stands as it is; where both sides vanish outright, it is
+0.  Reports are deterministic for a seed.
 
 Scalar symbols take the numbers in DEFAULT_BINDINGS.  t, the symbol of
 spectrum_algebra's su(2) x su(2) split, is bound to 0.8, away from 0 and
@@ -353,6 +353,8 @@ class _Walk:
         """act(), with a product split into the products of its factors'
         summands, each factor spread in turn."""
         how, *args = self.info(node)[3]
+        if how == "alias":
+            return self.spread(args[0], axis if args[1] is None else args[1], psi, need)
         if how != "pair":
             return self.act(node, axis, psi, need)
         a, b = args

@@ -1,19 +1,21 @@
 """Radial eigensolver confirming the closed-form bound-state energies.
 
 The solver never trusts the hand reduction: before solving a coupled sector
-it asks the operator engine to certify, exactly, that
+it runs the three gate checks of data/theorem.ident through
+catalog.run_check, which certify, exactly, that
 
     2M*(Ham - p^2/2M - k1/r - mu*k2*(r.S)/r^2) == (2*S.l + S^2)/r^2 at mu=1
 
-(and that the left side vanishes at mu=0).  Combined with
-l^2 + 2*S.l + S^2 == J^2 this puts the same centrifugal weight j(j+1) in
-front of 1/r^2 for both orbital channels of a j sector, leaving the
-(r.S)/r^2 coupling as a pure off-diagonal k2*hbar/(2r).  Rotating into the
-s_r = +-1/2 eigenlines of (r.S)/r then splits the sector exactly into two
-plain Coulomb channels with charge k1 + k2*hbar*s_r.  Every channel (the
-single one at mu=0, with weight l(l+1)) is a uniform-grid three-point
-stencil with Dirichlet walls, solved by scipy.linalg.eigh_tridiagonal, and
-each level keeps the label of the channel that produced it.
+(reduced_gate), that the left side vanishes at mu=0 (reduced_off), and that
+l^2 + 2*S.l + S^2 == J^2 at mu=1 (J2_recombination).  Together they put the
+same centrifugal weight j(j+1) in front of 1/r^2 for both orbital channels
+of a j sector, leaving the (r.S)/r^2 coupling as a pure off-diagonal
+k2*hbar/(2r).  Rotating into the s_r = +-1/2 eigenlines of (r.S)/r then
+splits the sector exactly into two plain Coulomb channels with charge
+k1 + k2*hbar*s_r.  Every channel (the single one at mu=0, with weight
+l(l+1)) is a uniform-grid three-point stencil with Dirichlet walls, solved
+by scipy.linalg.eigh_tridiagonal, and each level keeps the label of the
+channel that produced it.
 coupled_levels() solves the unrotated two-channel band with
 scipy.linalg.eig_banded; it is the tests' reference for the rotation.
 
@@ -32,8 +34,7 @@ import numpy as np
 from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .errors import SolverError, UsageError
-from .operators import SpinMode
-from . import catalog, lang
+from . import catalog
 
 __all__ = [
     "CouplingParams",
@@ -138,32 +139,16 @@ class LevelRow:
 
 
 _MIN_GRID = 500
-_gate_cache = {}
+
+# the theorem checks that certify the channel reduction
+_GATE = ("reduced_off", "reduced_gate", "J2_recombination")
 
 
 def reduced_form_check(mode="abstract"):
-    """Engine certificate behind the channel reduction; cached per mode."""
-    spin = SpinMode(mode)
-    if spin in _gate_cache:
-        return _gate_cache[spin]
+    """Engine certificate behind the channel reduction: theorem's three
+    gate checks, run like every other check."""
     suite = catalog.get_suite("theorem")
-    env = suite.env(spin)
-
-    def ev(src):
-        return lang.elaborate(lang.parse_expr(src), env)
-
-    reduced = ev("2*(M*(Ham - dot(p,p)/(2*M) - k1*r^-1 - mu*(k2*(rS*rpow(-2)))))")
-    ok = reduced.zero_at("mu", 0)
-    if spin is SpinMode.SPIN_HALF:
-        gate = ev("(2*dot(S,l) + 3/4*hbar^2)*rpow(-2)")
-    else:
-        gate = ev("(2*dot(S,l) + dot(S,S))*rpow(-2)")
-    ok = ok and (reduced.substitute("mu", Fraction(1)) - gate).is_zero()
-    # the centrifugal recombination both channels share
-    jj = ev("dot(l,l) + 2*dot(S,l) + dot(S,S)") - ev("dot(J,J)").substitute("mu", Fraction(1))
-    ok = ok and jj.is_zero()
-    _gate_cache[spin] = ok
-    return ok
+    return all(catalog.run_check(suite.spec(c), mode=mode).ok for c in _GATE)
 
 
 def _grid(grid_n, r_max, r_min=0.0):

@@ -35,7 +35,7 @@ def test_verify_all_suites(capsys):
         "verify so3: 22 pass, 0 fail",
         "verify so4: 14 pass, 0 fail",
         "verify inverse: 10 pass, 0 fail",
-        "verify theorem: 94 pass, 0 fail",
+        "verify theorem: 97 pass, 0 fail",
         "verify spectrum_algebra: 21 pass, 0 fail",
     ):
         assert line in out
@@ -44,7 +44,7 @@ def test_verify_all_suites(capsys):
 def test_verify_mu_lens_reports_skips(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "theorem", "--mu", "1")
     assert code == 0
-    assert "92 pass, 0 fail, 2 skipped" in out
+    assert "94 pass, 0 fail, 3 skipped" in out
 
 
 def test_verify_spin_half(capsys):
@@ -74,6 +74,17 @@ def test_bad_j_exit_2(capsys):
     code, _, err = run(capsys, "spectrum", "--j", "x/y")
     assert code == 2
     assert "--j" in err
+
+
+def test_j_with_zero_denominator_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "spectrum", "--j", "1/0")
+    assert code == 2
+    assert "cannot parse --j" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("j = 1/0\n")
+    code, _, err = run(capsys, "spectrum", "--config", str(cfg))
+    assert code == 2
+    assert "cannot parse --j" in err
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -161,6 +161,19 @@ def test_check_whose_sides_both_vanish_reads_zero(tmp_path, monkeypatch, capsys)
     assert "oracle so3:" in capsys.readouterr().out
 
 
+def test_check_on_a_bare_let_name_reads_its_body(tmp_path, monkeypatch, capsys):
+    # the name's body is the left side's summands; read as one summand, a
+    # vanishing body would be roundoff divided by roundoff
+    text = (Path(catalog.data_dir()) / "so3.ident").read_text()
+    (tmp_path / "so3.ident").write_text(
+        text + "let Z = [l_x, r_x]\ncheck alias_zero : Z == 0\n")
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))
+    report = oracle.residual(catalog.get_suite("so3").spec("alias_zero"), points_per_state=3)
+    assert report.max_rel_residual < 1e-12
+    assert cli.main(["oracle", "--suite", "so3", "--points", "3"]) == 0
+    assert "oracle so3:" in capsys.readouterr().out
+
+
 def test_empty_sample_rejected():
     spec = catalog.get_suite("so3").spec("l_cross_l")
     pairs = [("so3", "l_cross_l")]

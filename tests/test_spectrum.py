@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+from pathlib import Path
+
 import pytest
 
-from so4atom import spectrum
-from so4atom.errors import UsageError
+from so4atom import _kernel, catalog, spectrum
+from so4atom.errors import SolverError, UsageError
 from so4atom.operators import OperatorExpr, SpinMode
 
 HALF = Fraction(1, 2)
@@ -31,24 +33,42 @@ def test_reduced_form_gate_rejects_unknown_modes(mode):
 
 
 @pytest.mark.parametrize("mode", list(SpinMode), ids=lambda m: m.value)
-def test_reduced_form_gate_substitutes_only_at_mu_1(monkeypatch, mode):
-    # the mu=0 test builds nothing; the gate and the J.J recombination
-    # are compared at mu=1 on substituted expressions
-    monkeypatch.setattr(spectrum, "_gate_cache", {})
-    values = []
+def test_reduced_form_gate_substitutes_nothing_and_is_taken_once(monkeypatch, mode):
+    # the gate is theorem's three checks: zero tests at mu=0 and mu=1 build
+    # nothing, and a second call reads every product from the suite's memo
+    substituted = []
     substitute = OperatorExpr.substitute
 
     def counted(self, name, value):
-        values.append(value)
+        substituted.append(value)
         return substitute(self, name, value)
 
     monkeypatch.setattr(OperatorExpr, "substitute", counted)
     assert spectrum.reduced_form_check(mode) is True
-    assert values == [1, 1]
-    # a member and its name share one cached gate
+    products = []
+    mul = _kernel.expr_mul
+
+    def counted_mul(*args):
+        products.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(_kernel, "expr_mul", counted_mul)
     assert spectrum.reduced_form_check(mode.value) is True
-    assert list(spectrum._gate_cache) == [mode]
-    assert values == [1, 1]
+    assert substituted == []
+    assert products == []
+
+
+def test_gate_runs_the_theorem_suite_file(tmp_path, monkeypatch):
+    text = (Path(catalog.data_dir()) / "theorem.ident").read_text()
+    line = "check reduced_gate : H0 == (2*dot(S,l) + dot(S,S))*rpow(-2) mu=1"
+    assert text.count(line) == 1
+    (tmp_path / "theorem.ident").write_text(
+        text.replace(line, line.replace("2*dot(S,l)", "dot(S,l)")))
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))
+    with pytest.raises(SolverError, match="engine rejected"):
+        spectrum.solve_lowest(spectrum.RadialSector(1, j=HALF), **PIN)
+    # a mu=0 sector has one Coulomb channel and never asks the gate
+    assert spectrum.solve_lowest(spectrum.RadialSector(0, l=0), **PIN).energies
 
 
 # -- sector bookkeeping -----------------------------------------------------
