@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import So4AtomError, UsageError
-from . import ansatz, catalog, oracle, report, spectrum
+from . import ansatz, catalog, report
 
 __all__ = ["RunConfig", "main"]
 
@@ -114,7 +114,19 @@ def _build_config(args):
         raise UsageError("points must be at least 1, got %d" % cfg.points)
     if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol > 0):
         raise UsageError("tol must be a finite number above 0, got %r" % cfg.tol)
+    if cfg.j is not None:
+        _parse_j(cfg.j)
     return cfg
+
+
+def _parse_j(text):
+    try:
+        j = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError("cannot parse --j %r" % text) from exc
+    if j < Fraction(1, 2) or (2 * j) % 2 != 1:
+        raise UsageError("j must be a positive half-odd integer")
+    return j
 
 
 def _suites_requested(cfg):
@@ -153,6 +165,7 @@ def cmd_verify(cfg):
 
 
 def cmd_oracle(cfg):
+    from . import oracle
     tol = cfg.tol if cfg.tol is not None else 1e-8
     if cfg.suite == "all":
         pairs = oracle.default_battery()
@@ -213,14 +226,11 @@ def cmd_spin_potential(cfg):
 
 
 def cmd_spectrum(cfg):
+    from . import spectrum
     tol = cfg.tol if cfg.tol is not None else 1e-3
     params = spectrum.CouplingParams(k1=cfg.k1, k2=cfg.k2)
     if cfg.j is not None:
-        try:
-            j = Fraction(cfg.j)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError("cannot parse --j %r" % cfg.j) from exc
-        sector = spectrum.RadialSector(1, j=j)
+        sector = spectrum.RadialSector(1, j=_parse_j(cfg.j))
         result = spectrum.solve_lowest(sector, params, cfg.grid_n, cfg.rmax,
                                        cfg.levels, cfg.rmin)
         rows, ok = spectrum.match_spectrum(result, tol=tol)

@@ -13,9 +13,10 @@ of a j sector, leaving the (r.S)/r^2 coupling as a pure off-diagonal
 k2*hbar/(2r).  Rotating into the s_r = +-1/2 eigenlines of (r.S)/r then
 splits the sector exactly into two plain Coulomb channels with charge
 k1 + k2*hbar*s_r.  Every channel (the single one at mu=0, with weight
-l(l+1)) is a uniform-grid three-point stencil with Dirichlet walls, solved
-by scipy.linalg.eigh_tridiagonal, and each level keeps the label of the
-channel that produced it.
+l(l+1)) is a uniform-grid three-point stencil with Dirichlet walls.  Each
+distinct charge is solved once, for eigenvalues only, by
+scipy.linalg.eigh_tridiagonal (at k2=0 both channels of a sector are one
+matrix), and each level keeps the label of the channel that produced it.
 coupled_levels() solves the unrotated two-channel band with
 scipy.linalg.eig_banded; it is the tests' reference for the rotation.
 
@@ -24,7 +25,8 @@ two Casimir relations with exact rationals and reports a verdict for every
 candidate label, keeping the inadmissible ones on record instead of
 dropping them.  That is where the spurious deepest level of the raw
 closed form disappears: its only labelings need a negative ladder scale or
-a negative spin label.
+a negative spin label.  A mu=1 prediction table does not depend on j, so
+default_study() builds one per coupling.
 """
 
 from dataclasses import dataclass
@@ -184,8 +186,9 @@ def energy_cutoff(r_max):
 def solve_lowest(sector, params=None, grid_n=4000, r_max=200.0, count=8, r_min=0.0):
     """The lowest `count` levels of a sector, each labelled by its channel.
 
-    Every channel is a tridiagonal solve; the levels of all channels are
-    merged in ascending order, so a label is the channel that produced it.
+    Each distinct channel charge is one tridiagonal solve, for eigenvalues
+    only; the levels of all channels are merged in ascending order, so a
+    label is the channel that produced it.
     """
     params = params or CouplingParams()
     r, kin, cent = _stencil(sector, params, grid_n, r_max, r_min)
@@ -200,14 +203,17 @@ def solve_lowest(sector, params=None, grid_n=4000, r_max=200.0, count=8, r_min=0
         raise SolverError("engine rejected the reduced sector Hamiltonian")
     off = -kin * np.ones(grid_n - 1)
     last = min(count, grid_n) - 1
+    solved = {}             # charge -> eigenvalues; at k2=0 both channels share one
     levels = []
     for g, label in channels:
-        diag = 2 * kin + g / r + cent / (r * r)
-        try:
-            vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, last))[0]
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SolverError("eigenvalue solve failed: %s" % exc) from exc
-        levels.extend((float(v), label) for v in vals)
+        if g not in solved:
+            diag = 2 * kin + g / r + cent / (r * r)
+            try:
+                solved[g] = eigh_tridiagonal(diag, off, eigvals_only=True,
+                                             select="i", select_range=(0, last))
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                raise SolverError("eigenvalue solve failed: %s" % exc) from exc
+        levels.extend((float(v), label) for v in solved[g])
     levels.sort(key=lambda lv: lv[0])
     levels = levels[:count]
     return SpectrumResult(sector, params, grid_n, r_max, energy_cutoff(r_max),
@@ -262,10 +268,17 @@ def solve_wk_pair(w, k, s_r, params=None):
     s_r = Fraction(s_r)
     if s_r not in (Fraction(1, 2), Fraction(-1, 2)):
         raise UsageError("s_r must be +-1/2")
-    hbar = Fraction(params.hbar).limit_denominator(10 ** 12)
-    mass = Fraction(params.mass).limit_denominator(10 ** 12)
-    g = Fraction(params.k1).limit_denominator(10 ** 12) \
-        + Fraction(params.k2).limit_denominator(10 ** 12) * hbar * s_r
+    return _wk_report(w, k, s_r, *_exact(params))
+
+
+def _exact(params):
+    """hbar, mass, k1 and k2 as the rationals the Casimir relations use."""
+    return tuple(Fraction(x).limit_denominator(10 ** 12)
+                 for x in (params.hbar, params.mass, params.k1, params.k2))
+
+
+def _wk_report(w, k, s_r, hbar, mass, k1, k2):
+    g = k1 + k2 * hbar * s_r
     if not (_is_half_integer(w) and _is_half_integer(k)) or w < 0 or k < 0:
         return WkReport(w, k, s_r, "invalid_label", Fraction(0), None)
     if g == 0:
@@ -303,13 +316,14 @@ def predicted_levels(sector, params=None, max_n=6):
             out.append(PredictedLevel(scale / n ** 2, n, +1, Fraction(0),
                                       Fraction(n), report))
         return out
+    exact = _exact(params)
     for n in range(1, max_n + 1):
         w = Fraction(n - 1, 2)
         for branch in (+1, -1):
             for s_r in (Fraction(1, 2), Fraction(-1, 2)):
                 nu = n + branch * s_r
                 g = params.k1 + params.k2 * params.hbar * float(s_r)
-                report = solve_wk_pair(w, w + branch * s_r, s_r, params)
+                report = _wk_report(w, w + branch * s_r, s_r, *exact)
                 if nu == 0 or g == 0:
                     energy = None
                 else:
@@ -365,9 +379,17 @@ def default_study(params=None, grid_n=4000, r_max=200.0, count=8,
         sweep.extend((RadialSector(1, j=j), p) for j in (Fraction(1, 2), Fraction(3, 2)))
     rows = []
     all_ok = True
+    # a mu=1 table does not depend on j: one per coupling, kept only while
+    # that coupling's sectors are matched
+    table_for = table = None
     for sector, p in sweep:
         res = solve_lowest(sector, p, grid_n, r_max, count, r_min)
-        got, ok = match_spectrum(res, tol=tol)
+        predictions = None
+        if sector.mu == 1:
+            if p != table_for:
+                table_for, table = p, predicted_levels(sector, p, max_n=8)
+            predictions = table
+        got, ok = match_spectrum(res, predictions, tol=tol)
         rows.extend(got)
         all_ok = all_ok and (ok or not got)
     return rows, all_ok and bool(rows)

@@ -87,6 +87,17 @@ def test_j_with_zero_denominator_exit_2(capsys, tmp_path):
     assert "cannot parse --j" in err
 
 
+@pytest.mark.parametrize("j, message", [("1/0", "cannot parse --j"),
+                                         ("2", "positive half-odd integer")])
+def test_all_rejects_bad_j_before_any_work(capsys, tmp_path, j, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("j = %s\n" % j)
+    code, out, err = run(capsys, "all", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_empty_oracle_sample_exit_2(capsys, points):
     # an empty sample would report a vacuous pass
@@ -404,6 +415,20 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "verify so3: 22 pass, 0 fail" in proc.stdout
+
+
+def test_engine_only_command_leaves_numpy_unimported():
+    # the oracle and the spectrum are imported by the commands that use them
+    src = os.path.dirname(os.path.dirname(so4atom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "so4atom",
+                           "verify", "--suite", "so3"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "so4atom.cli" in imported
+    assert "numpy" not in imported
 
 
 def test_runconfig_defaults():

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so4atom import _kernel, catalog, spectrum
 from so4atom.errors import SolverError, UsageError
@@ -16,6 +20,37 @@ PIN = dict(grid_n=4000, r_max=200.0)
 
 def bohr(n, k1=-1.0):
     return -(k1 * k1) / (2.0 * n * n)
+
+
+def per_channel_levels(sector, params, grid_n=4000, r_max=200.0, count=8):
+    """Reference: every channel solved on its own, eigenvectors included,
+    then merged and cut exactly as solve_lowest merges and cuts."""
+    r, kin, cent = spectrum._stencil(sector, params, grid_n, r_max, 0.0)
+    if sector.mu == 0:
+        channels = ((params.k1, None),)
+    else:
+        channels = tuple((params.k1 + params.k2 * params.hbar * float(s_r), s_r)
+                         for s_r in (HALF, -HALF))
+    off = -kin * np.ones(grid_n - 1)
+    levels = []
+    for g, label in channels:
+        vals, _vecs = scipy.linalg.eigh_tridiagonal(
+            2 * kin + g / r + cent / (r * r), off,
+            select="i", select_range=(0, count - 1))
+        levels.extend((float(v), label) for v in vals)
+    levels.sort(key=lambda lv: lv[0])
+    levels = levels[:count]
+    return tuple(e for e, _ in levels), tuple(label for _, label in levels)
+
+
+def default_sweep():
+    """The (sector, params) pairs of default_study, in its order."""
+    sweep = [(spectrum.RadialSector(0, l=l), spectrum.CouplingParams())
+             for l in range(4)]
+    for k2 in (0.0, 0.2, 0.4):
+        sweep.extend((spectrum.RadialSector(1, j=j), spectrum.CouplingParams(k2=k2))
+                     for j in (HALF, Fraction(3, 2)))
+    return sweep
 
 
 # -- symbolic gate ----------------------------------------------------------
@@ -210,6 +245,48 @@ def test_every_computed_level_matches_an_admissible_one(j, k2):
         assert row.rel_error < 1e-3
 
 
+def test_eigenvalues_only_are_bitwise_the_eigenvector_solve():
+    # stebz orders eigenvalues-only output by matrix, not by block, and skips
+    # stein; the values themselves must not move by a bit
+    for sector, params in default_sweep():
+        res = spectrum.solve_lowest(sector, params, **PIN)
+        energies, channels = per_channel_levels(sector, params)
+        assert [e.hex() for e in res.energies] == [e.hex() for e in energies], \
+            (sector, params.k2)
+        assert res.channels == channels
+
+
+@pytest.mark.parametrize("k2, solves", [(0.0, 1), (0.2, 2)])
+def test_each_distinct_channel_is_solved_once(monkeypatch, k2, solves):
+    # at k2=0 both channels carry the charge k1, so they are one matrix
+    calls = []
+    solve = spectrum.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+    sector = spectrum.RadialSector(1, j=HALF)
+    params = spectrum.CouplingParams(k2=k2)
+    res = spectrum.solve_lowest(sector, params, **PIN)
+    assert len(calls) == solves
+    assert all(kw["eigvals_only"] for kw in calls)
+    assert (res.energies, res.channels) == per_channel_levels(sector, params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(twice_j=st.integers(0, 4).map(lambda m: 2 * m + 1),
+       k2=st.floats(-2.0, 2.0, allow_nan=False))
+def test_mu1_predictions_do_not_depend_on_j(twice_j, k2):
+    # the law default_study rests on when it builds one table per coupling
+    params = spectrum.CouplingParams(k2=k2)
+    base = spectrum.predicted_levels(spectrum.RadialSector(1, j=HALF), params, max_n=8)
+    other = spectrum.predicted_levels(
+        spectrum.RadialSector(1, j=Fraction(twice_j, 2)), params, max_n=8)
+    assert other == base        # each level's WkReport and verdict included
+
+
 # -- exact admissibility reports --------------------------------------------
 
 
@@ -276,6 +353,20 @@ def test_default_study_all_match():
     assert worst < 1e-3
     sectors = {r.sector_j for r in rows}
     assert {"l=0", "l=1", "l=2", "l=3", "j=1/2", "j=3/2"} <= sectors
+
+
+def test_default_study_is_its_sectors_matched_one_by_one():
+    rows, ok = spectrum.default_study()
+    want = []
+    want_ok = True
+    for sector, params in default_sweep():
+        got, sector_ok = spectrum.match_spectrum(
+            spectrum.solve_lowest(sector, params, **PIN), tol=1e-3)
+        want.extend(got)
+        want_ok = want_ok and (sector_ok or not got)
+    assert rows == want
+    assert ok == (want_ok and bool(want))
+    assert ok is True
 
 
 def test_no_level_below_cutoff_is_not_a_match():
