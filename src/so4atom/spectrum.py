@@ -12,13 +12,28 @@ same centrifugal weight j(j+1) in front of 1/r^2 for both orbital channels
 of a j sector, leaving the (r.S)/r^2 coupling as a pure off-diagonal
 k2*hbar/(2r).  Rotating into the s_r = +-1/2 eigenlines of (r.S)/r then
 splits the sector exactly into two plain Coulomb channels with charge
-k1 + k2*hbar*s_r.  Every channel (the single one at mu=0, with weight
-l(l+1)) is a uniform-grid three-point stencil with Dirichlet walls.  Each
-distinct charge is solved once, for eigenvalues only, by
-scipy.linalg.eigh_tridiagonal (at k2=0 both channels of a sector are one
-matrix), and each level keeps the label of the channel that produced it.
-coupled_levels() solves the unrotated two-channel band with
-scipy.linalg.eig_banded; it is the tests' reference for the rotation.
+k1 + k2*hbar*s_r.
+
+Every channel (the single one at mu=0, with weight l(l+1)) is discretised
+on the square-root map r = x^2, u = x^(1/2) v, which turns
+
+    -A u'' + (A w/r^2 + g/r) u = E u,        A = hbar^2/2M,
+
+into -(A/4) v'' + (A(3/16 + w)/x^2 + g) v = E x^2 v.  A j=1/2 channel has
+u ~ r^(3/2) at the origin, where a uniform grid in r converges at order
+about 1.8; in x the solution is smooth and the three-point stencil keeps
+its second order.  On the uniform x grid, with a = A/(4 hx^2) and
+Dirichlet walls at both ends, the channel is the symmetric tridiagonal
+X^-1 T X^-1:
+
+    diag = (2a + A(3/16 + w)/x^2 + g)/x^2,    off = -a/(x_i x_{i+1}).
+
+Each distinct charge is solved once, for eigenvalues only, by
+scipy.linalg.eigh_tridiagonal with a fixed bisection tolerance (at k2=0
+both channels of a sector are one matrix), and each level keeps the label
+of the channel that produced it.  coupled_levels() solves the unrotated
+two-channel band, mapped the same way, with scipy.linalg.eig_banded; it is
+the tests' reference for the rotation.
 
 Predictions come from the su(2) x su(2) pairing: solve_wk_pair() solves the
 two Casimir relations with exact rationals and reports a verdict for every
@@ -39,6 +54,7 @@ from .errors import SolverError, UsageError
 from . import catalog
 
 __all__ = [
+    "DEFAULT_GRID_N",
     "CouplingParams",
     "RadialSector",
     "SpectrumResult",
@@ -141,6 +157,12 @@ class LevelRow:
 
 
 _MIN_GRID = 500
+DEFAULT_GRID_N = 2000
+
+# absolute bisection tolerance of every channel solve: the mapped matrix is
+# graded (|T| ~ 3e8 at the default grid), and LAPACK's default of ulp*|T|
+# would move the levels by up to 2e-5 relative
+_EIG_TOL = 1e-13
 
 # the theorem checks that certify the channel reduction
 _GATE = ("reduced_off", "reduced_gate", "J2_recombination")
@@ -153,21 +175,33 @@ def reduced_form_check(mode="abstract"):
     return all(catalog.run_check(suite.spec(c), mode=mode).ok for c in _GATE)
 
 
-def _grid(grid_n, r_max, r_min=0.0):
+def _check_grid(grid_n, r_max, r_min):
     if grid_n < _MIN_GRID:
         raise UsageError("grid_n below %d gives untrustworthy levels" % _MIN_GRID)
     if r_max <= r_min or r_min < 0:
         raise UsageError("need 0 <= r_min < r_max")
-    h = (r_max - r_min) / grid_n
-    return h, r_min + h * np.arange(1, grid_n + 1)
+
+
+def _grid(grid_n, r_max, r_min=0.0):
+    """Spacing and interior points of the uniform grid in x = sqrt(r)."""
+    _check_grid(grid_n, r_max, r_min)
+    x_min = np.sqrt(r_min)
+    h = (np.sqrt(r_max) - x_min) / grid_n
+    return h, x_min + h * np.arange(1, grid_n + 1)
 
 
 def _stencil(sector, params, grid_n, r_max, r_min):
-    """Grid, kinetic stencil weight and centrifugal numerator of a sector."""
-    h, r = _grid(grid_n, r_max, r_min)
-    kin = params.hbar ** 2 / (2 * params.mass * h * h)
-    cent = params.hbar ** 2 * float(sector.centrifugal) / (2 * params.mass)
-    return r, kin, cent
+    """Grid in x, neighbour weight a and centrifugal numerator of a sector."""
+    h, x = _grid(grid_n, r_max, r_min)
+    kin = params.hbar ** 2 / (2 * params.mass)
+    return x, kin / (4 * h * h), kin * (3 / 16 + float(sector.centrifugal))
+
+
+def _channel(stencil, g):
+    """(diag, off) of the mapped channel with charge g."""
+    x, a, cent = stencil
+    x2 = x * x
+    return (2 * a + cent / x2 + g) / x2, -a / (x[:-1] * x[1:])
 
 
 def _check_count(count, size):
@@ -183,7 +217,8 @@ def energy_cutoff(r_max):
     return -5.0 / r_max
 
 
-def solve_lowest(sector, params=None, grid_n=4000, r_max=200.0, count=8, r_min=0.0):
+def solve_lowest(sector, params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=8,
+                 r_min=0.0):
     """The lowest `count` levels of a sector, each labelled by its channel.
 
     Each distinct channel charge is one tridiagonal solve, for eigenvalues
@@ -191,7 +226,7 @@ def solve_lowest(sector, params=None, grid_n=4000, r_max=200.0, count=8, r_min=0
     label is the channel that produced it.
     """
     params = params or CouplingParams()
-    r, kin, cent = _stencil(sector, params, grid_n, r_max, r_min)
+    stencil = _stencil(sector, params, grid_n, r_max, r_min)
     if sector.mu == 0:
         channels = ((params.k1, None),)
     else:
@@ -201,16 +236,16 @@ def solve_lowest(sector, params=None, grid_n=4000, r_max=200.0, count=8, r_min=0
     _check_count(count, grid_n * len(channels))
     if sector.mu == 1 and not reduced_form_check():
         raise SolverError("engine rejected the reduced sector Hamiltonian")
-    off = -kin * np.ones(grid_n - 1)
     last = min(count, grid_n) - 1
     solved = {}             # charge -> eigenvalues; at k2=0 both channels share one
     levels = []
     for g, label in channels:
         if g not in solved:
-            diag = 2 * kin + g / r + cent / (r * r)
+            diag, off = _channel(stencil, g)
             try:
                 solved[g] = eigh_tridiagonal(diag, off, eigvals_only=True,
-                                             select="i", select_range=(0, last))
+                                             select="i", select_range=(0, last),
+                                             tol=_EIG_TOL)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 raise SolverError("eigenvalue solve failed: %s" % exc) from exc
         levels.extend((float(v), label) for v in solved[g])
@@ -224,22 +259,24 @@ def solve_lowest(sector, params=None, grid_n=4000, r_max=200.0, count=8, r_min=0
 def coupled_levels(sector, params, grid_n, r_max, count, r_min=0.0):
     """Reference solve of a mu=1 sector in the orbital basis, for the tests.
 
-    Both orbital channels on one interleaved (3, 2N) band (upper form):
-    offset 2 is the stencil neighbour within a channel, offset 1 the
-    k2*hbar/(2r) coupling at a single radius.  solve_lowest's channels are
-    an exact rotation of this matrix, so the two must agree to eigensolver
-    precision.
+    Both orbital channels on one interleaved (3, 2N) band (upper form),
+    mapped like a channel: offset 2 is the stencil neighbour within a
+    channel, offset 1 the k2*hbar/(2x^2) coupling at a single radius.
+    solve_lowest's channels are an exact rotation of this matrix, so the
+    two must agree to eigensolver precision.
     """
     if sector.mu != 1:
         raise UsageError("the coupled band is a mu=1 construction")
-    r, kin, cent = _stencil(sector, params, grid_n, r_max, r_min)
+    stencil = _stencil(sector, params, grid_n, r_max, r_min)
     _check_count(count, 2 * grid_n)
     if not reduced_form_check():
         raise SolverError("engine rejected the reduced sector Hamiltonian")
+    diag, off = _channel(stencil, params.k1)
+    x = stencil[0]
     band = np.zeros((3, 2 * grid_n))
-    band[2, 0::2] = band[2, 1::2] = 2 * kin + params.k1 / r + cent / (r * r)
-    band[1, 1::2] = params.k2 * params.hbar / (2 * r)
-    band[0, 2:] = -kin
+    band[2, 0::2] = band[2, 1::2] = diag
+    band[1, 1::2] = params.k2 * params.hbar / (2 * x * x)
+    band[0, 2::2] = band[0, 3::2] = off
     try:
         vals = eig_banded(band, lower=False, select="i",
                           select_range=(0, count - 1), eigvals_only=True)
@@ -365,7 +402,7 @@ def match_spectrum(result, predictions=None, tol=1e-3, max_n=8):
     return rows, ok and bool(rows)
 
 
-def default_study(params=None, grid_n=4000, r_max=200.0, count=8,
+def default_study(params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=8,
                   k2_values=(0.0, 0.2, 0.4), r_min=0.0, tol=1e-3):
     """The standard sweep: mu=0 l=0..3, then mu=1 j in {1/2, 3/2} per k2.
 

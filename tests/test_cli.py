@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import so4atom
-from so4atom import report
+from so4atom import report, spectrum
 from so4atom.cli import RunConfig, main
 
 
@@ -339,15 +339,31 @@ def test_spectrum_with_no_level_below_cutoff_fails(capsys):
 
 
 def test_spectrum_coarse_grid_fails_tolerance(capsys):
-    code, out, _ = run(capsys, "spectrum", "--grid-n", "2000", "--rmax", "150")
+    # the worst level of this smaller box is 3.47e-5 off
+    code, out, _ = run(capsys, "spectrum", "--grid-n", "2000", "--rmax", "150",
+                       "--tol", "1e-5")
     assert code == 1
     assert "[FAIL]" in out
 
 
 def test_spectrum_loose_tol_rescues_coarse_grid(capsys):
     code, out, _ = run(capsys, "spectrum", "--grid-n", "2000", "--rmax", "150",
-                       "--tol", "0.01")
+                       "--tol", "1e-4")
     assert code == 0
+    assert "[pass]" in out
+
+
+def test_spectrum_json_reports_each_level_margin(capsys, tmp_path):
+    out_path = tmp_path / "levels.json"
+    code, _, _ = run(capsys, "spectrum", "--format", "json", "--out", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    tol = payload["config"]["tol"]
+    assert tol == 1e-3
+    assert len(payload["checks"]) == 44
+    for entry in payload["checks"]:
+        assert entry["margin"] == entry["residual"] / tol
+        assert entry["margin"] < 0.1
 
 
 # -- report files -----------------------------------------------------------
@@ -408,6 +424,19 @@ def test_all_command(capsys):
         assert fragment in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--grid-n", "100"], "grid_n below 500"),
+    (["--levels", "0"], "need at least 1"),
+    (["--rmin", "300"], "need 0 <= r_min < r_max"),
+])
+def test_all_checks_spectrum_input_before_any_work(capsys, argv, message):
+    # a bad spectrum request must fail before verify, oracle and the scans print
+    code, out, err = run(capsys, "all", *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(so4atom.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -435,6 +464,6 @@ def test_runconfig_defaults():
     cfg = RunConfig()
     assert cfg.suite == "all"
     assert cfg.seed == 42
-    assert cfg.grid_n == 4000
+    assert cfg.grid_n == spectrum.DEFAULT_GRID_N
     assert cfg.rmax == 200.0
     assert cfg.tol is None  # per-command default fills this in

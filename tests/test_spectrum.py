@@ -15,28 +15,31 @@ from so4atom.errors import SolverError, UsageError
 from so4atom.operators import OperatorExpr, SpinMode
 
 HALF = Fraction(1, 2)
-PIN = dict(grid_n=4000, r_max=200.0)
+PIN = dict(grid_n=spectrum.DEFAULT_GRID_N, r_max=200.0)
 
 
 def bohr(n, k1=-1.0):
     return -(k1 * k1) / (2.0 * n * n)
 
 
-def per_channel_levels(sector, params, grid_n=4000, r_max=200.0, count=8):
+def channel_charges(sector, params):
+    """(charge, s_r label) of each channel of a sector, as solve_lowest builds them."""
+    if sector.mu == 0:
+        return ((params.k1, None),)
+    return tuple((params.k1 + params.k2 * params.hbar * float(s_r), s_r)
+                 for s_r in (HALF, -HALF))
+
+
+def per_channel_levels(sector, params, grid_n=spectrum.DEFAULT_GRID_N, r_max=200.0,
+                       count=8):
     """Reference: every channel solved on its own, eigenvectors included,
     then merged and cut exactly as solve_lowest merges and cuts."""
-    r, kin, cent = spectrum._stencil(sector, params, grid_n, r_max, 0.0)
-    if sector.mu == 0:
-        channels = ((params.k1, None),)
-    else:
-        channels = tuple((params.k1 + params.k2 * params.hbar * float(s_r), s_r)
-                         for s_r in (HALF, -HALF))
-    off = -kin * np.ones(grid_n - 1)
+    stencil = spectrum._stencil(sector, params, grid_n, r_max, 0.0)
     levels = []
-    for g, label in channels:
+    for g, label in channel_charges(sector, params):
         vals, _vecs = scipy.linalg.eigh_tridiagonal(
-            2 * kin + g / r + cent / (r * r), off,
-            select="i", select_range=(0, count - 1))
+            *spectrum._channel(stencil, g), select="i",
+            select_range=(0, count - 1), tol=spectrum._EIG_TOL)
         levels.extend((float(v), label) for v in vals)
     levels.sort(key=lambda lv: lv[0])
     levels = levels[:count]
@@ -166,7 +169,8 @@ def test_grid_refinement_improves_by_3x():
     for n in (1000, 2000):
         res = spectrum.solve_lowest(sec, grid_n=n, r_max=200.0, count=1)
         errs.append(abs(res.energies[0] - bohr(1)))
-    assert errs[0] / errs[1] >= 3.0  # second-order stencil: ~4x per halving
+    # second order in x = sqrt(r): about 4x per halving (3.7 measured)
+    assert errs[0] / errs[1] >= 3.0
 
 
 def test_scaling_covariance_of_the_solver():
@@ -353,6 +357,31 @@ def test_default_study_all_match():
     assert worst < 1e-3
     sectors = {r.sector_j for r in rows}
     assert {"l=0", "l=1", "l=2", "l=3", "j=1/2", "j=3/2"} <= sectors
+
+
+def test_default_study_has_real_headroom():
+    # a match needs real headroom, not just a pass inside the 1e-3 tolerance
+    rows, ok = spectrum.default_study()
+    assert ok
+    assert len(rows) == 44
+    for row in rows:
+        assert row.rel_error < 1e-4, row
+
+
+def test_channel_solves_are_converged_in_the_bisection():
+    # the mapped matrix is graded; LAPACK's default tolerance, ulp*|T|,
+    # moves levels by about 2e-5 relative, the fixed one by below 1e-11
+    for sector, params in default_sweep():
+        stencil = spectrum._stencil(sector, params, spectrum.DEFAULT_GRID_N, 200.0, 0.0)
+        res = spectrum.solve_lowest(sector, params, **PIN)
+        for g, label in channel_charges(sector, params):
+            tight = scipy.linalg.eigh_tridiagonal(
+                *spectrum._channel(stencil, g), eigvals_only=True, select="i",
+                select_range=(0, 7), tol=1e-15)
+            mine = [e for e, c in zip(res.energies, res.channels) if c == label]
+            assert mine
+            for got, want in zip(mine, tight):
+                assert abs(got - want) < 1e-10 * abs(want), (sector, params.k2, label)
 
 
 def test_default_study_is_its_sectors_matched_one_by_one():
