@@ -4,7 +4,6 @@ from fractions import Fraction
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
