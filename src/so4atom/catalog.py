@@ -15,18 +15,19 @@ The suite text lives only in the .ident files under data/, one per suite.
 Set SO4ATOM_DATA_DIR to load the files from somewhere else; a suite whose
 file is missing there is a UsageError.
 
-Checks carry a mu policy.  'all' (the default) means the relation is expected
-to hold for every specialization we track: symbolically in mu if possible,
-otherwise at both mu=0 and mu=1.  A declared mu=0 or mu=1 narrows the claim
-to that coupling only; 'symbolic' insists on the symbolic proof.  A '!='
-check asserts a difference does NOT vanish at its declared policy; these pin
-down deviations kept on record (see findings()).
+Each check is one lang.RawCheck, parsed from its suite's file, and carries
+a mu policy, a key of lang.MU_POLICIES.  'all' (the default) means the
+relation is expected to hold for every specialization we track:
+symbolically in mu if possible, otherwise at both mu=0 and mu=1.  A
+declared mu=0 or mu=1 narrows the claim to that coupling only; 'symbolic'
+insists on the symbolic proof.  A '!=' check asserts a difference does NOT
+vanish at its declared policy; these pin down deviations kept on record
+(see findings()).
 """
 
 import os
 import time
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .errors import UsageError
@@ -37,7 +38,6 @@ from . import lang
 __all__ = [
     "SUITE_NAMES",
     "PASSING_STATUSES",
-    "IdentitySpec",
     "CheckResult",
     "Suite",
     "Mutation",
@@ -61,19 +61,6 @@ _REGISTRY_EXTRA = {"spectrum_algebra": ("t",)}
 
 
 # --- suite objects --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IdentitySpec:
-    check_id: str
-    suite: str
-    lhs: object
-    rhs: object
-    relation: str          # '==' or '!='
-    mode: str              # 'abstract', 'half', or None for either
-    mu_policy: str         # 'symbolic' | '0' | '1' | 'all'
-    lhs_source: str
-    rhs_source: str
 
 
 @dataclass(frozen=True)
@@ -110,13 +97,9 @@ class Suite:
             raise UsageError("unknown suite %r" % name)
         self.name = name
         self.text = text
-        parsed = lang.parse_identity_file(text)
+        parsed = lang.parse_identity_file(text, name)
         self.definitions = parsed.definitions
-        self.checks = tuple(
-            IdentitySpec(c.check_id, name, c.lhs, c.rhs, c.relation, c.mode,
-                         c.mu, c.lhs_source, c.rhs_source)
-            for c in parsed.checks
-        )
+        self.checks = parsed.checks
         self._by_id = {c.check_id: c for c in self.checks}
         self._envs = {}
 
@@ -198,9 +181,6 @@ def _difference(spec, env):
         raise UsageError("check %s: %s" % (spec.check_id, exc)) from exc
 
 
-_MU_VALUES = {"symbolic": (), "0": (0,), "1": (1,), "all": (0, 1)}
-
-
 def _verdict(diff, relation, lens, declared):
     """(status under the lens, ok under the declared policy, symbolic zero,
     witness, witness terms) for one difference.
@@ -220,7 +200,7 @@ def _verdict(diff, relation, lens, declared):
         return at_mu[v]
 
     def status(policy):
-        values = _MU_VALUES[policy]
+        values = lang.MU_POLICIES[policy]
         if relation == "!=":
             return "fail" if sym or any(zero_at(v) for v in values) else "pass"
         if sym:
@@ -234,7 +214,8 @@ def _verdict(diff, relation, lens, declared):
     ok = (shown if lens == declared else status(declared)) in PASSING_STATUSES
     witness, terms = "", 0
     if relation == "==" and (shown == "fail" or not ok):
-        shown_diff = diff if lens in ("symbolic", "all") else diff.substitute("mu", Fraction(lens))
+        values = lang.MU_POLICIES[lens]
+        shown_diff = diff.substitute("mu", values[0]) if len(values) == 1 else diff
         vec = isinstance(shown_diff, VecExpr)
         parts = shown_diff.components if vec else (shown_diff,)
         witness = "(%s)" % "; ".join(map(str, parts)) if vec else str(shown_diff)
@@ -282,8 +263,8 @@ def run_suite(name, mode="abstract", mu=None, suite=None):
     """
     spin = SpinMode(mode)
     mode = spin.value
-    if mu not in (None, "symbolic", "0", "1", "all"):
-        raise UsageError("mu must be symbolic, 0, 1, or all")
+    if mu is not None and mu not in lang.MU_POLICIES:
+        raise UsageError("mu must be one of %s, not %r" % (", ".join(lang.MU_POLICIES), mu))
     suite = suite or get_suite(name)
     env = suite.env(spin)
     results = []
@@ -343,7 +324,7 @@ def mutations_for(suite_name):
 
 
 def apply_mutation(spec, mutation):
-    """A new IdentitySpec with the mutation spliced into the source text."""
+    """A new check with the mutation spliced into the source text."""
     if mutation.check_id != spec.check_id:
         raise UsageError("mutation targets %r" % mutation.check_id)
     lhs_src, rhs_src = spec.lhs_source, spec.rhs_source
@@ -353,11 +334,9 @@ def apply_mutation(spec, mutation):
                          % (mutation.find, hits, spec.check_id))
     lhs_src = lhs_src.replace(mutation.find, mutation.replace)
     rhs_src = rhs_src.replace(mutation.find, mutation.replace)
-    return IdentitySpec(
-        spec.check_id + "__mut", spec.suite,
-        lang.parse_expr(lhs_src), lang.parse_expr(rhs_src),
-        spec.relation, spec.mode, spec.mu_policy, lhs_src, rhs_src,
-    )
+    return replace(spec, check_id=spec.check_id + "__mut",
+                   lhs=lang.parse_expr(lhs_src), rhs=lang.parse_expr(rhs_src),
+                   lhs_source=lhs_src, rhs_source=rhs_src)
 
 
 @dataclass(frozen=True)

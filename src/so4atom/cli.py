@@ -10,10 +10,12 @@
 Exit codes: 0 everything passed, 1 some check failed, 2 the request itself
 was malformed, such as a flag the command does not read.  A config file
 (--config, flat key=value lines, '#' comments) seeds the options; explicit
-flags win.  SO4ATOM_DATA_DIR redirects suite loading.  Reports go to --out
+flags win; a flag and a config value are cast and checked alike, before
+any work.  SO4ATOM_DATA_DIR redirects suite loading.  Reports go to --out
 in --format (json or md; csv is the spectrum table); every command echoes
-its resolved configuration.  `all` prints only its summary lines; --out or
---format there, from a flag or from the config file, is a usage error.
+its resolved configuration.  An --out that cannot be written is a usage
+error.  `all` prints only its summary lines; --out or --format there, from
+a flag or from the config file, is a usage error.
 """
 
 import argparse
@@ -21,8 +23,11 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 
 from .errors import So4AtomError, UsageError
+from .lang import MU_POLICIES
+from .operators import SpinMode
 from . import ansatz, catalog, report
 
 __all__ = ["RunConfig", "main"]
@@ -106,10 +111,13 @@ def _build_config(args):
     for key in ("k1", "k2", "rmin", "rmax"):
         if not math.isfinite(getattr(cfg, key)):
             raise UsageError("%s must be a finite number, got %r" % (key, getattr(cfg, key)))
-    if cfg.spin not in ("abstract", "half"):
-        raise UsageError("spin must be abstract or half")
-    if cfg.mu not in (None, "symbolic", "0", "1", "all"):
-        raise UsageError("mu must be symbolic, 0, 1, or all")
+    SpinMode(cfg.spin)  # an unknown mode is a UsageError
+    if cfg.mu is not None and cfg.mu not in MU_POLICIES:
+        raise UsageError("mu must be one of %s, not %r" % (", ".join(MU_POLICIES), cfg.mu))
+    formats = ("json", "md", "csv") if args.command == "spectrum" else ("json", "md")
+    if cfg.format is not None and cfg.format not in formats:
+        raise UsageError("%s writes %s, not %r"
+                         % (args.command, " or ".join(formats), cfg.format))
     if cfg.points < 1:
         raise UsageError("points must be at least 1, got %d" % cfg.points)
     if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol > 0):
@@ -144,10 +152,9 @@ def _suites_requested(cfg):
     return [name]
 
 
-def _finish(payload, cfg, default_fmt="json"):
-    fmt = cfg.format or default_fmt
+def _finish(payload, cfg):
     if cfg.out or cfg.format:
-        report.emit(report.render(payload, fmt), cfg.out)
+        report.emit(report.render(payload, cfg.format or "json"), cfg.out)
 
 
 def cmd_verify(cfg):
@@ -185,8 +192,7 @@ def cmd_oracle(cfg):
                                  points_per_state=cfg.points, seed=cfg.seed)
     worst = {}
     failures = 0
-    for rep in reports:
-        suite_name = next(s for s, cid in pairs if cid == rep.check_id)
+    for (suite_name, _check_id), rep in zip(pairs, reports):
         worst[suite_name] = max(worst.get(suite_name, 0.0), rep.max_rel_residual)
         if rep.max_rel_residual >= tol:
             failures += 1
@@ -201,8 +207,17 @@ def cmd_oracle(cfg):
     return 1 if failures else 0
 
 
-def _scan_command(name, system, want_dim, want_text):
-    sol = system.solve()
+# each scan command: the ansatz builder of its window (looked up when the
+# command runs), and the dimension and basis its solution space must have
+_SCANS = {
+    "inverse": ("build_inverse_constraints", 1, ("r^-1",)),
+    "spin-potential": ("build_spin_constraints", 2, ("r^-1", "(r.S)*r^-2")),
+}
+
+
+def _scan_command(name, cfg):
+    build, want_dim, want_text = _SCANS[name]
+    sol = getattr(ansatz, build)().solve()
     good = (sol.dimension == want_dim and sol.basis_text == want_text
             and sol.verified and not sol.hidden_pairs and not sol.conflicting_pairs)
     basis = ", ".join(sol.basis_text) or "none"
@@ -212,23 +227,8 @@ def _scan_command(name, system, want_dim, want_text):
              "status": "pass" if good else "fail", "elapsed_ms": 0.0}
     if not good:
         entry["witness_text"] = "basis {%s}" % basis
-    return entry, (0 if good else 1)
-
-
-def cmd_inverse(cfg):
-    entry, code = _scan_command("inverse", ansatz.build_inverse_constraints(),
-                                1, ("r^-1",))
-    payload = report.build_payload("inverse", {}, [entry])
-    _finish(payload, cfg)
-    return code
-
-
-def cmd_spin_potential(cfg):
-    entry, code = _scan_command("spin-potential", ansatz.build_spin_constraints(),
-                                2, ("r^-1", "(r.S)*r^-2"))
-    payload = report.build_payload("spin-potential", {}, [entry])
-    _finish(payload, cfg)
-    return code
+    _finish(report.build_payload(name, {}, [entry]), cfg)
+    return 0 if good else 1
 
 
 def cmd_spectrum(cfg):
@@ -269,15 +269,13 @@ def cmd_all(cfg):
     given = ["--" + key for key in ("format", "out") if getattr(cfg, key) is not None]
     if given:
         raise UsageError("all writes no report file; drop %s" % ", ".join(given))
-    return max(handler(cfg) for handler in (cmd_verify, cmd_oracle, cmd_inverse,
-                                            cmd_spin_potential, cmd_spectrum))
+    return max(handler(cfg) for name, handler in _HANDLERS.items() if name != "all")
 
 
 _HANDLERS = {
     "verify": cmd_verify,
     "oracle": cmd_oracle,
-    "inverse": cmd_inverse,
-    "spin-potential": cmd_spin_potential,
+    **{name: partial(_scan_command, name) for name in _SCANS},
     "spectrum": cmd_spectrum,
     "all": cmd_all,
 }
@@ -289,21 +287,9 @@ def _make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
         p = sub.add_parser(name)
-        p.add_argument("--suite")
-        p.add_argument("--mu", choices=("symbolic", "0", "1", "all"))
-        p.add_argument("--spin", choices=("abstract", "half"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--points", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--j")
-        p.add_argument("--k1", type=float)
-        p.add_argument("--k2", type=float)
-        p.add_argument("--grid-n", type=int, dest="grid_n")
-        p.add_argument("--rmin", type=float)
-        p.add_argument("--rmax", type=float)
-        p.add_argument("--levels", type=int)
-        p.add_argument("--format", choices=("json", "md", "csv"))
-        p.add_argument("--out")
+        # values are cast as a config file's are and checked in _build_config
+        for key, cast in _FIELD_TYPES.items():
+            p.add_argument("--" + key.replace("_", "-"), type=cast)
         p.add_argument("--config")
     return parser
 

@@ -13,7 +13,11 @@ Identity files are line oriented:
     check ID : LHS == RHS mode=half mu=1
 
 A check may use '!=' instead of '==' to assert that a difference does not
-vanish (used to pin down deviations on record).
+vanish (used to pin down deviations on record).  parse_identity_file turns
+each check line into a RawCheck, the one record of a check that the catalog,
+the oracle and the mutations read.  MU_POLICIES names the mu policies a
+check may declare and the mu values each one claims; the spin modes are
+operators.SpinMode.
 """
 
 from dataclasses import dataclass, field
@@ -36,11 +40,11 @@ __all__ = [
     "Neg",
     "Commutator",
     "parse_expr",
-    "to_text",
     "ElabEnv",
     "elaborate",
     "RawDefinition",
     "RawCheck",
+    "MU_POLICIES",
     "IdentityFile",
     "parse_identity_file",
     "elaborate_definitions",
@@ -122,8 +126,8 @@ def tokenize(source, base=0):
 
 
 # --- Ast ------------------------------------------------------------------
-# span is carried for diagnostics but excluded from equality so that
-# print/reparse round trips compare clean.
+# span is carried for diagnostics but excluded from equality, so equal
+# subtrees compare equal wherever they stand.
 
 
 @dataclass(frozen=True)
@@ -304,53 +308,6 @@ def parse_tokens(tokens, end_span):
     if leftover is not None:
         raise LangError("trailing input %r" % leftover.text, (leftover.start, leftover.end))
     return node
-
-
-# --- printing -------------------------------------------------------------
-
-def _prec(node):
-    if isinstance(node, BinOp):
-        return {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}[node.op]
-    if isinstance(node, Neg):
-        return _UNARY_BP
-    return 100
-
-
-def to_text(node):
-    """Render an Ast back to source. Reparsing the result yields an equal Ast."""
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, (Sym, VecBuiltin)):
-        return node.name
-    if isinstance(node, Index):
-        return "idx(%s, %s)" % (to_text(node.target), node.axis)
-    if isinstance(node, Apply):
-        return "%s(%s)" % (node.func, ", ".join(to_text(a) for a in node.args))
-    if isinstance(node, Commutator):
-        return "[%s, %s]" % (to_text(node.lhs), to_text(node.rhs))
-    if isinstance(node, Neg):
-        inner = to_text(node.operand)
-        if _prec(node.operand) < _UNARY_BP:
-            inner = "(" + inner + ")"
-        return "-" + inner
-    if isinstance(node, BinOp):
-        p = _prec(node)
-        left = to_text(node.lhs)
-        right = to_text(node.rhs)
-        if node.op == "^":
-            if _prec(node.lhs) <= p:
-                left = "(" + left + ")"
-            if _prec(node.rhs) < p:
-                right = "(" + right + ")"
-        else:
-            # infix ops parse left associative, so equal precedence on the
-            # right needs parens to reproduce the same tree
-            if _prec(node.lhs) < p:
-                left = "(" + left + ")"
-            if _prec(node.rhs) <= p:
-                right = "(" + right + ")"
-        return "%s %s %s" % (left, node.op, right)
-    raise TypeError("not an Ast node: %r" % (node,))
 
 
 # --- elaboration ----------------------------------------------------------
@@ -572,14 +529,20 @@ class RawDefinition:
     span: tuple
 
 
+# each mu policy and the mu values at which it claims its check holds; a
+# symbolic policy claims the proof for every mu, so it names no value
+MU_POLICIES = {"symbolic": (), "0": (0,), "1": (1,), "all": (0, 1)}
+
+
 @dataclass(frozen=True)
 class RawCheck:
     check_id: str
+    suite: str             # the suite whose file holds the check, or None
     lhs: object
     rhs: object
     relation: str          # '==' or '!='
-    mode: str              # 'abstract' | 'half' | None (either)
-    mu: str                # 'symbolic' | '0' | '1' | 'all'
+    mode: str              # a SpinMode value, or None for either
+    mu_policy: str         # a key of MU_POLICIES
     lhs_source: str
     rhs_source: str
     span: tuple
@@ -591,8 +554,9 @@ class IdentityFile:
     checks: tuple
 
 
-def parse_identity_file(text):
-    """Parse the line-oriented let/check format. Spans are file-absolute."""
+def parse_identity_file(text, suite=None):
+    """Parse the line-oriented let/check format; each check records suite.
+    Spans are file-absolute."""
     definitions = []
     checks = []
     seen_defs = {}
@@ -614,7 +578,7 @@ def parse_identity_file(text):
         if head.text == "let":
             _parse_let(toks, base, line, definitions, seen_defs)
         else:
-            _parse_check(toks, base, line, checks, seen_ids, seen_defs)
+            _parse_check(toks, base, line, suite, checks, seen_ids)
     return IdentityFile(tuple(definitions), tuple(checks))
 
 
@@ -661,7 +625,7 @@ def _split_options(toks):
     return body, options
 
 
-def _parse_check(toks, base, line, checks, seen_ids, seen_defs):
+def _parse_check(toks, base, line, suite, checks, seen_ids):
     end_span = _line_end_span(toks, base, line)
     if len(toks) < 2 or toks[1].kind != "ident":
         raise LangError("check needs an id", end_span)
@@ -689,14 +653,16 @@ def _parse_check(toks, base, line, checks, seen_ids, seen_defs):
     mode = None
     if "mode" in options:
         tok = options["mode"]
-        if tok.text not in ("abstract", "half"):
-            raise LangError("mode must be abstract or half", (tok.start, tok.end))
-        mode = tok.text
+        try:
+            mode = SpinMode(tok.text).value
+        except UsageError as exc:
+            raise LangError(str(exc), (tok.start, tok.end)) from exc
     mu = "all"
     if "mu" in options:
         tok = options["mu"]
-        if tok.text not in ("symbolic", "0", "1", "all"):
-            raise LangError("mu must be symbolic, 0, 1, or all", (tok.start, tok.end))
+        if tok.text not in MU_POLICIES:
+            raise LangError("mu must be one of %s" % ", ".join(MU_POLICIES),
+                            (tok.start, tok.end))
         mu = tok.text
     seen_ids.add(id_tok.text)
 
@@ -705,7 +671,7 @@ def _parse_check(toks, base, line, checks, seen_ids, seen_defs):
             return ""
         return line[token_list[0].start - base:token_list[-1].end - base]
 
-    checks.append(RawCheck(id_tok.text, lhs, rhs, sep[2], mode, mu,
+    checks.append(RawCheck(id_tok.text, suite, lhs, rhs, sep[2], mode, mu,
                            _src(lhs_toks), _src(tail),
                            (id_tok.start, rest[-1].end)))
 

@@ -264,10 +264,6 @@ class OperatorExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def equivalent(self, other) -> bool:
-        _check_compat(self, other)
-        return self == other
-
     def monomials(self):
         for sig in sorted(self._terms):
             yield Monomial(

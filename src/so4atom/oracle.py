@@ -390,14 +390,6 @@ def _combine(terms):
     return coeff, total
 
 
-def _mu_values(policy):
-    if policy == "0":
-        return (0,)
-    if policy == "1":
-        return (1,)
-    return (0, 1)
-
-
 def _check_sample(states, points_per_state):
     if points_per_state < 1:
         raise UsageError("points per state must be at least 1, got %r" % points_per_state)
@@ -412,7 +404,7 @@ def residual(spec, states=None, points_per_state=20, seed=42, bindings=None):
         states = default_states(5, seed)
     _check_sample(states, points_per_state)
     suite = catalog.get_suite(spec.suite)
-    mus = _mu_values(spec.mu_policy)
+    mus = lang.MU_POLICIES[spec.mu_policy] or (0, 1)
     walk = _Walk(suite, merged, mus)
     points, psi, radius2 = _sample(states, points_per_state, seed, walk.order(spec))
     max_abs, max_rel = 0.0, 0.0

@@ -45,8 +45,7 @@ def residual_entry(report, tol):
 
 
 def build_payload(command, config, entries):
-    passed = sum(1 for e in entries if e["status"] in
-                 ("pass", "pass_at_mu_0_and_1", "pass_at_mu_0", "pass_at_mu_1"))
+    passed = sum(1 for e in entries if e["status"] == "pass")
     failed = sum(1 for e in entries if e["status"] == "fail")
     return {
         "tool_version": __version__,
@@ -102,11 +101,15 @@ def strip_elapsed(payload_text):
 
 
 def emit(text, out_path=None):
-    if out_path:
+    if not out_path:
+        print(text, end="")
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        print(text, end="")
+    except OSError as exc:
+        raise UsageError("cannot write report file %s: %s"
+                         % (out_path, exc.strerror or exc)) from exc
 
 
 def render(payload, fmt):

@@ -217,11 +217,6 @@ class ScalarCoeff:
     def is_one(self):
         return self._terms == {(): (1, 0, 1)}
 
-    def degree_in(self, name):
-        idx = self.registry.index(name)
-        degs = [dict(key).get(idx, 0) for key in self._terms]
-        return max(degs, default=0)
-
     def monomials(self):
         """Yield ``(exponents, real, imag)`` with exponents as a name -> exp
         dict and the numeric part as exact Fractions."""

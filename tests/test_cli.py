@@ -2,13 +2,14 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import so4atom
-from so4atom import report, spectrum
+from so4atom import catalog, report, spectrum
 from so4atom.cli import RunConfig, main
 
 
@@ -216,6 +217,36 @@ def test_flag_the_command_does_not_read_exit_2(capsys, argv, named):
     assert out == ""
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mu", "2"), ("spin", "full"), ("format", "xml"), ("format", "csv"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_choice_exit_2_before_any_work(capsys, tmp_path, key, value, source):
+    # a flag and a config value take one path, so both fail before verify runs
+    if source == "flag":
+        argv = ["--" + key, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("%s = %s\n" % (key, value))
+        argv = ["--config", str(cfg)]
+    code, out, err = run(capsys, "verify", "--suite", "so3", *argv)
+    assert code == 2
+    assert out == ""
+    assert repr(value) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "so3"],
+    ["spectrum", "--j", "1/2"],
+])
+def test_unwritable_out_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "r.json"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 def test_bad_config_key_exit_2(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 3\n")
@@ -303,6 +334,20 @@ def test_oracle_seed_echoed(capsys):
                        "--seed", "7")
     assert code == 0
     assert "seed 7" in out
+
+
+def test_oracle_reports_a_failure_under_its_own_suite(capsys, tmp_path, monkeypatch):
+    # so4 gains a false check whose id so3 also uses
+    data = tmp_path / "data"
+    shutil.copytree(catalog.data_dir(), data)
+    with open(data / "so4.ident", "a", encoding="utf-8") as fh:
+        fh.write("check l_cross_l : cross(l,l) == 2*i*hbar*l\n")
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(data))
+    code, out, _ = run(capsys, "oracle", "--points", "2")
+    assert code == 1
+    lines = {line.split(":")[0]: line for line in out.splitlines()}
+    assert "[pass]" in lines["oracle so3"]
+    assert "[FAIL]" in lines["oracle so4"]
 
 
 def test_oracle_theorem_suite_passes(capsys):

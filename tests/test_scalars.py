@@ -96,13 +96,6 @@ def test_evaluate_missing_binding(reg):
         sym(reg, "k1").evaluate({})
 
 
-def test_degree_in(reg):
-    expr = sym(reg, "hbar", 3) * sym(reg, "M") + sym(reg, "hbar")
-    assert expr.degree_in("hbar") == 3
-    assert expr.degree_in("M") == 1
-    assert expr.degree_in("mu") == 0
-
-
 def test_monomials_iteration(reg):
     expr = sym(reg, "hbar", 2) * rat(reg, Fraction(3, 4))
     ((exps, re, im),) = list(expr.monomials())
