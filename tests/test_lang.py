@@ -22,6 +22,32 @@ def ev(text, env=None):
 # -- parsing ---------------------------------------------------------------
 
 
+def _through_check_source(text, env):
+    """Elaborate text directly and after a round trip through the source
+    text a check line keeps, which stands in for a printer."""
+    (check,) = lang.parse_identity_file("check t : %s == 0\n" % text).checks
+    assert check.lhs_source == text.strip()
+    direct = lang.elaborate(lang.parse_expr(text), env)
+    again = lang.elaborate(lang.parse_expr(check.lhs_source), env)
+    assert (direct - again).is_zero()
+    assert (direct - lang.elaborate(check.lhs, env)).is_zero()
+
+
+def test_round_trip_through_to_text():
+    texts = [
+        "[l_x, r_y] - i*hbar*r_z",
+        "dot(p, p) / (2*M) - kappa * r^-1",
+        "cross(l, l) - i*hbar*l",
+        "mu * (dot(r,S) * rpow(-2))",
+        "-(2*i*hbar/M) * H",
+        "(a + b)^2",
+    ]
+    env = fresh_env(extra=("a", "b"))
+    env.bindings["H"] = ev("dot(p,p)/(2*M)", env)
+    for text in texts:
+        _through_check_source(text, env)
+
+
 def test_precedence_and_unary_minus():
     env = fresh_env()
     assert ev("2*hbar + 3*hbar - 5*hbar", env).is_zero()
@@ -240,3 +266,11 @@ def test_bare_and_parenthesised_text_elaborate_alike(texts):
     env = fresh_env()
     assert lang.elaborate(lang.parse_expr(bare), env) == \
         lang.elaborate(lang.parse_expr(full), env)
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr_text())
+def test_to_text_round_trip_property(texts):
+    env = fresh_env()
+    for text in texts[:2]:
+        _through_check_source(text, env)
