@@ -8,12 +8,14 @@ Two questions are answered exactly over a Laurent window:
   [Pi, xi] == i*hbar*(r/r^2)*xi that the closure calculation forces on the
   Hamiltonian's potential core (answer: span of 1/r and (r.S)/r^2).
 
-Both residuals are linear in the unknown coefficients.  solve() splits each
-constraint row by its monomial in the physical symbols (hbar, M, ...),
-eliminates the resulting equations exactly over the Gaussian rationals and
-reads the null space off the free unknowns, so solutions of any number of
-terms are found; a row that is not linear in the unknowns is an error.  The
-basis is re-substituted through the full construction as a separate check.
+Both residuals are linear in the unknown coefficients.  Each coefficient
+of the residual's term dicts (one per component and operator word, taken
+in sorted word order) is a row that must vanish.  solve() splits each row
+by its monomial in the physical symbols (hbar, M, ...), eliminates the
+resulting equations exactly over the Gaussian rationals and reads the null
+space off the free unknowns, so solutions of any number of terms are
+found; a row that is not linear in the unknowns is an error.  The basis is
+re-substituted through the full construction as a separate check.
 """
 
 from dataclasses import dataclass
@@ -30,8 +32,6 @@ __all__ = [
     "DEFAULT_SCALAR_WINDOW",
     "DEFAULT_SPIN_WINDOW",
     "AnsatzTerm",
-    "LaurentAnsatz",
-    "ConstraintRow",
     "ConstraintSystem",
     "SolutionSpace",
     "build_inverse_constraints",
@@ -62,20 +62,6 @@ class AnsatzTerm:
         return "(r.S)*%s" % body if self.spin else body
 
 
-@dataclass(frozen=True)
-class LaurentAnsatz:
-    scalar_terms: tuple
-    spin_terms: tuple
-
-    @property
-    def terms(self):
-        return self.scalar_terms + self.spin_terms
-
-    @property
-    def unknowns(self):
-        return tuple(t.name for t in self.terms)
-
-
 def _make_ansatz(prefix, window, spin=False):
     if not window:
         raise UsageError("exponent window is empty")
@@ -84,16 +70,7 @@ def _make_ansatz(prefix, window, spin=False):
 
 
 @dataclass(frozen=True)
-class ConstraintRow:
-    """One canonical-monomial coefficient that must vanish."""
-    component: str
-    monomial: str
-    form: ScalarCoeff
-
-
-@dataclass(frozen=True)
 class SolutionSpace:
-    unknowns: tuple
     basis: tuple            # dicts name -> constant ScalarCoeff, one per free unknown
     basis_text: tuple       # human-readable profile per direction
     hidden_pairs: tuple     # unknowns of each direction with more than one term
@@ -124,40 +101,33 @@ def _eliminate(row, col, pivot):
 class ConstraintSystem:
     """Residual of one ansatz family, with exact solve over the window."""
 
-    def __init__(self, ansatz, registry, build_residual):
-        self.ansatz = ansatz
+    def __init__(self, terms, registry, build_residual):
+        self.terms = terms
+        self.unknowns = tuple(t.name for t in terms)
         self.registry = registry
         self._build_residual = build_residual
-        symbolic = {t.name: ScalarCoeff.symbol(registry, t.name) for t in ansatz.terms}
+        symbolic = {nm: ScalarCoeff.symbol(registry, nm) for nm in self.unknowns}
         self.residual = build_residual(symbolic)
-        self.rows = self._extract_rows()
-
-    def _extract_rows(self):
-        rows = []
-        for label, comp in zip("xyz", self.residual.components):
-            for m in comp.monomials():
-                sig = "r(%d,%d,%d) rad^%d p(%d,%d,%d) S(%d,%d,%d)" % (
-                    *m.pos_exps, m.rad_exp, *m.mom_exps, *m.spin_word)
-                rows.append(ConstraintRow(label, sig, m.coeff))
-        return tuple(rows)
 
     def _equations(self):
         """Each row split by its monomial in the physical symbols, as sparse
         rows {column of the unknown: Gaussian rational}."""
-        column = {self.registry.index(nm): j for j, nm in enumerate(self.ansatz.unknowns)}
-        for row in self.rows:
-            split = {}
-            for key, g in row.form.raw().items():
-                hits = [(idx, e) for idx, e in key if idx in column]
-                if len(hits) != 1 or hits[0][1] != 1:
-                    raise DomainError("row %s %s is not linear in the unknowns: %s"
-                                      % (row.component, row.monomial, row.form))
-                physical = tuple(p for p in key if p[0] not in column)
-                split.setdefault(physical, {})[column[hits[0][0]]] = g
-            yield from split.values()
+        column = {self.registry.index(nm): j for j, nm in enumerate(self.unknowns)}
+        for axis, comp in zip("xyz", self.residual.components):
+            words = comp.raw_terms()
+            for sig in sorted(words):
+                split = {}
+                for key, g in words[sig].items():
+                    hits = [(idx, e) for idx, e in key if idx in column]
+                    if len(hits) != 1 or hits[0][1] != 1:
+                        raise DomainError("row %s %s is not linear in the unknowns: %s"
+                                          % (axis, sig, ScalarCoeff(self.registry, words[sig])))
+                    physical = tuple(p for p in key if p[0] not in column)
+                    split.setdefault(physical, {})[column[hits[0][0]]] = g
+                yield from split.values()
 
     def solve(self):
-        names = self.ansatz.unknowns
+        names = self.unknowns
         pivots = {}             # pivot column -> row in reduced echelon form
         for eq in self._equations():
             for col, prow in pivots.items():
@@ -168,7 +138,7 @@ class ConstraintSystem:
                 eq = {c: K.g_mul(g, inv) for c, g in eq.items()}
                 pivots = {pc: _eliminate(prow, col, eq) for pc, prow in pivots.items()}
                 pivots[col] = eq
-        terms = self.ansatz.terms
+        terms = self.terms
         free = [f for f in range(len(names)) if f not in pivots]
         basis, texts = [], []
         for f in free:
@@ -181,13 +151,13 @@ class ConstraintSystem:
                                     else "(%s)*%s" % (vec[c], terms[c].text) for c in cols))
         hidden = tuple(tuple(vec) for vec in basis if len(vec) > 1)
         verified = self._reverify([names[f] for f in free], basis)
-        return SolutionSpace(names, tuple(basis), tuple(texts), hidden, (), verified)
+        return SolutionSpace(tuple(basis), tuple(texts), hidden, (), verified)
 
     def _reverify(self, free, basis):
         """Rebuild the residual at the general solution, each direction
         scaled by its own free unknown, and demand an exact zero through
         the full construction again."""
-        assignment = {nm: ScalarCoeff.zero(self.registry) for nm in self.ansatz.unknowns}
+        assignment = {nm: ScalarCoeff.zero(self.registry) for nm in self.unknowns}
         for name, vec in zip(free, basis):
             for nm, c in vec.items():
                 assignment[nm] = assignment[nm] + c * ScalarCoeff.symbol(self.registry, name)
@@ -212,8 +182,8 @@ def build_inverse_constraints(window=DEFAULT_INVERSE_WINDOW):
     is f itself, and [R, H] must vanish.  Linear in the unknowns: the one
     product of two profiles, [f*r, V], is zero.
     """
-    ansatz = LaurentAnsatz(_make_ansatz("c", window), ())
-    reg = SymbolRegistry(extra=ansatz.unknowns)
+    terms = _make_ansatz("c", window)
+    reg = SymbolRegistry(extra=tuple(t.name for t in terms))
     mode = SpinMode.ABSTRACT
     p = ops.momentum_vec(reg, mode)
     l = ops.orbital_vec(reg, mode)
@@ -223,16 +193,16 @@ def build_inverse_constraints(window=DEFAULT_INVERSE_WINDOW):
     double_cross = (ops.cross(p, l) - ops.cross(l, p)).scaled(Fraction(1, 2)).scaled(minv)
 
     def residual(assignment):
-        f = _radial_profile(reg, mode, assignment, ansatz.scalar_terms)
+        f = _radial_profile(reg, mode, assignment, terms)
         # extracted potential: coefficient (n+3)/2 per power n
         extracted = {t.name: assignment[t.name] * Fraction(t.exponent + 3, 2)
-                     for t in ansatz.scalar_terms if t.name in assignment}
-        V = _radial_profile(reg, mode, extracted, ansatz.scalar_terms)
+                     for t in terms if t.name in assignment}
+        V = _radial_profile(reg, mode, extracted, terms)
         R = double_cross + f * rvec
         H = kinetic + V
         return ops.commutator(R, H)
 
-    return ConstraintSystem(ansatz, reg, residual)
+    return ConstraintSystem(terms, reg, residual)
 
 
 def build_spin_constraints(scalar_window=DEFAULT_SCALAR_WINDOW,
@@ -245,8 +215,7 @@ def build_spin_constraints(scalar_window=DEFAULT_SCALAR_WINDOW,
     """
     scalar_terms = _make_ansatz("a", scalar_window)
     spin_terms = _make_ansatz("b", spin_window, spin=True)
-    ansatz = LaurentAnsatz(scalar_terms, spin_terms)
-    reg = SymbolRegistry(extra=ansatz.unknowns)
+    reg = SymbolRegistry(extra=tuple(t.name for t in scalar_terms + spin_terms))
     mode = SpinMode.ABSTRACT
     p = ops.momentum_vec(reg, mode)
     S = ops.spin_vec(reg, mode)
@@ -257,8 +226,8 @@ def build_spin_constraints(scalar_window=DEFAULT_SCALAR_WINDOW,
     ihbar = ScalarCoeff.imag_unit(reg) * ScalarCoeff.symbol(reg, "hbar")
 
     def residual(assignment):
-        xi = _radial_profile(reg, mode, assignment, ansatz.scalar_terms)
-        xi = xi + _radial_profile(reg, mode, assignment, ansatz.spin_terms) * rS
+        xi = _radial_profile(reg, mode, assignment, scalar_terms)
+        xi = xi + _radial_profile(reg, mode, assignment, spin_terms) * rS
         return ops.commutator(Pi, xi) - (rm2 * (rvec * xi)).scaled(ihbar)
 
-    return ConstraintSystem(ansatz, reg, residual)
+    return ConstraintSystem(scalar_terms + spin_terms, reg, residual)

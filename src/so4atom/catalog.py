@@ -96,7 +96,6 @@ class Suite:
         if name not in SUITE_NAMES:
             raise UsageError("unknown suite %r" % name)
         self.name = name
-        self.text = text
         parsed = lang.parse_identity_file(text, name)
         self.definitions = parsed.definitions
         self.checks = parsed.checks

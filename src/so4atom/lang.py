@@ -246,7 +246,7 @@ class _Parser:
             return node
         if tok.kind == "minus":
             operand = self.parse(_UNARY_BP)
-            return Neg(operand, span=(tok.start, _span_of(operand)[1]))
+            return Neg(operand, span=(tok.start, operand.span[1]))
         if tok.kind == "lbracket":
             lhs = self.parse(0)
             self.expect("comma")
@@ -276,7 +276,7 @@ class _Parser:
             axis = args[1]
             axis_name = getattr(axis, "name", None)
             if axis_name not in _AXES:
-                raise LangError("idx axis must be x, y, or z", _span_of(axis))
+                raise LangError("idx axis must be x, y, or z", axis.span)
             return Index(args[0], axis_name, span=span)
         return Apply(name_tok.text, tuple(args), span=span)
 
@@ -286,11 +286,7 @@ class _Parser:
             rhs = self.parse(_LBP["caret"] - 1)
         else:
             rhs = self.parse(_LBP[tok.kind])
-        return BinOp(op, lhs, rhs, span=(_span_of(lhs)[0], _span_of(rhs)[1]))
-
-
-def _span_of(node):
-    return node.span
+        return BinOp(op, lhs, rhs, span=(lhs.span[0], rhs.span[1]))
 
 
 def parse_expr(source, base=0):
@@ -525,8 +521,6 @@ def _elaborate_power(node, env):
 class RawDefinition:
     name: str
     expr: object
-    source: str
-    span: tuple
 
 
 # each mu policy and the mu values at which it claims its check holds; a
@@ -545,7 +539,6 @@ class RawCheck:
     mu_policy: str         # a key of MU_POLICIES
     lhs_source: str
     rhs_source: str
-    span: tuple
 
 
 @dataclass(frozen=True)
@@ -599,14 +592,9 @@ def _parse_let(toks, base, line, definitions, seen_defs):
         raise LangError("duplicate definition %r" % name, (name_tok.start, name_tok.end))
     if len(toks) < 3 or toks[2].kind != "equals":
         raise LangError("let needs '='", end_span)
-    expr_toks = toks[3:]
-    expr = parse_tokens(expr_toks, end_span)
-    src_start = expr_toks[0].start - base
-    src_end = expr_toks[-1].end - base
-    source = line[src_start:src_end]
+    expr = parse_tokens(toks[3:], end_span)
     seen_defs[name] = True
-    definitions.append(RawDefinition(name, expr, source,
-                                     (name_tok.start, expr_toks[-1].end)))
+    definitions.append(RawDefinition(name, expr))
 
 
 def _split_options(toks):
@@ -672,8 +660,7 @@ def _parse_check(toks, base, line, suite, checks, seen_ids):
         return line[token_list[0].start - base:token_list[-1].end - base]
 
     checks.append(RawCheck(id_tok.text, suite, lhs, rhs, sep[2], mode, mu,
-                           _src(lhs_toks), _src(tail),
-                           (id_tok.start, rest[-1].end)))
+                           _src(lhs_toks), _src(tail)))
 
 
 def elaborate_definitions(defs, registry, mode):

@@ -31,7 +31,6 @@ degree stays <= 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from so4atom import _kernel as K
@@ -48,17 +47,6 @@ class SpinMode(enum.Enum):
     @classmethod
     def _missing_(cls, value):
         raise UsageError("mode must be abstract or half, not %r" % (value,))
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """One canonical basis word with its coefficient."""
-
-    coeff: ScalarCoeff
-    pos_exps: tuple
-    rad_exp: int
-    mom_exps: tuple
-    spin_word: tuple
 
 
 def _check_compat(a, b):
@@ -263,16 +251,6 @@ class OperatorExpr:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def monomials(self):
-        for sig in sorted(self._terms):
-            yield Monomial(
-                coeff=ScalarCoeff(self.registry, self._terms[sig]),
-                pos_exps=sig[0:3],
-                rad_exp=sig[3],
-                mom_exps=sig[4:7],
-                spin_word=sig[7:10],
-            )
 
     def term_count(self):
         return len(self._terms)

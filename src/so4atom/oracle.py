@@ -397,15 +397,14 @@ def _check_sample(states, points_per_state):
         raise UsageError("the oracle needs at least one test state")
 
 
-def residual(spec, states=None, points_per_state=20, seed=42, bindings=None):
+def residual(spec, states=None, points_per_state=20, seed=42):
     """Max residual of one identity over states x points, both couplings."""
-    merged = dict(DEFAULT_BINDINGS, **(bindings or {}))
     if states is None:
         states = default_states(5, seed)
     _check_sample(states, points_per_state)
     suite = catalog.get_suite(spec.suite)
     mus = lang.MU_POLICIES[spec.mu_policy] or (0, 1)
-    walk = _Walk(suite, merged, mus)
+    walk = _Walk(suite, DEFAULT_BINDINGS, mus)
     points, psi, radius2 = _sample(states, points_per_state, seed, walk.order(spec))
     max_abs, max_rel = 0.0, 0.0
     # every lens at once: a check that never reads mu stays one lens wide
@@ -452,7 +451,7 @@ def default_battery():
     return tuple(pairs)
 
 
-def run_battery(pairs=None, states=None, points_per_state=20, seed=42, bindings=None):
+def run_battery(pairs=None, states=None, points_per_state=20, seed=42):
     pairs = pairs or default_battery()
     if states is None:
         states = default_states(5, seed)
@@ -461,6 +460,5 @@ def run_battery(pairs=None, states=None, points_per_state=20, seed=42, bindings=
     # one sample table for the battery, at the highest order any check needs
     top = max(_Walk(catalog.get_suite(s.suite), DEFAULT_BINDINGS, (0,)).order(s) for s in specs)
     _sample(states, points_per_state, seed, top)
-    return [residual(spec, states=states, points_per_state=points_per_state,
-                     seed=seed, bindings=bindings)
+    return [residual(spec, states=states, points_per_state=points_per_state, seed=seed)
             for spec in specs]

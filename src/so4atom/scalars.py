@@ -217,16 +217,6 @@ class ScalarCoeff:
     def is_one(self):
         return self._terms == {(): (1, 0, 1)}
 
-    def monomials(self):
-        """Yield ``(exponents, real, imag)`` with exponents as a name -> exp
-        dict and the numeric part as exact Fractions."""
-        for key, (a, b, d) in sorted(self._terms.items()):
-            yield (
-                {self.registry.name(i): e for i, e in key},
-                Fraction(a, d),
-                Fraction(b, d),
-            )
-
     def evaluate(self, bindings) -> complex:
         """Numeric value given per-symbol complex bindings."""
         total = 0j

@@ -40,10 +40,12 @@ two Casimir relations with exact rationals and reports a verdict for every
 candidate label, keeping the inadmissible ones on record instead of
 dropping them.  That is where the spurious deepest level of the raw
 closed form disappears: its only labelings need a negative ladder scale or
-a negative spin label.  A mu=1 prediction table does not depend on j, so
-default_study() builds one per coupling.
+a negative spin label.  A prediction table reaches every n whose level can
+lie below the cutoff, so no trustworthy level lacks its partner.  A mu=1
+table does not depend on j, so default_study() builds one per coupling.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -369,14 +371,29 @@ def predicted_levels(sector, params=None, max_n=6):
     return out
 
 
-def match_spectrum(result, predictions=None, tol=1e-3, max_n=8):
+def _top_n(result):
+    """The largest n whose level can lie below the result's cutoff.
+
+    A level -M g^2/(2 hbar^2 nu^2) below the cutoff needs
+    nu < |g| sqrt(M/(2|cutoff|))/hbar, with |g| <= |k1| + |k2| hbar/2, and
+    n <= nu + 1/2; one more n keeps a level just below the cutoff whose
+    prediction lands just above it.
+    """
+    p = result.params
+    g = abs(p.k1) + abs(p.k2) * p.hbar / 2
+    return int(g * math.sqrt(p.mass / (2 * abs(result.cutoff))) / p.hbar + 0.5) + 1
+
+
+def match_spectrum(result, predictions=None, tol=1e-3):
     """Pair each trustworthy computed level with an admissible prediction.
 
-    Returns (rows, ok); ok drops to False when a level below the cutoff has
-    no admissible partner within tol, or when no level sits below it.
+    Without a table, the sector's predictions are built up to the n the
+    cutoff allows.  Returns (rows, ok); ok drops to False when a level
+    below the cutoff has no admissible partner within tol, or when no level
+    sits below it.
     """
     if predictions is None:
-        predictions = predicted_levels(result.sector, result.params, max_n=max_n)
+        predictions = predicted_levels(result.sector, result.params, max_n=_top_n(result))
     admissible = [p for p in predictions if p.admissible and p.energy is not None]
     rows = []
     ok = True
@@ -424,7 +441,7 @@ def default_study(params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=8,
         predictions = None
         if sector.mu == 1:
             if p != table_for:
-                table_for, table = p, predicted_levels(sector, p, max_n=8)
+                table_for, table = p, predicted_levels(sector, p, max_n=_top_n(res))
             predictions = table
         got, ok = match_spectrum(res, predictions, tol=tol)
         rows.extend(got)

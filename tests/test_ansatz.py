@@ -24,9 +24,9 @@ def test_inverse_scan_pins_coulomb_tail():
 def test_inverse_scan_rows_are_nontrivial():
     system = ansatz.build_inverse_constraints()
     sol = system.solve()
-    # the residual really constrains something: many monomial rows
-    assert len(system.rows) > 20
-    unknowns = set(system.ansatz.unknowns)
+    # the residual really constrains something: many operator-word rows
+    assert sum(len(c.raw_terms()) for c in system.residual.components) > 20
+    unknowns = set(system.unknowns)
     for vector in sol.basis:
         assert set(vector) <= unknowns
 
@@ -84,10 +84,7 @@ def test_empty_window_rejected():
 
 
 def test_term_naming():
-    terms = ansatz.LaurentAnsatz(
-        scalar_terms=ansatz.build_inverse_constraints().ansatz.scalar_terms,
-        spin_terms=(),
-    ).terms
+    terms = ansatz.build_inverse_constraints().terms
     texts = [t.text for t in terms]
     assert "r^-1" in texts
     assert all(("r^" in t) for t in texts)
@@ -103,16 +100,15 @@ def test_solution_space_reverified_with_fresh_symbols():
 def _toy_system(coefficient):
     """Residual r * coefficient(a_m1, a_0) over the two-term window -1..0."""
     terms = (ansatz.AnsatzTerm("a_m1", -1, False), ansatz.AnsatzTerm("a_0", 0, False))
-    window = ansatz.LaurentAnsatz(terms, ())
-    reg = SymbolRegistry(extra=window.unknowns)
+    reg = SymbolRegistry(extra=("a_m1", "a_0"))
     rvec = ops.position_vec(reg)
     zero = ScalarCoeff.zero(reg)
 
     def residual(assignment):
-        a, b = (assignment.get(nm, zero) for nm in window.unknowns)
+        a, b = (assignment.get(nm, zero) for nm in ("a_m1", "a_0"))
         return rvec.scaled(coefficient(a, b))
 
-    return ansatz.ConstraintSystem(window, reg, residual)
+    return ansatz.ConstraintSystem(terms, reg, residual)
 
 
 def test_two_term_solution_is_found():

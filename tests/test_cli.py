@@ -233,6 +233,7 @@ def test_bad_choice_exit_2_before_any_work(capsys, tmp_path, key, value, source)
     assert code == 2
     assert out == ""
     assert repr(value) in err
+    assert key in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -241,8 +242,9 @@ def test_bad_choice_exit_2_before_any_work(capsys, tmp_path, key, value, source)
 ])
 def test_unwritable_out_exit_2(capsys, tmp_path, argv):
     path = tmp_path / "missing" / "r.json"
-    code, _, err = run(capsys, *argv, "--out", str(path))
+    code, out, err = run(capsys, *argv, "--out", str(path))
     assert code == 2
+    assert out == ""
     assert str(path) in err
     assert "Traceback" not in err
 
@@ -373,6 +375,16 @@ def test_spectrum_csv_to_stdout(capsys):
     assert code == 0
     assert "sector_j,channel,level_index" in out
     assert "j=1/2" in out
+
+
+def test_spectrum_labels_a_deep_level_beyond_n_8(capsys):
+    # one channel holds all 8 levels, so the 8th is nu = 17/2, n = 9
+    code, out, _ = run(capsys, "spectrum", "--j", "1/2", "--k2", "2",
+                       "--format", "csv")
+    assert code == 0
+    eighth = out.splitlines()[-1].split(",")
+    assert eighth[:3] == ["j=1/2", "s_r=-0.5", "7"]
+    assert eighth[5] == "n=9"
 
 
 def test_spectrum_with_no_level_below_cutoff_fails(capsys):

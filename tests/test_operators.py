@@ -189,9 +189,10 @@ def _word_matrix(word, hbar=1.0):
 
 def _expr_matrix(expr, hbar=1.0):
     out = np.zeros((2, 2), dtype=complex)
-    for m in expr.monomials():
-        assert m.pos_exps == (0, 0, 0) and m.mom_exps == (0, 0, 0) and m.rad_exp == 0
-        out += m.coeff.evaluate({"hbar": hbar}) * _word_matrix(m.spin_word, hbar)
+    for sig, coeff in expr.raw_terms().items():
+        assert sig[:7] == (0,) * 7
+        out += ScalarCoeff(expr.registry, coeff).evaluate({"hbar": hbar}) \
+            * _word_matrix(sig[7:], hbar)
     return out
 
 

@@ -96,13 +96,6 @@ def test_evaluate_missing_binding(reg):
         sym(reg, "k1").evaluate({})
 
 
-def test_monomials_iteration(reg):
-    expr = sym(reg, "hbar", 2) * rat(reg, Fraction(3, 4))
-    ((exps, re, im),) = list(expr.monomials())
-    assert exps == {"hbar": 2}
-    assert (re, im) == (Fraction(3, 4), Fraction(0))
-
-
 def test_mixed_registry_rejected():
     a = SymbolRegistry()
     b = SymbolRegistry()

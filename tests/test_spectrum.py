@@ -248,6 +248,19 @@ def test_every_computed_level_matches_an_admissible_one(j, k2):
         assert row.rel_error < 1e-3
 
 
+@pytest.mark.parametrize("j, k2", [(HALF, 2.1), (Fraction(3, 2), -3.0),
+                                   (Fraction(3, 2), 2.4), (Fraction(5, 2), -3.0)])
+def test_strong_charge_levels_find_their_high_n_partners(j, k2):
+    # a strong channel charge binds 8 levels below the cutoff, up to n = 10;
+    # the prediction table must reach every one of them
+    res = spectrum.solve_lowest(spectrum.RadialSector(1, j=j),
+                                spectrum.CouplingParams(k2=k2), count=8, **PIN)
+    rows, ok = spectrum.match_spectrum(res)
+    assert ok
+    assert len(rows) == 8
+    assert all(row.rel_error < 1e-4 for row in rows)
+
+
 def test_eigenvalues_only_are_bitwise_the_eigenvector_solve():
     # stebz orders eigenvalues-only output by matrix, not by block, and skips
     # stein; the values themselves must not move by a bit
