@@ -45,7 +45,7 @@ class RunConfig:
     j: str = None
     k1: float = -1.0
     k2: float = 0.2
-    grid_n: int = 2000       # spectrum.DEFAULT_GRID_N; importing it would load numpy
+    grid_n: int = 1000       # spectrum.DEFAULT_GRID_N; importing it would load numpy
     rmin: float = 0.0
     rmax: float = 200.0
     levels: int = 8
@@ -134,7 +134,7 @@ def _build_config(args):
         # j sector has two channels, the study's mu=0 sectors one
         from . import spectrum
         spectrum._check_grid(cfg.grid_n, cfg.rmax, cfg.rmin)
-        spectrum._check_count(cfg.levels, cfg.grid_n * (1 if cfg.j is None else 2))
+        spectrum._check_count(cfg.levels, cfg.grid_n, 1 if cfg.j is None else 2)
     return cfg
 
 
@@ -259,10 +259,7 @@ def cmd_spectrum(cfg):
         elif cfg.format:
             print(text, end="")
     else:
-        entries = [{"id": "%s %s level%d" % (r.sector_j, r.channel, r.level_index),
-                    "status": "pass" if r.rel_error <= tol else "fail",
-                    "residual": r.rel_error, "margin": r.rel_error / tol,
-                    "elapsed_ms": 0.0} for r in rows]
+        entries = [report.level_entry(r, tol) for r in rows]
         payload = report.build_payload(
             "spectrum", cfg.echo(("j", "k1", "k2", "grid_n", "rmin", "rmax",
                                   "levels")) | {"tol": tol}, entries)

@@ -138,7 +138,8 @@ def state_jets(state, point, order):
 
 # the battery in progress: its (states, points per state, seed), its sample
 # points (n, 3), the state jets there, coefficients (K, 1, 2, n) with a lens
-# axis that mu widens, and |r|^2
+# axis that mu widens, |r|^2, and the |r|^m factor jets built so far, keyed
+# by (m/2, order)
 _SAMPLE = None
 
 
@@ -152,7 +153,7 @@ def _sample(states, points_per_state, seed, order):
         points = np.array([p for _s, p in pairs])
         x = [Jet.variable(order, u, points[None, None, :, u]) for u in range(3)]
         _SAMPLE = (key, points, Jet(order, psi[:, None]),
-                   x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+                   x[0] * x[0] + x[1] * x[1] + x[2] * x[2], {})
     return _SAMPLE[1:]
 
 
@@ -193,10 +194,18 @@ class _Walk:
         self.lenses = np.array(mus, dtype=float).reshape(-1, 1, 1)
         self._info = {}
 
-    def at(self, points, radius2):
-        """Act at these points (n, 3), whose |r|^2 jet is radius2."""
-        self.points, self.radius2 = points, radius2
+    def at(self, points, radius2, factors):
+        """Act at these points (n, 3), whose |r|^2 jet is radius2; factors
+        keeps each |r|^m jet, by (m/2, order), for every walk at them."""
+        self.points, self.radius2, self.factors = points, radius2, factors
         return self
+
+    def _factor(self, exponent, order):
+        """The jet of |r|^(2*exponent) to order, built once per sample."""
+        key = (exponent, order)
+        if key not in self.factors:
+            self.factors[key] = self.radius2.truncate(order).fractional_power(exponent)
+        return self.factors[key]
 
     def _alias(self, node):
         """(tree, axis) that a name or unitr() stands for, or (None, value)."""
@@ -291,7 +300,7 @@ class _Walk:
         if how == "radial" and not need:   # at order 0, a plain factor |r|^m per point
             return 1.0, psi.truncate(0).scale(self.radius2.value() ** args[0])
         if how == "radial":
-            return 1.0, self.radius2.truncate(need).fractional_power(args[0]) * psi.truncate(need)
+            return 1.0, self._factor(args[0], need) * psi.truncate(need)
         if how in ("p", "l") and psi.order <= need:
             raise UsageError("jet order %d is too low for %s at order %d" % (psi.order, how, need))
         if how == "p":
@@ -405,10 +414,10 @@ def residual(spec, states=None, points_per_state=20, seed=42):
     suite = catalog.get_suite(spec.suite)
     mus = lang.MU_POLICIES[spec.mu_policy] or (0, 1)
     walk = _Walk(suite, DEFAULT_BINDINGS, mus)
-    points, psi, radius2 = _sample(states, points_per_state, seed, walk.order(spec))
+    points, psi, radius2, factors = _sample(states, points_per_state, seed, walk.order(spec))
     max_abs, max_rel = 0.0, 0.0
     # every lens at once: a check that never reads mu stays one lens wide
-    for gap, largest in walk.at(points, radius2).gaps(spec.lhs, spec.rhs, psi):
+    for gap, largest in walk.at(points, radius2, factors).gaps(spec.lhs, spec.rhs, psi):
         gap, largest = np.broadcast_arrays(gap, largest)
         rel = np.divide(gap, largest, out=gap.copy(), where=largest > 0)
         max_abs = max(max_abs, float(gap.max()))
@@ -452,10 +461,14 @@ def default_battery():
 
 
 def run_battery(pairs=None, states=None, points_per_state=20, seed=42):
-    pairs = pairs or default_battery()
+    """A report per (suite, check_id) pair; pairs=None is default_battery()."""
+    if pairs is None:
+        pairs = default_battery()
     if states is None:
         states = default_states(5, seed)
     _check_sample(states, points_per_state)
+    if not pairs:
+        return []
     specs = [catalog.get_suite(name).spec(cid) for name, cid in pairs]
     # one sample table for the battery, at the highest order any check needs
     top = max(_Walk(catalog.get_suite(s.suite), DEFAULT_BINDINGS, (0,)).order(s) for s in specs)

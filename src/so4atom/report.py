@@ -14,6 +14,7 @@ from .errors import UsageError
 __all__ = [
     "check_entry",
     "residual_entry",
+    "level_entry",
     "build_payload",
     "render",
     "render_json",
@@ -42,6 +43,15 @@ def residual_entry(report, tol):
     status = "pass" if report.max_rel_residual < tol else "fail"
     return {"id": report.check_id, "status": status,
             "residual": report.max_rel_residual, "elapsed_ms": 0.0}
+
+
+def level_entry(row, tol):
+    """One spectrum level: its error, that error over tol, and the
+    solver's own estimate of it."""
+    return {"id": "%s %s level%d" % (row.sector_j, row.channel, row.level_index),
+            "status": "pass" if row.rel_error <= tol else "fail",
+            "residual": row.rel_error, "margin": row.rel_error / tol,
+            "est_error": row.est_error, "elapsed_ms": 0.0}
 
 
 def build_payload(command, config, entries):

@@ -28,12 +28,22 @@ X^-1 T X^-1:
 
     diag = (2a + A(3/16 + w)/x^2 + g)/x^2,    off = -a/(x_i x_{i+1}).
 
-Each distinct charge is solved once, for eigenvalues only, by
+The stencil is second order in hx, so each channel is solved on a grid
+pair, the fine grid N (grid_n, default 1000, at least 500) and the coarse
+grid Nc = N // 2, and each level is reported as Richardson's limit
+(rho^2 E_N - E_Nc)/(rho^2 - 1) with the exact rho = N/Nc, an odd N
+included (Richardson, "The deferred approach to the limit", Phil. Trans.
+R. Soc. A 226, 1927).  The pair (500, 1000) beats a single grid of 2000
+points at every default level.  Each level also carries an error estimate
+that does not look at the closed form, |E_N - E_Nc|/((rho^2 - 1)|E|).  A
+level count must fit in the coarse grid.
+
+Each distinct charge is solved once per grid, for eigenvalues only, by
 scipy.linalg.eigh_tridiagonal with a fixed bisection tolerance (at k2=0
 both channels of a sector are one matrix), and each level keeps the label
 of the channel that produced it.  coupled_levels() solves the unrotated
-two-channel band, mapped the same way, with scipy.linalg.eig_banded; it is
-the tests' reference for the rotation.
+two-channel band, mapped the same way, with scipy.linalg.eig_banded on the
+same pair; it is the tests' reference for the rotation.
 
 Predictions come from the su(2) x su(2) pairing: solve_wk_pair() solves the
 two Casimir relations with exact rationals and reports a verdict for every
@@ -114,11 +124,12 @@ class RadialSector:
 class SpectrumResult:
     sector: RadialSector
     params: CouplingParams
-    grid_n: int
+    grid_n: int              # the fine grid; the coarse one is grid_n // 2
     r_max: float
     cutoff: float
-    energies: tuple          # everything requested, ascending
+    energies: tuple          # everything requested, ascending, extrapolated
     channels: tuple          # s_r of the channel behind each energy (mu=1), else None
+    est_errors: tuple        # estimated relative error of each energy
 
 
 @dataclass(frozen=True)
@@ -156,14 +167,16 @@ class LevelRow:
     n_label: str
     branch: str
     rel_error: float
+    est_error: float
 
 
 _MIN_GRID = 500
-DEFAULT_GRID_N = 2000
+DEFAULT_GRID_N = 1000
 
 # absolute bisection tolerance of every channel solve: the mapped matrix is
-# graded (|T| ~ 3e8 at the default grid), and LAPACK's default of ulp*|T|
-# would move the levels by up to 2e-5 relative
+# graded (|T| ~ 2e7 on the default fine grid, 3e8 at 2000 points), and
+# LAPACK's default of ulp*|T| would move the levels by up to 1.4e-6
+# relative there, 2e-5 at 2000
 _EIG_TOL = 1e-13
 
 # the theorem checks that certify the channel reduction
@@ -186,7 +199,6 @@ def _check_grid(grid_n, r_max, r_min):
 
 def _grid(grid_n, r_max, r_min=0.0):
     """Spacing and interior points of the uniform grid in x = sqrt(r)."""
-    _check_grid(grid_n, r_max, r_min)
     x_min = np.sqrt(r_min)
     h = (np.sqrt(r_max) - x_min) / grid_n
     return h, x_min + h * np.arange(1, grid_n + 1)
@@ -206,12 +218,45 @@ def _channel(stencil, g):
     return (2 * a + cent / x2 + g) / x2, -a / (x[:-1] * x[1:])
 
 
-def _check_count(count, size):
+def _check_count(count, grid_n, channels):
+    """count levels must fit in the channels of the coarse grid, grid_n // 2."""
     if count < 1:
         raise UsageError("asked for %d levels; need at least 1" % count)
+    size = (grid_n // 2) * channels
     if count > size:
-        raise UsageError("asked for %d levels from a %d-dimensional sector"
+        raise UsageError("asked for %d levels from a sector of %d on the coarse grid"
                          % (count, size))
+
+
+def _pair(sector, params, grid_n, r_max, r_min):
+    """Stencils of the fine grid grid_n and the coarse grid grid_n // 2; only
+    the fine grid is held to _MIN_GRID."""
+    _check_grid(grid_n, r_max, r_min)
+    return tuple(_stencil(sector, params, n, r_max, r_min) for n in (grid_n, grid_n // 2))
+
+
+def _extrapolate(pair, solve):
+    """Richardson's limit of a solve over a stencil pair, with its estimate.
+
+    solve(stencil) gives the lowest levels on one grid.  The mapped stencil
+    is second order in the spacing, so with rho = N/Nc exact (an odd N
+    included), (rho^2 E_N - E_Nc)/(rho^2 - 1) cancels the leading error
+    term.  That term, |E_N - E_Nc|/((rho^2 - 1)|E|), is the estimate: the
+    relative error of the fine grid, which the limit improves on.
+    """
+    fine, coarse = (solve(stencil) for stencil in pair)
+    rho2 = (len(pair[0][0]) / len(pair[1][0])) ** 2
+    limit = (rho2 * fine - coarse) / (rho2 - 1)
+    return limit, np.abs(fine - coarse) / ((rho2 - 1) * np.abs(limit))
+
+
+def _lowest(stencil, g, last):
+    """Levels 0..last of the mapped channel with charge g, eigenvalues only."""
+    try:
+        return eigh_tridiagonal(*_channel(stencil, g), eigvals_only=True, select="i",
+                                select_range=(0, last), tol=_EIG_TOL)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise SolverError("eigenvalue solve failed: %s" % exc) from exc
 
 
 def energy_cutoff(r_max):
@@ -223,39 +268,35 @@ def solve_lowest(sector, params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=
                  r_min=0.0):
     """The lowest `count` levels of a sector, each labelled by its channel.
 
-    Each distinct channel charge is one tridiagonal solve, for eigenvalues
-    only; the levels of all channels are merged in ascending order, so a
-    label is the channel that produced it.
+    Each distinct channel charge is one tridiagonal solve per grid of the
+    pair, for eigenvalues only, extrapolated level by level; the levels of
+    all channels are merged in ascending order, so a label is the channel
+    that produced it.
     """
     params = params or CouplingParams()
-    stencil = _stencil(sector, params, grid_n, r_max, r_min)
+    pair = _pair(sector, params, grid_n, r_max, r_min)
     if sector.mu == 0:
         channels = ((params.k1, None),)
     else:
         # one channel per s_r = +-1/2 eigenline of (r.S)/r
         channels = tuple((params.k1 + params.k2 * params.hbar * float(s_r), s_r)
                          for s_r in (Fraction(1, 2), Fraction(-1, 2)))
-    _check_count(count, grid_n * len(channels))
+    _check_count(count, grid_n, len(channels))
     if sector.mu == 1 and not reduced_form_check():
         raise SolverError("engine rejected the reduced sector Hamiltonian")
-    last = min(count, grid_n) - 1
-    solved = {}             # charge -> eigenvalues; at k2=0 both channels share one
+    last = min(count, grid_n // 2) - 1
+    solved = {}             # charge -> (levels, estimates); at k2=0 both channels share one
     levels = []
     for g, label in channels:
         if g not in solved:
-            diag, off = _channel(stencil, g)
-            try:
-                solved[g] = eigh_tridiagonal(diag, off, eigvals_only=True,
-                                             select="i", select_range=(0, last),
-                                             tol=_EIG_TOL)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                raise SolverError("eigenvalue solve failed: %s" % exc) from exc
-        levels.extend((float(v), label) for v in solved[g])
+            solved[g] = _extrapolate(pair, lambda stencil: _lowest(stencil, g, last))
+        levels.extend((float(e), label, float(est)) for e, est in zip(*solved[g]))
     levels.sort(key=lambda lv: lv[0])
     levels = levels[:count]
     return SpectrumResult(sector, params, grid_n, r_max, energy_cutoff(r_max),
-                          tuple(e for e, _ in levels),
-                          tuple(label for _, label in levels))
+                          tuple(e for e, _, _ in levels),
+                          tuple(label for _, label, _ in levels),
+                          tuple(est for _, _, est in levels))
 
 
 def coupled_levels(sector, params, grid_n, r_max, count, r_min=0.0):
@@ -264,27 +305,31 @@ def coupled_levels(sector, params, grid_n, r_max, count, r_min=0.0):
     Both orbital channels on one interleaved (3, 2N) band (upper form),
     mapped like a channel: offset 2 is the stencil neighbour within a
     channel, offset 1 the k2*hbar/(2x^2) coupling at a single radius.
-    solve_lowest's channels are an exact rotation of this matrix, so the
-    two must agree to eigensolver precision.
+    Solved on the same grid pair and extrapolated the same way, level by
+    level.  solve_lowest's channels are an exact rotation of this matrix,
+    so the two must agree to eigensolver precision.
     """
     if sector.mu != 1:
         raise UsageError("the coupled band is a mu=1 construction")
-    stencil = _stencil(sector, params, grid_n, r_max, r_min)
-    _check_count(count, 2 * grid_n)
+    pair = _pair(sector, params, grid_n, r_max, r_min)
+    _check_count(count, grid_n, 2)
     if not reduced_form_check():
         raise SolverError("engine rejected the reduced sector Hamiltonian")
-    diag, off = _channel(stencil, params.k1)
-    x = stencil[0]
-    band = np.zeros((3, 2 * grid_n))
-    band[2, 0::2] = band[2, 1::2] = diag
-    band[1, 1::2] = params.k2 * params.hbar / (2 * x * x)
-    band[0, 2::2] = band[0, 3::2] = off
-    try:
-        vals = eig_banded(band, lower=False, select="i",
-                          select_range=(0, count - 1), eigvals_only=True)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SolverError("eigenvalue solve failed: %s" % exc) from exc
-    return tuple(float(v) for v in vals)
+
+    def lowest(stencil):
+        diag, off = _channel(stencil, params.k1)
+        x = stencil[0]
+        band = np.zeros((3, 2 * len(x)))
+        band[2, 0::2] = band[2, 1::2] = diag
+        band[1, 1::2] = params.k2 * params.hbar / (2 * x * x)
+        band[0, 2::2] = band[0, 3::2] = off
+        try:
+            return eig_banded(band, lower=False, select="i",
+                              select_range=(0, count - 1), eigvals_only=True)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise SolverError("eigenvalue solve failed: %s" % exc) from exc
+
+    return tuple(float(v) for v in _extrapolate(pair, lowest)[0])
 
 
 # --- exact predictions ----------------------------------------------------
@@ -414,7 +459,7 @@ def match_spectrum(result, predictions=None, tol=1e-3):
             idx, energy, best.energy,
             "n=%d" % best.n,
             "%+d" % best.branch if result.sector.mu == 1 else "",
-            rel,
+            rel, result.est_errors[idx],
         ))
     return rows, ok and bool(rows)
 

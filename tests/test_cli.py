@@ -396,15 +396,15 @@ def test_spectrum_with_no_level_below_cutoff_fails(capsys):
 
 
 def test_spectrum_coarse_grid_fails_tolerance(capsys):
-    # the worst level of this smaller box is 3.47e-5 off
-    code, out, _ = run(capsys, "spectrum", "--grid-n", "2000", "--rmax", "150",
+    # the worst level of the pair (250, 500) in this smaller box is 5.11e-5 off
+    code, out, _ = run(capsys, "spectrum", "--grid-n", "500", "--rmax", "150",
                        "--tol", "1e-5")
     assert code == 1
     assert "[FAIL]" in out
 
 
 def test_spectrum_loose_tol_rescues_coarse_grid(capsys):
-    code, out, _ = run(capsys, "spectrum", "--grid-n", "2000", "--rmax", "150",
+    code, out, _ = run(capsys, "spectrum", "--grid-n", "500", "--rmax", "150",
                        "--tol", "1e-4")
     assert code == 0
     assert "[pass]" in out
@@ -421,6 +421,25 @@ def test_spectrum_json_reports_each_level_margin(capsys, tmp_path):
     for entry in payload["checks"]:
         assert entry["margin"] == entry["residual"] / tol
         assert entry["margin"] < 0.1
+        # the solver's own estimate, made without the closed form, never
+        # understates the true error
+        assert entry["residual"] <= entry["est_error"] < tol
+    assert list(payload["checks"][0]) == ["id", "status", "residual", "margin",
+                                          "est_error", "elapsed_ms"]
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["--grid-n", "500", "--levels", "251"], 250),
+    (["--grid-n", "1001", "--levels", "501"], 500),
+    (["--j", "1/2", "--grid-n", "501", "--levels", "501"], 500),
+])
+def test_spectrum_levels_beyond_the_coarse_grid_exit_2(capsys, argv, size):
+    # every level is extrapolated from the coarse grid grid_n // 2 too, so
+    # that grid's size per channel caps the count, before any work
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 2
+    assert "from a sector of %d on the coarse grid" % size in err
+    assert out == ""
 
 
 # -- report files -----------------------------------------------------------
@@ -485,6 +504,7 @@ def test_all_command(capsys):
     (["--grid-n", "100"], "grid_n below 500"),
     (["--levels", "0"], "need at least 1"),
     (["--rmin", "300"], "need 0 <= r_min < r_max"),
+    (["--levels", "501"], "levels from a sector of 500 on the coarse grid"),
 ])
 def test_all_checks_spectrum_input_before_any_work(capsys, argv, message):
     # a bad spectrum request must fail before verify, oracle and the scans print

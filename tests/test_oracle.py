@@ -19,7 +19,7 @@ def act(text, point, order):
     psi = oracle.state_jets(state, point, order)
     walk = oracle._Walk(catalog.get_suite("so3"), oracle.DEFAULT_BINDINGS, (0,))
     x = [Jet.variable(order, u, np.full((1, 1, 1), c)) for u, c in enumerate(point)]
-    walk.at(np.array([point]), x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    walk.at(np.array([point]), x[0] * x[0] + x[1] * x[1] + x[2] * x[2], {})
     coeff, jet = walk.apply(parse_expr(text), None, Jet(order, psi.coeffs[:, None, :, None]), 0)
     return coeff * jet.value()[0, :, 0]
 
@@ -205,3 +205,29 @@ def test_run_battery_builds_each_jet_once(monkeypatch):
     assert calls and max(calls.values()) == 1
     orders = {order for _state, _point, order in calls}
     assert len(calls) == len(states) * 3 * len(orders)
+
+
+def test_run_battery_builds_each_radial_factor_once(monkeypatch):
+    # every |r|^m factor jet of a battery is one fractional power per
+    # (exponent, order), shared by every check that reads it
+    calls = Counter()
+    power = Jet.fractional_power
+
+    def counting(self, exponent):
+        calls[exponent, self.order] += 1
+        return power(self, exponent)
+
+    monkeypatch.setattr(Jet, "fractional_power", counting)
+    monkeypatch.setattr(oracle, "_SAMPLE", None)
+    reports = oracle.run_battery(states=oracle.default_states(1, seed=42),
+                                 points_per_state=2)
+    assert len(reports) == len(oracle.default_battery())
+    assert len(calls) > 1
+    assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("pairs", [(), []])
+def test_empty_battery_runs_no_check(monkeypatch, pairs):
+    # only pairs=None means the default battery
+    monkeypatch.setattr(oracle, "residual", lambda *a, **k: pytest.fail("ran a check"))
+    assert oracle.run_battery(pairs) == []

@@ -1,5 +1,6 @@
 """Radial eigensolver against the closed-form level structure."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 from pathlib import Path
@@ -29,20 +30,33 @@ def channel_charges(sector, params):
                  for s_r in (HALF, -HALF))
 
 
+def channel_solve(sector, params, grid_n, g, r_max=200.0, count=8, **kwargs):
+    """The lowest levels of one channel on one grid, solved directly."""
+    stencil = spectrum._stencil(sector, params, grid_n, r_max, 0.0)
+    return scipy.linalg.eigh_tridiagonal(*spectrum._channel(stencil, g), select="i",
+                                         select_range=(0, count - 1), **kwargs)
+
+
+def merged(levels, count=8):
+    """(energies, labels) of the lowest count (energy, label) pairs."""
+    levels = sorted(levels, key=lambda lv: lv[0])[:count]
+    return tuple(e for e, _ in levels), tuple(label for _, label in levels)
+
+
 def per_channel_levels(sector, params, grid_n=spectrum.DEFAULT_GRID_N, r_max=200.0,
                        count=8):
-    """Reference: every channel solved on its own, eigenvectors included,
-    then merged and cut exactly as solve_lowest merges and cuts."""
-    stencil = spectrum._stencil(sector, params, grid_n, r_max, 0.0)
+    """Reference: every channel solved on its own on both grids of the pair,
+    eigenvectors included, extrapolated by hand, then merged and cut exactly
+    as solve_lowest merges and cuts."""
+    rho2 = (grid_n / (grid_n // 2)) ** 2
     levels = []
     for g, label in channel_charges(sector, params):
-        vals, _vecs = scipy.linalg.eigh_tridiagonal(
-            *spectrum._channel(stencil, g), select="i",
-            select_range=(0, count - 1), tol=spectrum._EIG_TOL)
-        levels.extend((float(v), label) for v in vals)
-    levels.sort(key=lambda lv: lv[0])
-    levels = levels[:count]
-    return tuple(e for e, _ in levels), tuple(label for _, label in levels)
+        (fine, _), (coarse, _) = (channel_solve(sector, params, n, g, r_max, count,
+                                                tol=spectrum._EIG_TOL)
+                                  for n in (grid_n, grid_n // 2))
+        levels.extend((float((rho2 * f - c) / (rho2 - 1)), label)
+                      for f, c in zip(fine, coarse))
+    return merged(levels, count)
 
 
 def default_sweep():
@@ -129,10 +143,17 @@ def test_grid_guardrails():
     with pytest.raises(UsageError):
         spectrum.solve_lowest(sec, grid_n=100)
     with pytest.raises(UsageError):
+        spectrum.solve_lowest(sec, grid_n=499)
+    with pytest.raises(UsageError):
         spectrum.solve_lowest(sec, grid_n=2000, r_max=-5.0)
-    for count in (0, -2, 2001):
+    # the floor holds the fine grid; its coarse partner may be 250
+    assert len(spectrum.solve_lowest(sec, grid_n=500, count=4).energies) == 4
+    # every level must exist on the coarse grid: 1000 per channel at 2000
+    for count in (0, -2, 1001):
         with pytest.raises(UsageError, match="levels"):
             spectrum.solve_lowest(sec, grid_n=2000, count=count)
+    with pytest.raises(UsageError, match="levels from a sector of 2000"):
+        spectrum.solve_lowest(spectrum.RadialSector(1, j=HALF), grid_n=2000, count=2001)
 
 
 def test_coupled_band_is_a_mu1_reference():
@@ -279,15 +300,17 @@ def test_each_distinct_channel_is_solved_once(monkeypatch, k2, solves):
     solve = spectrum.eigh_tridiagonal
 
     def counted(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append((len(args[0]), kwargs))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
     sector = spectrum.RadialSector(1, j=HALF)
     params = spectrum.CouplingParams(k2=k2)
     res = spectrum.solve_lowest(sector, params, **PIN)
-    assert len(calls) == solves
-    assert all(kw["eigvals_only"] for kw in calls)
+    # once on each grid of the pair
+    assert sorted(n for n, _kw in calls) == \
+        [PIN["grid_n"] // 2] * solves + [PIN["grid_n"]] * solves
+    assert all(kw["eigvals_only"] for _n, kw in calls)
     assert (res.energies, res.channels) == per_channel_levels(sector, params)
 
 
@@ -382,18 +405,61 @@ def test_default_study_has_real_headroom():
 
 def test_channel_solves_are_converged_in_the_bisection():
     # the mapped matrix is graded; LAPACK's default tolerance, ulp*|T|,
-    # moves levels by about 2e-5 relative, the fixed one by below 1e-11
+    # moves levels by up to 1.4e-6 relative at 1000 points, the fixed one by
+    # below 1e-11, on either grid of the pair and so in their limit
+    grid_n = spectrum.DEFAULT_GRID_N
     for sector, params in default_sweep():
-        stencil = spectrum._stencil(sector, params, spectrum.DEFAULT_GRID_N, 200.0, 0.0)
         res = spectrum.solve_lowest(sector, params, **PIN)
         for g, label in channel_charges(sector, params):
-            tight = scipy.linalg.eigh_tridiagonal(
-                *spectrum._channel(stencil, g), eigvals_only=True, select="i",
-                select_range=(0, 7), tol=1e-15)
+            fine, coarse = (channel_solve(sector, params, n, g, eigvals_only=True, tol=1e-15)
+                            for n in (grid_n, grid_n // 2))
+            tight = (4 * fine - coarse) / 3
             mine = [e for e, c in zip(res.energies, res.channels) if c == label]
             assert mine
             for got, want in zip(mine, tight):
                 assert abs(got - want) < 1e-10 * abs(want), (sector, params.k2, label)
+
+
+def test_no_default_row_is_worse_than_a_single_2000_point_grid():
+    # the extrapolated pair (500, 1000) against one raw solve at 2000, the
+    # default grid before the pair: every row keeps its labels, none gets
+    # worse, and the estimate never understates the true error
+    rows, ok = spectrum.default_study()
+    assert ok
+    raw_rows = []
+    for sector, params in default_sweep():
+        res = spectrum.solve_lowest(sector, params, **PIN)
+        energies, channels = merged(
+            [(float(e), label) for g, label in channel_charges(sector, params)
+             for e in channel_solve(sector, params, 2000, g, eigvals_only=True,
+                                    tol=spectrum._EIG_TOL)])
+        raw_rows.extend(spectrum.match_spectrum(
+            replace(res, energies=energies, channels=channels))[0])
+    assert len(rows) == len(raw_rows) == 44
+    for row, raw in zip(rows, raw_rows):
+        labels = ("sector_j", "channel", "level_index", "n_label", "branch")
+        assert [getattr(row, f) for f in labels] == [getattr(raw, f) for f in labels]
+        assert row.rel_error <= raw.rel_error, (row, raw.rel_error)
+        assert row.rel_error <= row.est_error, row
+    assert max(row.rel_error for row in rows) <= 2e-5
+
+
+def test_odd_grid_extrapolates_with_its_exact_ratio():
+    # 1001 pairs with 500: rho = 1001/500, not 2
+    sec = spectrum.RadialSector(0, l=0)
+    res = spectrum.solve_lowest(sec, grid_n=1001, count=3)
+    fine, coarse = (channel_solve(sec, spectrum.CouplingParams(), n, -1.0, count=3,
+                                  eigvals_only=True, tol=spectrum._EIG_TOL)
+                    for n in (1001, 500))
+    rho2 = (1001 / 500) ** 2
+    for idx, (f, c) in enumerate(zip(fine, coarse)):
+        limit = (rho2 * f - c) / (rho2 - 1)
+        assert res.energies[idx] == pytest.approx(limit, rel=1e-12, abs=0)
+        assert res.est_errors[idx] == pytest.approx(
+            abs(f - c) / ((rho2 - 1) * abs(limit)), rel=1e-9)
+        # the ratio 2 of an even grid would be measurably off
+        assert abs((4 * f - c) / 3 - limit) > 1e-8 * abs(limit)
+        assert abs(limit - bohr(idx + 1)) < abs(f - bohr(idx + 1))
 
 
 def test_default_study_is_its_sectors_matched_one_by_one():
