@@ -27,7 +27,7 @@ vanish at its declared policy; these pin down deviations kept on record
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .errors import UsageError
@@ -79,17 +79,34 @@ class CheckResult:
     elapsed_ms: float
 
 
+@dataclass
+class _QuotientEnv(lang.ElabEnv):
+    """A half-mode env made from a cached abstract env; source is that
+    env's memo, whose values map to this env's by the quotient."""
+    source: dict = field(default=None, repr=False, compare=False)
+
+
 class Suite:
     """A parsed suite plus, per spin mode, its definitions' bindings (env).
 
-    Each cached env carries an elaboration memo (lang.ElabEnv.memo) that
-    maps every compound syntax subtree elaborated under it to its value,
-    for this suite's own checks and for mutated or ad-hoc specs alike.  So
-    a product is taken once per mode however many checks, sides or mu
-    lenses reach it, whichever caller holds the Suite.  The cached env's
-    bindings never change; a hand-built env has no memo.  Each distinct
-    subtree is stored once per mode and entries are never evicted, so
-    the memo is bounded by the distinct subtrees elaborated.
+    Both modes share one SymbolRegistry.  Each cached env carries an
+    elaboration memo (lang.ElabEnv.memo) that maps every compound syntax
+    subtree elaborated under it to its value, for this suite's own checks
+    and for mutated or ad-hoc specs alike.  So a product is taken once per
+    mode however many checks, sides or mu lenses reach it, whichever caller
+    holds the Suite.  The cached env's bindings never change; a hand-built
+    env has no memo.  Each distinct subtree is stored once per mode and
+    entries are never evicted, so the memo is bounded by the distinct
+    subtrees elaborated.
+
+    The spin-1/2 quotient map (OperatorExpr.reduce_spin_half) is an algebra
+    homomorphism, so a half-mode value is the quotient image of the abstract
+    one.  When the abstract env is cached first, the half env's bindings are
+    the images of its bindings, and run_check takes each compound side the
+    abstract memo holds as its image instead of elaborating it again.  A
+    side the abstract memo lacks (one that only elaborates in the quotient,
+    such as a division by dot(S,S)), and every side under a half env built
+    before any abstract one, is elaborated directly in half mode.
     """
 
     def __init__(self, name, text):
@@ -99,6 +116,7 @@ class Suite:
         parsed = lang.parse_identity_file(text, name)
         self.definitions = parsed.definitions
         self.checks = parsed.checks
+        self.registry = SymbolRegistry(extra=_REGISTRY_EXTRA.get(name, ()))
         self._by_id = {c.check_id: c for c in self.checks}
         self._envs = {}
 
@@ -106,9 +124,14 @@ class Suite:
         if not isinstance(mode, SpinMode):
             raise UsageError("spin mode must be a SpinMode, got %r" % (mode,))
         if mode not in self._envs:
-            reg = SymbolRegistry(extra=_REGISTRY_EXTRA.get(self.name, ()))
-            env = lang.elaborate_definitions(self.definitions, reg, mode)
-            env.memo = {}
+            abstract = self._envs.get(SpinMode.ABSTRACT)
+            if abstract is None:
+                env = lang.elaborate_definitions(self.definitions, self.registry, mode)
+                env.memo = {}
+            else:
+                bindings = {name: value.reduce_spin_half()
+                            for name, value in abstract.bindings.items()}
+                env = _QuotientEnv(self.registry, mode, bindings, {}, abstract.memo)
             self._envs[mode] = env
         return self._envs[mode]
 
@@ -171,11 +194,18 @@ def _shape_difference(lhs, rhs):
     raise UsageError("one side is a vector and the other is not")
 
 
+def _side(node, env):
+    """One side's value under env: under a _QuotientEnv, the image of the
+    abstract memo's value when it holds the side (it never holds a leaf)."""
+    value = env.source.get(node) if isinstance(env, _QuotientEnv) else None
+    if value is None:
+        return lang.elaborate(node, env)
+    return value.reduce_spin_half()
+
+
 def _difference(spec, env):
     try:
-        lhs = lang.elaborate(spec.lhs, env)
-        rhs = lang.elaborate(spec.rhs, env)
-        return _shape_difference(lhs, rhs)
+        return _shape_difference(_side(spec.lhs, env), _side(spec.rhs, env))
     except Exception as exc:
         raise UsageError("check %s: %s" % (spec.check_id, exc)) from exc
 
@@ -232,8 +262,10 @@ def _compatible(declared, requested):
 
 def run_check(spec, env=None, requested_mu=None, mode="abstract"):
     """Evaluate one identity.  env defaults to the suite's cached bindings;
-    both sides go through env's elaboration memo, if it has one.  mode is
-    a mode name or a SpinMode; the result reports its name."""
+    both sides go through env's elaboration memo, if it has one, and under
+    a half env made from the abstract one, through the abstract memo (see
+    Suite).  mode is a mode name or a SpinMode; the result reports its
+    name."""
     started = time.perf_counter()
     spin = SpinMode(mode)
     mode = spin.value

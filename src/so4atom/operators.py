@@ -25,7 +25,12 @@ formal Laurent data.
 Spin has two modes.  Abstract: spin words are free modulo the su(2)
 relations only.  Spin-1/2: words carry the extra relation
 S_u S_v = (hbar^2/4) delta_uv + (i hbar/2) eps_uvw S_w, so total spin
-degree stays <= 1.
+degree stays <= 1.  ``reduce_spin_half`` is the quotient map between
+them, an algebra homomorphism: it commutes with sums, scaling,
+products, commutators and mu specialisation.  So a half-mode value is
+the quotient image of the abstract value when one is at hand
+(``catalog`` reads each half-mode side that way from the abstract memo),
+and is elaborated directly in half mode otherwise.
 """
 
 from __future__ import annotations

@@ -271,7 +271,10 @@ def solve_lowest(sector, params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=
     Each distinct channel charge is one tridiagonal solve per grid of the
     pair, for eigenvalues only, extrapolated level by level; the levels of
     all channels are merged in ascending order, so a label is the channel
-    that produced it.
+    that produced it.  A level whose estimate is 1 or more is dropped
+    before the merge: the coarse grid does not resolve it, so its limit can
+    land far below the true spectrum (at grid_n = 500, count 250, levels
+    down to -11524).  Fewer than `count` levels may then come back.
     """
     params = params or CouplingParams()
     pair = _pair(sector, params, grid_n, r_max, r_min)
@@ -290,7 +293,10 @@ def solve_lowest(sector, params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=
     for g, label in channels:
         if g not in solved:
             solved[g] = _extrapolate(pair, lambda stencil: _lowest(stencil, g, last))
-        levels.extend((float(e), label, float(est)) for e, est in zip(*solved[g]))
+        # a level the coarse grid does not resolve has est >= 1: the pair
+        # disagrees by more than the level, and its limit is spurious
+        levels.extend((float(e), label, float(est)) for e, est in zip(*solved[g])
+                      if est < 1)
     levels.sort(key=lambda lv: lv[0])
     levels = levels[:count]
     return SpectrumResult(sector, params, grid_n, r_max, energy_cutoff(r_max),

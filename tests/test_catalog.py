@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from so4atom import _kernel, catalog, lang
-from so4atom.errors import UsageError
+from so4atom.errors import LangError, UsageError
 from so4atom.operators import OperatorExpr, SpinMode, VecExpr
 
 
@@ -297,26 +297,103 @@ def raw_value(value):
     return [p.raw_terms() for p in parts]
 
 
+def cold_env(name, mode):
+    """A memo-free env of a fresh suite, built directly in mode."""
+    return dataclasses.replace(catalog.load_suite(name).env(mode), memo=None)
+
+
+def is_leaf(node):
+    return isinstance(node, (lang.Num, lang.Sym, lang.VecBuiltin))
+
+
 @pytest.mark.parametrize("mode", list(SpinMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("name", catalog.SUITE_NAMES)
 def test_memoised_differences_match_a_cold_elaboration(name, mode):
-    # every check and every mutation of the suite, after the declared run
-    # has filled the memo, against a memo-free elaboration in a fresh suite
-    suite = catalog.get_suite(name)
-    env = suite.env(mode)
-    catalog.run_suite(name, mode=mode.value)
+    # every check and every mutation of the suite, after the declared runs
+    # have filled the memo, against a memo-free elaboration in a fresh suite.
+    # The abstract pass runs first, so the half env is the quotient of the
+    # abstract one: a half difference reads each compound side from the
+    # abstract memo and fills no memo of its own
+    suite = catalog.load_suite(name)
+    catalog.run_suite(name, suite=suite)
+    catalog.run_suite(name, mode=mode.value, suite=suite)
     specs = list(suite.checks) + [catalog.apply_mutation(suite.spec(m.check_id), m)
                                   for m in catalog.mutations_for(name)]
-    cold_env = dataclasses.replace(catalog.load_suite(name).env(mode), memo=None)
-    memo = env.memo
+    abstract = suite.env(SpinMode.ABSTRACT)
+    env = suite.env(mode)
+    cold = cold_env(name, mode)
+    memo = abstract.memo
     assert memo
     for spec in specs:
-        if spec.mode not in (None, mode.value):
-            continue
+        catalog._difference(spec, abstract)
         warm = catalog._difference(spec, env)
-        assert raw_value(warm) == raw_value(catalog._difference(spec, cold_env)), spec.check_id
+        assert raw_value(warm) == raw_value(catalog._difference(spec, cold)), spec.check_id
         for side in (spec.lhs, spec.rhs):
-            assert isinstance(side, (lang.Num, lang.Sym, lang.VecBuiltin)) or side in memo
+            assert is_leaf(side) or side in memo
+    if mode is SpinMode.SPIN_HALF:
+        assert env.memo == {}
+
+
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_half_results_do_not_depend_on_the_abstract_pass(name):
+    # a half env made from the abstract one reports exactly what a half env
+    # elaborated on its own reports, under every lens
+    direct = catalog.load_suite(name)
+    quotient = catalog.load_suite(name)
+    catalog.run_suite(name, suite=quotient)
+    for mu in (None, "symbolic", "0", "1", "all"):
+        want = catalog.run_suite(name, mode="half", mu=mu, suite=direct)
+        got = catalog.run_suite(name, mode="half", mu=mu, suite=quotient)
+        assert without_timing(got) == without_timing(want), mu
+    assert not isinstance(direct.env(SpinMode.SPIN_HALF), catalog._QuotientEnv)
+    assert isinstance(quotient.env(SpinMode.SPIN_HALF), catalog._QuotientEnv)
+
+
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_half_mutations_match_a_cold_half_elaboration(name):
+    # the abstract memo holds the clean sides but not a mutant's, so a
+    # mutant is elaborated under the quotient bindings and must still agree
+    suite = catalog.load_suite(name)
+    catalog.run_suite(name, suite=suite)
+    env = suite.env(SpinMode.SPIN_HALF)
+    cold = cold_env(name, SpinMode.SPIN_HALF)
+    for mutation in catalog.mutations_for(name):
+        broken = catalog.apply_mutation(suite.spec(mutation.check_id), mutation)
+        want = raw_value(catalog._difference(broken, cold))
+        assert raw_value(catalog._difference(broken, env)) == want, mutation.check_id
+        # and once the abstract memo holds the mutant, its image agrees too
+        catalog._difference(broken, suite.env(SpinMode.ABSTRACT))
+        assert raw_value(catalog._difference(broken, env)) == want, mutation.check_id
+        assert catalog.run_check(broken, env, mode="half").ok is False
+
+
+HALF_ONLY = """
+let q = dot(S,S)
+check half_div_let : (hbar^2*r_x)/q == (4/3)*r_x mode=half
+check half_div_inline : [l_x, r_y]/dot(S,S) == (4/3)*(i*r_z/hbar) mode=half
+"""
+
+
+@pytest.mark.parametrize("abstract_fails", [False, True], ids=["built", "failed"])
+def test_half_only_division_after_the_abstract_env(tmp_path, monkeypatch, abstract_fails):
+    # dividing by dot(S,S) elaborates only in the quotient, where it is the
+    # scalar 3*hbar^2/4: it never reaches the abstract memo and is elaborated
+    # directly, whether the abstract env was built first or failed to build
+    text = packaged_text("so3") + HALF_ONLY
+    if abstract_fails:
+        text += "let u = r_x/dot(S,S)\n"
+    (tmp_path / "so3.ident").write_text(text)
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))
+    if abstract_fails:
+        with pytest.raises(LangError):
+            catalog.run_suite("so3")
+    else:
+        assert status_table(catalog.run_suite("so3")) == EXPECTED["so3"]
+    results = {r.check_id: r for r in catalog.run_suite("so3", mode="half")}
+    assert len(results) == EXPECTED["so3"]["pass"] + 2
+    assert all(r.status == "pass" and r.ok for r in results.values())
+    env = catalog.get_suite("so3").env(SpinMode.SPIN_HALF)
+    assert isinstance(env, catalog._QuotientEnv) is not abstract_fails
 
 
 @pytest.mark.parametrize("mutation", all_mutations(),

@@ -428,6 +428,21 @@ def test_spectrum_json_reports_each_level_margin(capsys, tmp_path):
                                           "est_error", "elapsed_ms"]
 
 
+def test_spectrum_drops_levels_the_coarse_grid_does_not_resolve(capsys):
+    # at 250 levels on the pair (250, 500) the top levels are unresolved on
+    # the coarse grid; extrapolated, they went as deep as -11524 and matched
+    # 614 rows.  Dropped, the rows are those of a count the grid resolves
+    def labels(count):
+        code, out, _ = run(capsys, "spectrum", "--grid-n", "500", "--levels", count,
+                           "--format", "csv")
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        return code, [row[:3] + row[5:7] for row in rows]
+
+    code, resolved = labels("200")
+    assert code == 0 and len(resolved) == 44
+    assert labels("250") == (0, resolved)
+
+
 @pytest.mark.parametrize("argv, size", [
     (["--grid-n", "500", "--levels", "251"], 250),
     (["--grid-n", "1001", "--levels", "501"], 500),

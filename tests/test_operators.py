@@ -4,9 +4,10 @@ Unit checks pin the canonical commutation relations and the quotient
 normal form; the hypothesis block drives the ring through random words
 with rational and multi-term symbolic scales, in both spin modes, and
 confirms associativity, Jacobi, the direct commutator against the two
-products it replaces, the laws of equality, agreement between the
-abstract spin algebra and its spin-1/2 quotient, and that every operation
-returns the stored normal form without touching its operands.
+products it replaces, the laws of equality, that the spin-1/2 quotient
+map commutes with products, commutators, sums, negation, scaling and mu
+specialisation, and that every operation returns the stored normal form
+without touching its operands.
 """
 
 import copy
@@ -354,6 +355,50 @@ def test_quotient_commutes_with_product(wa, wb):
     a_half = _build(_HALF, wa, 1)
     b_half = _build(_HALF, wb, 1)
     assert (a_abs * b_abs).reduce_spin_half() == a_half * b_half
+
+
+# mu-dependent scales, each vanishing at mu=0, at mu=1, at both or at neither,
+# so the zero tests below meet both answers
+_MU = ScalarCoeff.symbol(_REG, "mu")
+_ONE = ScalarCoeff.one(_REG)
+_mu_scale = st.sampled_from((_ONE, _MU, _MU - _ONE, _MU * (_MU - _ONE), _MU + _ONE))
+
+
+def _pair(word, scale):
+    """The same operand in the free spin algebra and in the quotient."""
+    return _build(_ABSTRACT, word, scale), _build(_HALF, word, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_word, _word, _scale, _scale)
+def test_quotient_commutes_with_commutator(wa, wb, sa, sb):
+    # expr_comm is a kernel path of its own, not two expr_mul calls
+    (a_abs, a_half), (b_abs, b_half) = _pair(wa, sa), _pair(wb, sb)
+    assert commutator(a_abs, b_abs).reduce_spin_half() == commutator(a_half, b_half)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_word, _word, _scale, _scale, _scale)
+def test_quotient_commutes_with_linear_operations(wa, wb, sa, sb, c):
+    (a_abs, a_half), (b_abs, b_half) = _pair(wa, sa), _pair(wb, sb)
+    assert (a_abs + b_abs).reduce_spin_half() == a_half + b_half
+    assert (a_abs - b_abs).reduce_spin_half() == a_half - b_half
+    assert (-a_abs).reduce_spin_half() == -a_half
+    assert a_abs.scaled(c).reduce_spin_half() == a_half.scaled(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_word, _word, _scale, _mu_scale, st.integers(0, 1))
+def test_quotient_commutes_with_mu_specialisation(wa, wb, sa, mu_scale, v):
+    # a half verdict tests the image of the abstract difference at mu = v
+    (a_abs, a_half), (b_abs, b_half) = _pair(wa, sa), _pair(wb, 1)
+    x_abs = a_abs.scaled(mu_scale) + b_abs
+    x_half = a_half.scaled(mu_scale) + b_half
+    assert x_abs.substitute("mu", v).reduce_spin_half() == x_half.substitute("mu", v)
+    assert x_abs.reduce_spin_half().zero_at("mu", v) == x_half.zero_at("mu", v)
+    y_abs, y_half = a_abs.scaled(mu_scale), a_half.scaled(mu_scale)
+    assert y_abs.reduce_spin_half().zero_at("mu", v) == y_half.zero_at("mu", v)
+    assert y_half.zero_at("mu", v) == y_half.substitute("mu", v).is_zero()
 
 
 def _assert_normal_form(x):
