@@ -27,7 +27,7 @@ vanish at its declared policy; these pin down deviations kept on record
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .errors import UsageError
@@ -79,34 +79,24 @@ class CheckResult:
     elapsed_ms: float
 
 
-@dataclass
-class _QuotientEnv(lang.ElabEnv):
-    """A half-mode env made from a cached abstract env; source is that
-    env's memo, whose values map to this env's by the quotient."""
-    source: dict = field(default=None, repr=False, compare=False)
-
-
 class Suite:
     """A parsed suite plus, per spin mode, its definitions' bindings (env).
 
     Both modes share one SymbolRegistry.  Each cached env carries an
-    elaboration memo (lang.ElabEnv.memo) that maps every compound syntax
-    subtree elaborated under it to its value, for this suite's own checks
-    and for mutated or ad-hoc specs alike.  So a product is taken once per
-    mode however many checks, sides or mu lenses reach it, whichever caller
-    holds the Suite.  The cached env's bindings never change; a hand-built
-    env has no memo.  Each distinct subtree is stored once per mode and
-    entries are never evicted, so the memo is bounded by the distinct
-    subtrees elaborated.
+    elaboration memo (lang.ElabEnv.memo) mapping every compound subtree
+    elaborated under it, for this suite's checks and mutated or ad-hoc
+    specs alike, to its value: a product is taken once per mode however
+    many checks, sides or mu lenses reach it, whichever caller holds the
+    Suite.  The cached env's bindings never change, and entries are never
+    evicted, so the memo is bounded by the distinct subtrees elaborated.
 
     The spin-1/2 quotient map (OperatorExpr.reduce_spin_half) is an algebra
-    homomorphism, so a half-mode value is the quotient image of the abstract
-    one.  When the abstract env is cached first, the half env's bindings are
-    the images of its bindings, and run_check takes each compound side the
-    abstract memo holds as its image instead of elaborating it again.  A
-    side the abstract memo lacks (one that only elaborates in the quotient,
-    such as a division by dot(S,S)), and every side under a half env built
-    before any abstract one, is elaborated directly in half mode.
+    homomorphism.  So when the abstract env is cached first, the half env's
+    bindings are the images of its bindings and its source is the abstract
+    memo, whose subtrees lang.elaborate takes as their images, at any depth.
+    Other subtrees (a mutant's spliced part, a division by dot(S,S), which
+    only the quotient allows, or any under a half env built first) are
+    elaborated in half mode.
     """
 
     def __init__(self, name, text):
@@ -131,7 +121,7 @@ class Suite:
             else:
                 bindings = {name: value.reduce_spin_half()
                             for name, value in abstract.bindings.items()}
-                env = _QuotientEnv(self.registry, mode, bindings, {}, abstract.memo)
+                env = lang.ElabEnv(self.registry, mode, bindings, {}, abstract.memo)
             self._envs[mode] = env
         return self._envs[mode]
 
@@ -194,18 +184,10 @@ def _shape_difference(lhs, rhs):
     raise UsageError("one side is a vector and the other is not")
 
 
-def _side(node, env):
-    """One side's value under env: under a _QuotientEnv, the image of the
-    abstract memo's value when it holds the side (it never holds a leaf)."""
-    value = env.source.get(node) if isinstance(env, _QuotientEnv) else None
-    if value is None:
-        return lang.elaborate(node, env)
-    return value.reduce_spin_half()
-
-
 def _difference(spec, env):
     try:
-        return _shape_difference(_side(spec.lhs, env), _side(spec.rhs, env))
+        return _shape_difference(lang.elaborate(spec.lhs, env),
+                                 lang.elaborate(spec.rhs, env))
     except Exception as exc:
         raise UsageError("check %s: %s" % (spec.check_id, exc)) from exc
 
@@ -260,19 +242,16 @@ def _compatible(declared, requested):
     return declared == requested
 
 
-def run_check(spec, env=None, requested_mu=None, mode="abstract"):
-    """Evaluate one identity.  env defaults to the suite's cached bindings;
-    both sides go through env's elaboration memo, if it has one, and under
-    a half env made from the abstract one, through the abstract memo (see
-    Suite).  mode is a mode name or a SpinMode; the result reports its
-    name."""
+def run_check(spec, env=None, requested_mu=None):
+    """Evaluate one identity under env (default: the suite's cached abstract
+    env), in env's spin mode, which the result reports.  Both sides go
+    through lang.elaborate, so through env's memo and source (see Suite)."""
     started = time.perf_counter()
-    spin = SpinMode(mode)
-    mode = spin.value
+    if env is None:
+        env = get_suite(spec.suite).env(SpinMode.ABSTRACT)
+    mode = env.mode.value
     if spec.mode is not None and spec.mode != mode:
         raise UsageError("check %s is declared for mode=%s" % (spec.check_id, spec.mode))
-    if env is None:
-        env = get_suite(spec.suite).env(spin)
     diff = _difference(spec, env)
 
     # '!=' checks always speak about their declared policy
@@ -290,13 +269,15 @@ def run_suite(name, mode="abstract", mu=None, suite=None):
     mu=None evaluates each check at its declared policy.  An explicit mu
     ('symbolic', '0', '1', 'all') re-reports compatible checks under that
     lens and skips the incompatible ones.  mode is a mode name or a
-    SpinMode; the results report its name.
+    SpinMode; the results report its name.  suite, if given, is name's.
     """
     spin = SpinMode(mode)
     mode = spin.value
     if mu is not None and mu not in lang.MU_POLICIES:
         raise UsageError("mu must be one of %s, not %r" % (", ".join(lang.MU_POLICIES), mu))
     suite = suite or get_suite(name)
+    if suite.name != name:
+        raise UsageError("run_suite(%r) was given suite %r" % (name, suite.name))
     env = suite.env(spin)
     results = []
     for spec in suite.checks:
@@ -306,7 +287,7 @@ def run_suite(name, mode="abstract", mu=None, suite=None):
             results.append(CheckResult(spec.check_id, name, "skipped", None, mode,
                                        spec.mu_policy, mu or "declared", None, "", 0, 0.0))
             continue
-        results.append(run_check(spec, env=env, requested_mu=mu, mode=mode))
+        results.append(run_check(spec, env, mu))
     return sorted(results, key=lambda r: r.check_id)
 
 

@@ -133,6 +133,7 @@ def _build_config(args):
         # spectrum's own bounds, checked before `all` runs anything else; a
         # j sector has two channels, the study's mu=0 sectors one
         from . import spectrum
+        spectrum.CouplingParams(k1=cfg.k1, k2=cfg.k2)
         spectrum._check_grid(cfg.grid_n, cfg.rmax, cfg.rmin)
         spectrum._check_count(cfg.levels, cfg.grid_n, 1 if cfg.j is None else 2)
     return cfg

@@ -319,13 +319,15 @@ class ElabEnv:
     reads before and fills after each such node, at every depth.  Its
     entries are right only while the bindings stay as they were when it
     was filled, so whoever gives an env a memo never changes its bindings
-    afterwards.  A hand-built env, or one from elaborate_definitions, has
-    none and elaborates afresh.
+    afterwards.  source, read only alongside memo, is the abstract memo a
+    half env was made from (catalog.Suite.env), else None.  A hand-built
+    env, or one from elaborate_definitions, has neither.
     """
     registry: object
     mode: SpinMode
     bindings: dict
     memo: dict = field(default=None, repr=False, compare=False)
+    source: dict = field(default=None, repr=False, compare=False)
 
 
 def _scalar_expr(env, coeff):
@@ -390,17 +392,21 @@ _LEAVES = (Num, Sym, VecBuiltin)
 def elaborate(node, env):
     """Turn an Ast into an OperatorExpr or VecExpr under env.
 
-    Through env.memo, if env has one (ElabEnv).  Spans do not take part in
-    node equality, so equal subtrees anywhere share one entry.  A node
-    whose elaboration raises stores nothing, so each occurrence reports
-    its own span.  The memo grows by one entry per distinct compound
-    subtree and is never evicted.
+    Through env.memo, if env has one (ElabEnv); a node it lacks that
+    env.source holds is the quotient image of source's value, not stored.
+    Spans do not take part in node equality, so equal subtrees anywhere
+    share one entry.  A node whose elaboration raises stores nothing, so
+    each occurrence reports its own span.  The memo grows by one entry per
+    distinct compound subtree and is never evicted.
     """
     memo = env.memo
     if memo is None or isinstance(node, _LEAVES):
         return _elaborate(node, env)
     value = memo.get(node)
     if value is None:
+        value = (env.source or {}).get(node)
+        if value is not None:
+            return value.reduce_spin_half()
         value = memo[node] = _elaborate(node, env)
     return value
 

@@ -29,7 +29,7 @@ degree stays <= 1.  ``reduce_spin_half`` is the quotient map between
 them, an algebra homomorphism: it commutes with sums, scaling,
 products, commutators and mu specialisation.  So a half-mode value is
 the quotient image of the abstract value when one is at hand
-(``catalog`` reads each half-mode side that way from the abstract memo),
+(``lang.elaborate`` reads one from a half env's ``ElabEnv.source``),
 and is elaborated directly in half mode otherwise.
 """
 

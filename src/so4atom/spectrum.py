@@ -50,8 +50,8 @@ two Casimir relations with exact rationals and reports a verdict for every
 candidate label, keeping the inadmissible ones on record instead of
 dropping them.  That is where the spurious deepest level of the raw
 closed form disappears: its only labelings need a negative ladder scale or
-a negative spin label.  A prediction table reaches every n whose level can
-lie below the cutoff, so no trustworthy level lacks its partner.  A mu=1
+a negative spin label.  A prediction table reaches the n of each level a
+result holds, up to the last n whose level can lie below the cutoff.  A mu=1
 table does not depend on j, so default_study() builds one per coupling.
 """
 
@@ -90,6 +90,13 @@ class CouplingParams:
     mass: float = 1.0
     k1: float = -1.0
     k2: float = 0.2
+
+    def __post_init__(self):
+        # the deepest closed-form level, at nu = 1/2, is -2 M g^2/hbar^2
+        g = (abs(self.k1) + abs(self.k2) * self.hbar / 2) / self.hbar
+        if not math.isfinite(2 * self.mass * g * g):
+            raise UsageError("k1=%r, k2=%r put the deepest level beyond float range"
+                             % (self.k1, self.k2))
 
 
 @dataclass(frozen=True)
@@ -183,11 +190,11 @@ _EIG_TOL = 1e-13
 _GATE = ("reduced_off", "reduced_gate", "J2_recombination")
 
 
-def reduced_form_check(mode="abstract"):
+def reduced_form_check():
     """Engine certificate behind the channel reduction: theorem's three
-    gate checks, run like every other check."""
+    gate checks, run like every other check, in the abstract spin algebra."""
     suite = catalog.get_suite("theorem")
-    return all(catalog.run_check(suite.spec(c), mode=mode).ok for c in _GATE)
+    return all(catalog.run_check(suite.spec(c)).ok for c in _GATE)
 
 
 def _check_grid(grid_n, r_max, r_min):
@@ -422,29 +429,30 @@ def predicted_levels(sector, params=None, max_n=6):
     return out
 
 
-def _top_n(result):
-    """The largest n whose level can lie below the result's cutoff.
-
-    A level -M g^2/(2 hbar^2 nu^2) below the cutoff needs
+def _top_n(sector, params, cutoff, levels):
+    """The largest n a table for `levels` levels of sector needs: the k-th
+    level of a channel has nu = j+1+k and n <= nu + 1/2 (n = l+1+k at mu=0).
+    The cutoff caps that: a level -M g^2/(2 hbar^2 nu^2) below it needs
     nu < |g| sqrt(M/(2|cutoff|))/hbar, with |g| <= |k1| + |k2| hbar/2, and
-    n <= nu + 1/2; one more n keeps a level just below the cutoff whose
-    prediction lands just above it.
+    one more n keeps a level just below the cutoff whose prediction lands
+    just above it.
     """
-    p = result.params
-    g = abs(p.k1) + abs(p.k2) * p.hbar / 2
-    return int(g * math.sqrt(p.mass / (2 * abs(result.cutoff))) / p.hbar + 0.5) + 1
+    top = sector.l + levels if sector.mu == 0 else int(sector.j + levels + Fraction(1, 2))
+    g = abs(params.k1) + abs(params.k2) * params.hbar / 2
+    return min(top, int(g * math.sqrt(params.mass / (2 * abs(cutoff))) / params.hbar + 0.5) + 1)
 
 
 def match_spectrum(result, predictions=None, tol=1e-3):
     """Pair each trustworthy computed level with an admissible prediction.
 
-    Without a table, the sector's predictions are built up to the n the
-    cutoff allows.  Returns (rows, ok); ok drops to False when a level
+    Without a table, the sector's predictions are built up to the n its
+    levels need (_top_n).  Returns (rows, ok); ok drops to False when a level
     below the cutoff has no admissible partner within tol, or when no level
     sits below it.
     """
     if predictions is None:
-        predictions = predicted_levels(result.sector, result.params, max_n=_top_n(result))
+        top = _top_n(result.sector, result.params, result.cutoff, len(result.energies))
+        predictions = predicted_levels(result.sector, result.params, max_n=top)
     admissible = [p for p in predictions if p.admissible and p.energy is not None]
     rows = []
     ok = True
@@ -484,15 +492,17 @@ def default_study(params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=8,
         sweep.extend((RadialSector(1, j=j), p) for j in (Fraction(1, 2), Fraction(3, 2)))
     rows = []
     all_ok = True
-    # a mu=1 table does not depend on j: one per coupling, kept only while
-    # that coupling's sectors are matched
+    # a mu=1 table does not depend on j: one per coupling, as deep as its
+    # j=3/2 sector needs, kept only while that coupling's sectors are matched
+    deepest = RadialSector(1, j=Fraction(3, 2))
     table_for = table = None
     for sector, p in sweep:
         res = solve_lowest(sector, p, grid_n, r_max, count, r_min)
         predictions = None
         if sector.mu == 1:
             if p != table_for:
-                table_for, table = p, predicted_levels(sector, p, max_n=_top_n(res))
+                top = _top_n(deepest, p, res.cutoff, count)
+                table_for, table = p, predicted_levels(sector, p, max_n=top)
             predictions = table
         got, ok = match_spectrum(res, predictions, tol=tol)
         rows.extend(got)

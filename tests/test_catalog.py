@@ -312,8 +312,9 @@ def test_memoised_differences_match_a_cold_elaboration(name, mode):
     # every check and every mutation of the suite, after the declared runs
     # have filled the memo, against a memo-free elaboration in a fresh suite.
     # The abstract pass runs first, so the half env is the quotient of the
-    # abstract one: a half difference reads each compound side from the
-    # abstract memo and fills no memo of its own
+    # abstract one (its source is the abstract memo): a half difference
+    # reads each compound side from the abstract memo and fills no memo of
+    # its own
     suite = catalog.load_suite(name)
     catalog.run_suite(name, suite=suite)
     catalog.run_suite(name, mode=mode.value, suite=suite)
@@ -331,6 +332,7 @@ def test_memoised_differences_match_a_cold_elaboration(name, mode):
         for side in (spec.lhs, spec.rhs):
             assert is_leaf(side) or side in memo
     if mode is SpinMode.SPIN_HALF:
+        assert env.source is memo
         assert env.memo == {}
 
 
@@ -345,8 +347,8 @@ def test_half_results_do_not_depend_on_the_abstract_pass(name):
         want = catalog.run_suite(name, mode="half", mu=mu, suite=direct)
         got = catalog.run_suite(name, mode="half", mu=mu, suite=quotient)
         assert without_timing(got) == without_timing(want), mu
-    assert not isinstance(direct.env(SpinMode.SPIN_HALF), catalog._QuotientEnv)
-    assert isinstance(quotient.env(SpinMode.SPIN_HALF), catalog._QuotientEnv)
+    assert direct.env(SpinMode.SPIN_HALF).source is None
+    assert quotient.env(SpinMode.SPIN_HALF).source is quotient.env(SpinMode.ABSTRACT).memo
 
 
 @pytest.mark.parametrize("name", catalog.SUITE_NAMES)
@@ -364,7 +366,8 @@ def test_half_mutations_match_a_cold_half_elaboration(name):
         # and once the abstract memo holds the mutant, its image agrees too
         catalog._difference(broken, suite.env(SpinMode.ABSTRACT))
         assert raw_value(catalog._difference(broken, env)) == want, mutation.check_id
-        assert catalog.run_check(broken, env, mode="half").ok is False
+        result = catalog.run_check(broken, env)
+        assert (result.ok, result.mode) == (False, "half")
 
 
 HALF_ONLY = """
@@ -393,7 +396,67 @@ def test_half_only_division_after_the_abstract_env(tmp_path, monkeypatch, abstra
     assert len(results) == EXPECTED["so3"]["pass"] + 2
     assert all(r.status == "pass" and r.ok for r in results.values())
     env = catalog.get_suite("so3").env(SpinMode.SPIN_HALF)
-    assert isinstance(env, catalog._QuotientEnv) is not abstract_fails
+    assert (env.source is None) is abstract_fails
+
+
+def test_a_half_check_runs_in_its_half_env():
+    # the env says the mode: a check declared mode=half runs under the half
+    # env and reports it, and is refused under the abstract one
+    suite = catalog.Suite("so3", packaged_text("so3") + HALF_ONLY)
+    catalog.run_suite("so3", suite=suite)
+    half = suite.env(SpinMode.SPIN_HALF)
+    assert half.source is suite.env(SpinMode.ABSTRACT).memo
+    for check_id in ("half_div_let", "half_div_inline"):
+        spec = suite.spec(check_id)
+        result = catalog.run_check(spec, half)
+        assert (result.status, result.ok, result.mode) == ("pass", True, "half")
+        with pytest.raises(UsageError, match="declared for mode=half"):
+            catalog.run_check(spec, suite.env(SpinMode.ABSTRACT))
+
+
+def counted_products(monkeypatch):
+    calls = []
+    for name in ("expr_mul", "expr_comm"):
+        fn = getattr(_kernel, name)
+        monkeypatch.setattr(_kernel, name,
+                            lambda *args, _fn=fn: calls.append(args) or _fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_half_mutant_reads_the_abstract_memo_at_every_depth(monkeypatch, name):
+    # a mutant's top node is not in the abstract memo, but its untouched
+    # subtrees are: under the quotient env none of them is elaborated again,
+    # so the mutants take fewer products than under a cold half env (a
+    # fresh suite's, with its own memo), for the same values
+    suite = catalog.load_suite(name)
+    catalog.run_suite(name, suite=suite)
+    env = suite.env(SpinMode.SPIN_HALF)
+    assert env.source is suite.env(SpinMode.ABSTRACT).memo
+    cold = catalog.load_suite(name).env(SpinMode.SPIN_HALF)
+    assert cold.source is None
+    calls = counted_products(monkeypatch)
+    taken = {"cold": 0, "quotient": 0}
+    for mutation in catalog.mutations_for(name):
+        broken = catalog.apply_mutation(suite.spec(mutation.check_id), mutation)
+        assert broken.lhs not in env.source or broken.rhs not in env.source
+        for which, under in (("cold", cold), ("quotient", env)):
+            del calls[:]
+            value = raw_value(catalog._difference(broken, under))
+            taken[which] += len(calls)
+            if which == "cold":
+                want = value
+        assert value == want, mutation.check_id
+    assert taken["quotient"] < taken["cold"]
+    assert not any(node in env.source for node in env.memo)
+
+
+def test_run_suite_rejects_a_suite_of_another_name():
+    theorem = catalog.get_suite("theorem")
+    with pytest.raises(UsageError, match="theorem"):
+        catalog.run_suite("so3", mu="0", suite=theorem)
+    assert {r.suite for r in catalog.run_suite("theorem", mu="0", suite=theorem)} \
+        == {"theorem"}
 
 
 @pytest.mark.parametrize("mutation", all_mutations(),
@@ -434,19 +497,19 @@ def test_hand_built_env_is_never_read_from_the_record():
 
 
 def test_spin_mode_member_reads_as_its_name():
+    # run_suite reads a mode name or member; run_check reports its env's mode
     suite = catalog.get_suite("so3")
     spec = suite.checks[0]
-    by_member = catalog.run_check(spec, mode=SpinMode.SPIN_HALF)
-    assert by_member.mode == "half"
-    assert without_timing([by_member]) == without_timing(
-        [catalog.run_check(spec, mode="half")])
+    assert catalog.run_check(spec, suite.env(SpinMode.SPIN_HALF)).mode == "half"
+    assert catalog.run_check(spec).mode == "abstract"
     assert without_timing(catalog.run_suite("so3", mode=SpinMode.SPIN_HALF)) == \
         without_timing(catalog.run_suite("so3", mode="half"))
-    # a check declared for one mode runs under that mode's member
+    # a check declared for one mode runs under that mode's env only
     half_only = dataclasses.replace(spec, mode="half")
-    assert catalog.run_check(half_only, mode=SpinMode.SPIN_HALF).ok is True
-    with pytest.raises(UsageError):
-        catalog.run_check(half_only, mode=SpinMode.ABSTRACT)
+    assert catalog.run_check(half_only, suite.env(SpinMode.SPIN_HALF)).ok is True
+    for env in (suite.env(SpinMode.ABSTRACT), None):
+        with pytest.raises(UsageError):
+            catalog.run_check(half_only, env)
 
 
 # -- packaged identity files ------------------------------------------------
@@ -497,12 +560,10 @@ def test_suite_env_requires_spin_mode():
 
 @pytest.mark.parametrize("mode", ["Half", "HALF", "spin-1/2", None])
 def test_unknown_spin_mode_rejected(mode):
-    spec = catalog.get_suite("so3").checks[0]
-    with pytest.raises(UsageError):
-        catalog.run_check(spec, mode=mode)
+    # run_suite is the one entry point that reads a mode name
     with pytest.raises(UsageError):
         catalog.run_suite("so3", mode=mode)
-    assert catalog.run_check(spec, mode="half").mode == "half"
+    assert {r.mode for r in catalog.run_suite("so3", mode="half")} == {"half"}
 
 
 def test_unknown_suite_rejected():

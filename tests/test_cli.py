@@ -520,6 +520,7 @@ def test_all_command(capsys):
     (["--levels", "0"], "need at least 1"),
     (["--rmin", "300"], "need 0 <= r_min < r_max"),
     (["--levels", "501"], "levels from a sector of 500 on the coarse grid"),
+    (["--k1=-1e300"], "beyond float range"),
 ])
 def test_all_checks_spectrum_input_before_any_work(capsys, argv, message):
     # a bad spectrum request must fail before verify, oracle and the scans print
@@ -527,6 +528,30 @@ def test_all_checks_spectrum_input_before_any_work(capsys, argv, message):
     assert code == 2
     assert message in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--k1=-1e5"], 1),
+    (["--j", "1/2", "--k2", "1e6"], 1),
+    (["--j", "1/2", "--k2", "1e150"], 1),
+    (["--k1=-1e300"], 2),
+    (["--j", "1/2", "--k2", "1e300"], 2),
+])
+def test_spectrum_large_coupling_ends_without_a_traceback(argv, code):
+    # the prediction table is as deep as the levels held, not as the cutoff
+    # allows (n up to about 4.5 |g| in the default box), and a coupling
+    # whose deepest level overflows a float is refused before any work
+    src = os.path.dirname(os.path.dirname(so4atom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "so4atom", "spectrum", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert "beyond float range" in proc.stderr
+        assert proc.stdout == ""
+    else:
+        assert "[FAIL]" in proc.stdout
 
 
 def test_python_dash_m_runs_the_cli():

@@ -72,15 +72,28 @@ def default_sweep():
 # -- symbolic gate ----------------------------------------------------------
 
 
+def gate_holds(mode):
+    """theorem's gate checks under the suite's env for mode, as
+    reduced_form_check runs them in the abstract one."""
+    suite = catalog.get_suite("theorem")
+    results = [catalog.run_check(suite.spec(c), suite.env(mode)) for c in spectrum._GATE]
+    assert {r.mode for r in results} == {mode.value}
+    return all(r.ok for r in results)
+
+
 def test_reduced_form_gate_abstract_and_half():
-    assert spectrum.reduced_form_check("abstract") is True
-    assert spectrum.reduced_form_check("half") is True
+    assert spectrum.reduced_form_check() is True
+    assert gate_holds(SpinMode.ABSTRACT) is True
+    assert gate_holds(SpinMode.SPIN_HALF) is True
 
 
 @pytest.mark.parametrize("mode", ["HALF", "Abstract", "spin-1/2"])
 def test_reduced_form_gate_rejects_unknown_modes(mode):
-    with pytest.raises(UsageError):
+    # the gate reads no mode name; run_suite is where one is read
+    with pytest.raises(TypeError):
         spectrum.reduced_form_check(mode)
+    with pytest.raises(UsageError):
+        catalog.run_suite("theorem", mode=mode)
 
 
 @pytest.mark.parametrize("mode", list(SpinMode), ids=lambda m: m.value)
@@ -95,7 +108,7 @@ def test_reduced_form_gate_substitutes_nothing_and_is_taken_once(monkeypatch, mo
         return substitute(self, name, value)
 
     monkeypatch.setattr(OperatorExpr, "substitute", counted)
-    assert spectrum.reduced_form_check(mode) is True
+    assert gate_holds(mode) is True
     products = []
     mul = _kernel.expr_mul
 
@@ -104,7 +117,9 @@ def test_reduced_form_gate_substitutes_nothing_and_is_taken_once(monkeypatch, mo
         return mul(*args)
 
     monkeypatch.setattr(_kernel, "expr_mul", counted_mul)
-    assert spectrum.reduced_form_check(mode.value) is True
+    assert gate_holds(mode) is True
+    if mode is SpinMode.ABSTRACT:
+        assert spectrum.reduced_form_check() is True
     assert substituted == []
     assert products == []
 
@@ -474,6 +489,32 @@ def test_default_study_is_its_sectors_matched_one_by_one():
     assert rows == want
     assert ok == (want_ok and bool(want))
     assert ok is True
+
+
+def test_shared_table_covers_the_deepest_sector():
+    # at k2 = -2*k1 the s_r=+1/2 channel is free, so the other holds every
+    # level: the eighth j=3/2 level needs n=10, one past what j=1/2's eight
+    # levels need, while the cutoff alone would allow n up to 28
+    params = spectrum.CouplingParams(k1=-3.0, k2=6.0)
+    res = spectrum.solve_lowest(spectrum.RadialSector(1, j=HALF), params, **PIN)
+    assert spectrum._top_n(res.sector, params, res.cutoff, len(res.energies)) == 9
+    rows, ok = spectrum.default_study(spectrum.CouplingParams(k1=-3.0), k2_values=(6.0,))
+    deepest = [r for r in rows if r.sector_j == "j=3/2"]
+    assert [r.n_label for r in deepest] == ["n=%d" % n for n in range(3, 11)]
+    want = []
+    for j in (HALF, Fraction(3, 2)):
+        got, sector_ok = spectrum.match_spectrum(
+            spectrum.solve_lowest(spectrum.RadialSector(1, j=j), params, **PIN))
+        assert sector_ok is True
+        want.extend(got)
+    assert [r for r in rows if r.sector_j.startswith("j=")] == want
+    assert ok is True
+
+
+@pytest.mark.parametrize("k1, k2", [(-1e300, 0.2), (-1.0, 1e300), (-1e154, 0.0)])
+def test_coupling_beyond_float_range_is_a_usage_error(k1, k2):
+    with pytest.raises(UsageError, match="beyond float range"):
+        spectrum.CouplingParams(k1=k1, k2=k2)
 
 
 def test_no_level_below_cutoff_is_not_a_match():
