@@ -4,14 +4,32 @@ Everything here works on *raw* data, not on the engine's classes:
 
 * Gaussian rationals are triples ``(a, b, d)`` meaning ``(a + b*i)/d``
   with ``d > 0`` and ``gcd(a, b, d) == 1``; zero is ``(0, 0, 1)``.
-* Scalar coefficients are dicts mapping sparse exponent keys (sorted
-  tuples of ``(symbol_index, exponent)`` with nonzero exponents) to
-  nonzero Gaussian rational triples.  hbar is symbol ``HBAR_INDEX``, the
-  smallest index, so a power of hbar is always the first entry of a key.
-* Operator expressions are dicts mapping monomial signatures
-  ``(px, py, pz, rad, mx, my, mz, sx, sy, sz)`` to scalar coefficients.
-  The signature encodes the canonical word
-  ``r_x^px r_y^py r_z^pz r^rad p_x^mx p_y^my p_z^mz S_x^sx S_y^sy S_z^sz``.
+* A term is one Python int key, the packed exponents of an operator word
+  times a scalar monomial, mapped to a nonzero Gaussian rational.  An
+  operator expression is one flat dict of terms; so is a scalar
+  coefficient, whose keys all carry the identity word (``ID_WORD``).
+
+Key layout.  Every exponent has a field of ``FIELD_BITS`` bits and may
+range over ``EXP_MIN..EXP_MAX``; the two top bits of a field are guards.
+The low ``SIG_BITS`` hold the word: field i (i = 0..9) is entry i of the
+signature ``(px, py, pz, rad, mx, my, mz, sx, sy, sz)`` of the canonical
+word ``r_x^px r_y^py r_z^pz r^rad p_x^mx p_y^my p_z^mz S_x^sx S_y^sy
+S_z^sz``, stored biased (exponent plus ``2**(FIELD_BITS - 3)``), so
+``key & SIG_MASK`` is the word whatever the scalar part.  Above them sit
+the scalar exponents as signed fields, symbol i in field i, so a registry
+that grows only adds high fields and a key with no scalar factor stops at
+the word.  hbar is symbol ``HBAR_INDEX``.  ``pack`` and ``unpack`` convert
+to and from ``(signature, sparse scalar key)``, the sparse key being the
+sorted ``(symbol, exponent)`` pairs with nonzero exponents; every printed
+or scanned order is the order of those decoded tuples, never of the ints.
+
+The layout is linear: the key of a product of two scalar monomials is the
+sum of their keys minus ``ID_WORD`` (one bias too many), and multiplying by
+``hbar**h`` adds ``h * HBAR_UNIT``.  An exponent that leaves its field does
+not wrap: each operation that makes new keys checks them (``_check``) and
+raises OverflowError, which the engine reports as a DomainError.  With two
+guard bits a sum of two in-range keys plus a small offset stays decodable,
+so the check can wait until a product is complete.
 
 Products.  Multiplying two monomials
 ``(pos_a, rad_a, ma, sa) * (pos_b, rad_b, mb, sb)`` only reorders the
@@ -21,8 +39,11 @@ with their Gaussian coefficients and powers of hbar, depend only on
 ``(ma, pos_b, rad_b, sa, sb)`` and the spin mode; ``pos_a``, ``rad_a``
 and ``mb`` merely shift each word.  ``_step`` fuses the two expansions
 into one structure-table entry per such shape, built on first use and
-kept for the process, so ``expr_mul`` and ``expr_comm`` loop over term
-pairs times table entries and never expand a shape twice.
+kept for the process, and ``_fill`` stores it as ``(offset, a, b, d)``
+per word: the product of terms ``ka`` and ``kb`` has the key
+``ka + kb + offset``, hbar included.  So ``expr_mul`` and ``expr_comm``
+loop over term pairs times table entries, each an integer addition, and
+never expand a shape twice.
 
 Normal form.  Positions and radial powers satisfy
 ``r^2 = r_x^2 + r_y^2 + r_z^2``.  The canonical form of the quotient keeps
@@ -33,10 +54,9 @@ and ``expr_comm`` end in ``_quotient``, which rewrites
 
     r_x^2 r^m  ->  r^(m+2) - r_y^2 r^m - r_z^2 r^m     (any integer m)
 
-and drops empty coefficients: both return the normal form.  Every other
+until no key has ``px >= 2``: both return the normal form.  Every other
 operation only merges, rescales or re-keys spin and scalar parts, and
-keeps it.  A stored coefficient dict is never mutated; ``acc_raw`` adds by
-replacing it.
+keeps it.  A term dict handed in is never mutated.
 
 Q(i) is a field and the scalar ring Q(i)[s, 1/s, ...] is a domain, so a
 product of nonzero coefficients is never zero: the kernel tests for zero
@@ -55,7 +75,7 @@ from math import gcd
 KERNEL_NAME = "pure"
 
 # hbar's symbol index; equal to scalars.HBAR_INDEX, which this module may
-# not import.  It is the smallest index, so bumping hbar edits a key's head.
+# not import.
 HBAR_INDEX = 0
 
 _ZERO3 = (0, 0, 0)
@@ -110,102 +130,187 @@ def _g_mul4(x, y):
 
 
 # ---------------------------------------------------------------------------
-# Sparse exponent keys
+# Packed keys
+
+FIELD_BITS = 12
+_FIELD = (1 << FIELD_BITS) - 1
+_HALF_FIELD = 1 << (FIELD_BITS - 1)
+_BIAS = 1 << (FIELD_BITS - 3)
+EXP_MIN = -_BIAS
+EXP_MAX = _BIAS - 1
+# both guard bits of one field; an in-range field never sets them
+_GUARDS = 3 << (FIELD_BITS - 2)
+
+SIG_FIELDS = 10
+SIG_BITS = SIG_FIELDS * FIELD_BITS
+SIG_MASK = (1 << SIG_BITS) - 1
 
 
-def k_mul(ka, kb):
-    if not ka:
-        return kb
-    if not kb:
-        return ka
-    out = []
-    i = j = 0
-    na, nb = len(ka), len(kb)
-    while i < na and j < nb:
-        sa, ea = ka[i]
-        sb, eb = kb[j]
-        if sa == sb:
-            e = ea + eb
-            if e:
-                out.append((sa, e))
-            i += 1
-            j += 1
-        elif sa < sb:
-            out.append(ka[i])
-            i += 1
-        else:
-            out.append(kb[j])
-            j += 1
-    out.extend(ka[i:])
-    out.extend(kb[j:])
-    return tuple(out)
+def _unit(field):
+    return 1 << (FIELD_BITS * field)
 
 
-def k_bump(key, idx, delta):
-    if not delta:
-        return key
-    out = []
-    done = False
+def _repunit(n):
+    """One in each of the lowest n fields."""
+    return ((1 << (FIELD_BITS * n)) - 1) // _FIELD
+
+
+ID_WORD = _BIAS * _repunit(SIG_FIELDS)
+HBAR_UNIT = _unit(SIG_FIELDS + HBAR_INDEX)
+
+# the r_x, r_y, r_z and r fields, which the quotient rewrite moves
+_PX, _PY, _PZ, _RAD = _unit(0), _unit(1), _unit(2), _unit(3)
+# a structure-table row is keyed by the left word's (mom, spin) fields and
+# an entry in it by the right word's (pos, rad, spin) fields
+_ROW_MASK = _FIELD * (_unit(4) + _unit(5) + _unit(6) + _unit(7) + _unit(8) + _unit(9))
+_COL_MASK = _FIELD * (_unit(0) + _unit(1) + _unit(2) + _unit(3) + _unit(7) + _unit(8) + _unit(9))
+_SPIN_MASK = _FIELD * (_unit(7) + _unit(8) + _unit(9))
+_SPIN_ZERO = ID_WORD & _SPIN_MASK
+
+
+def _in_range(e):
+    if not EXP_MIN <= e <= EXP_MAX:
+        raise OverflowError("exponent %d is outside the packed range %d..%d"
+                            % (e, EXP_MIN, EXP_MAX))
+    return e
+
+
+def pack(sig, key=()):
+    """The key of the word with signature ``sig`` times the scalar monomial
+    ``key`` (sorted ``(symbol, exponent)`` pairs)."""
+    k = 0
+    for i, e in enumerate(sig):
+        k += (_in_range(e) + _BIAS) << (FIELD_BITS * i)
     for s, e in key:
-        if s == idx:
-            e += delta
-            done = True
-            if e:
-                out.append((s, e))
-        elif s > idx and not done:
-            out.append((idx, delta))
-            done = True
-            out.append((s, e))
-        else:
-            out.append((s, e))
-    if not done:
-        out.append((idx, delta))
+        k += _in_range(e) << (SIG_BITS + FIELD_BITS * s)
+    return k
+
+
+def _shift(deltas):
+    """What adding ``deltas[i]`` to word field i adds to a key."""
+    return sum(e << (FIELD_BITS * i) for i, e in enumerate(deltas))
+
+
+def word_fields(k):
+    """The signature of a key's word."""
+    return tuple(((k >> (FIELD_BITS * i)) & _FIELD) - _BIAS for i in range(SIG_FIELDS))
+
+
+def scalar_key(k):
+    """A key's scalar monomial as sorted ``(symbol, exponent)`` pairs."""
+    s = k >> SIG_BITS
+    out = []
+    idx = 0
+    while s:
+        e = s & _FIELD
+        if e >= _HALF_FIELD:
+            e -= 1 << FIELD_BITS
+        if e:
+            out.append((idx, e))
+        s = (s - e) >> FIELD_BITS
+        idx += 1
     return tuple(out)
 
 
-def k_bump_hbar(key, delta):
-    """``key * hbar**delta`` for ``delta != 0``: an edit of the key's head."""
-    if key and key[0][0] == HBAR_INDEX:
-        e = key[0][1] + delta
-        if e:
-            return ((HBAR_INDEX, e),) + key[1:]
-        return key[1:]
-    return ((HBAR_INDEX, delta),) + key
+def unpack(k):
+    """``(signature, scalar key)`` of a packed key; ``pack`` inverts it."""
+    return word_fields(k), scalar_key(k)
 
 
-# ---------------------------------------------------------------------------
-# Raw scalar coefficients
+def exponent(k, idx):
+    """The exponent of symbol ``idx`` in key ``k``."""
+    # lift the lower fields to non-negative values so none borrows from idx
+    s = (k >> SIG_BITS) + _BIAS * _repunit(idx + 1)
+    return ((s >> (FIELD_BITS * idx)) & _FIELD) - _BIAS
 
 
-def sc_add_raw(x, y):
-    if not x:
-        return dict(y)
-    out = dict(x)
-    for k, g in y.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = g
-        else:
-            s = g_add(cur, g)
-            if s[0] == 0 and s[1] == 0:
-                del out[k]
-            else:
-                out[k] = s
+def symbol_unit(idx):
+    """What adding one to symbol ``idx``'s exponent adds to a key."""
+    return _unit(SIG_FIELDS + idx)
+
+
+def _check(terms):
+    """Raise OverflowError if some key of ``terms`` has an exponent outside
+    EXP_MIN..EXP_MAX.  Every key must be a sum of at most two in-range keys
+    and a small offset: then each field's guard bits, once the scalar
+    fields are lifted like the word's, are clear exactly when it is in
+    range, and a field below cannot carry into them."""
+    if not terms:
+        return
+    top = max(max(terms), -min(terms)).bit_length()
+    n = max(top - SIG_BITS, 0) // FIELD_BITS + 2
+    lift = (_BIAS * _repunit(n)) << SIG_BITS
+    guards = _GUARDS * _repunit(SIG_FIELDS + n)
+    if any(map(guards.__and__, map(lift.__add__, terms))):
+        raise OverflowError("an exponent left the packed range %d..%d"
+                            % (EXP_MIN, EXP_MAX))
+
+
+def by_word(terms):
+    """``{word: {key with the identity word: coefficient}}``: each word's
+    scalar coefficient, in the layout of a scalar's terms."""
+    out = {}
+    for k, g in terms.items():
+        w = k & SIG_MASK
+        grp = out.get(w)
+        if grp is None:
+            grp = out[w] = {}
+        grp[k - w + ID_WORD] = g
     return out
 
 
-def acc_raw(out, sig, raw):
-    """``out[sig] += raw`` on a term dict, dropping a sum that is zero.
-    The coefficient stored under ``sig`` is replaced, never mutated."""
-    cur = out.get(sig)
+def word_count(terms):
+    return len({k & SIG_MASK for k in terms})
+
+
+def invert_raw(terms):
+    """The inverse of a single term whose word is at most a radial power;
+    the caller checks that shape."""
+    (k, g), = terms.items()
+    out = {2 * ID_WORD - k: g_inv(g)}
+    _check(out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Raw term dicts
+
+
+def acc_raw(out, k, g):
+    """``out[k] += g``, dropping a sum that is zero."""
+    cur = out.get(k)
     if cur is None:
-        out[sig] = dict(raw)
+        out[k] = g
+        return
+    s = g_add(cur, g)
+    if s[0] or s[1]:
+        out[k] = s
     else:
-        merged = sc_add_raw(cur, raw)
-        if merged:
-            out[sig] = merged
+        del out[k]
+
+
+def sc_add_raw(x, y):
+    """``x + y`` as a new dict."""
+    out = dict(x)
+    for k, g in y.items():
+        acc_raw(out, k, g)
+    return out
+
+
+def sc_sub_raw(x, y):
+    """``x - y`` as a new dict, negating ``y``'s coefficients as they merge."""
+    out = dict(x)
+    for k, (a, b, d) in y.items():
+        cur = out.get(k)
+        if cur is None:
+            out[k] = (-a, -b, d)
+            continue
+        s = g_add(cur, (-a, -b, d))
+        if s[0] or s[1]:
+            out[k] = s
         else:
-            del out[sig]
+            del out[k]
+    return out
 
 
 def sc_neg_raw(x):
@@ -213,51 +318,27 @@ def sc_neg_raw(x):
 
 
 def sc_mul_raw(x, y):
-    if len(x) == 1 and len(y) == 1:
-        (kx, (xa, xb, xd)), = x.items()
-        (ky, (ya, yb, yd)), = y.items()
-        a = xa * ya - xb * yb
-        b = xa * yb + xb * ya
-        d = xd * yd
-        return {k_mul(kx, ky): (a, b, 1) if d == 1 else g_norm(a, b, d)}
-    out = {}
-    for kx, gx in x.items():
-        for ky, gy in y.items():
-            g = g_mul(gx, gy)
-            k = k_mul(kx, ky)
-            cur = out.get(k)
-            if cur is None:
-                out[k] = g
-            else:
-                s = g_add(cur, g)
-                if s[0] == 0 and s[1] == 0:
-                    del out[k]
-                else:
-                    out[k] = s
+    """The product of two term dicts of which at most one has words other
+    than the identity: a scalar times a scalar or an operator."""
+    if len(y) == 1:
+        (ky, gy), = y.items()
+        shift = ky - ID_WORD
+        out = {kx + shift: g_mul(gx, gy) for kx, gx in x.items()}
+    elif len(x) == 1:
+        (kx, gx), = x.items()
+        shift = kx - ID_WORD
+        out = {ky + shift: g_mul(gx, gy) for ky, gy in y.items()}
+    else:
+        out = {}
+        for kx, gx in x.items():
+            kx -= ID_WORD
+            for ky, gy in y.items():
+                acc_raw(out, kx + ky, g_mul(gx, gy))
+        _check(out)
+        return out
+    if shift:
+        _check(out)
     return out
-
-
-def sc_iadd_scaled(out, x, ga, gb, gd, hpow):
-    """In place: out += x * (ga + gb*i)/gd * hbar**hpow."""
-    for k, (xa, xb, xd) in x.items():
-        if xd == 1 and gd == 1:
-            v = (xa * ga - xb * gb, xa * gb + xb * ga, 1)
-        else:
-            v = g_norm(xa * ga - xb * gb, xa * gb + xb * ga, xd * gd)
-        if hpow:
-            k = k_bump_hbar(k, hpow)
-        cur = out.get(k)
-        if cur is None:
-            out[k] = v
-            continue
-        if cur[2] == 1 and v[2] == 1:
-            s = (cur[0] + v[0], cur[1] + v[1], 1)
-        else:
-            s = g_add(cur, v)
-        if s[0] or s[1]:
-            out[k] = s
-        else:
-            del out[k]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +487,8 @@ def _p_past(mom, pos, rad):
 # ---------------------------------------------------------------------------
 # The structure table and the products on term dicts
 
-# Per spin mode (index ``half``): (ma, sa) -> (pos_b, rad_b, sb) -> entries.
+# Per spin mode (index ``half``): left word's (mom, spin) fields -> right
+# word's (pos, rad, spin) fields -> entries.
 _STEPS = ({}, {})
 
 
@@ -429,128 +511,181 @@ def _step(ma, pos_b, rad_b, sa, sb, half):
     return tuple(out)
 
 
-def _row(sig_a, half):
-    """The table row of the left monomial's ``(ma, sa)``."""
-    key = sig_a[4:10]
-    rows = _STEPS[half]
-    row = rows.get(key)
+def _steps(rows, ka, kb, half):
+    """The packed table entry of the word pair of keys ``ka`` and ``kb``:
+    ``(offset, a, b, d)`` per word, where the word's term in ``ka * kb``
+    has the key ``ka + kb + offset`` and the coefficient
+    ``(a + b*i)/d`` times the product of theirs."""
+    row = rows.get(ka & _ROW_MASK)
     if row is None:
-        row = rows[key] = {}
-    return row
-
-
-def _fill(row, sig_a, sig_b, half):
-    """Build and keep the entry for the monomial pair; a row keys it by
-    the right monomial's ``(pos_b, rad_b, sb)``."""
-    steps = row[sig_b[0:4] + sig_b[7:10]] = _step(
-        sig_a[4:7], sig_b[0:3], sig_b[3], sig_a[7:10], sig_b[7:10], half
-    )
+        row = rows[ka & _ROW_MASK] = {}
+    steps = row.get(kb & _COL_MASK)
+    if steps is None:
+        _, _, _, _, ma0, ma1, ma2, sa0, sa1, sa2 = word_fields(ka)
+        pb0, pb1, pb2, rb, _, _, _, sb0, sb1, sb2 = word_fields(kb)
+        # ka + kb carries each word field's bias twice, hence the -ID_WORD
+        steps = row[kb & _COL_MASK] = tuple(
+            (_shift((q0 - pb0, q1 - pb1, q2 - pb2, q3 - rb, q4 - ma0, q5 - ma1, q6 - ma2,
+                     w0 - sa0 - sb0, w1 - sa1 - sb1, w2 - sa2 - sb2))
+             - ID_WORD + h * HBAR_UNIT, a, b, d)
+            for q0, q1, q2, q3, q4, q5, q6, w0, w1, w2, a, b, d, h
+            in _step((ma0, ma1, ma2), (pb0, pb1, pb2), rb, (sa0, sa1, sa2),
+                     (sb0, sb1, sb2), half))
     return steps
 
 
 def _quotient(out):
-    """The normal form of a raw product: drop empty coefficients and apply
-    the r_x^2 rewrite to the keys with ``px >= 2`` until none is left."""
-    res = {s: c for s, c in out.items() if c and s[0] < 2}
-    work = [(s, c) for s, c in out.items() if c and s[0] >= 2]
+    """The normal form of a raw product, after checking its exponents:
+    apply the r_x^2 rewrite to the keys with ``px >= 2`` until none is
+    left."""
+    _check(out)
+    px2 = _BIAS + 2
+    work = [(k, c) for k, c in out.items() if k & _FIELD >= px2]
+    if not work:
+        return out
+    res = {k: c for k, c in out.items() if k & _FIELD < px2}
     while work:
-        sig, c = work.pop()
-        px, py, pz, m = sig[0], sig[1], sig[2], sig[3]
-        if px < 2:
-            acc_raw(res, sig, c)
+        k, c = work.pop()
+        if k & _FIELD < px2:
+            acc_raw(res, k, c)
             continue
-        rest = sig[4:]
-        neg = sc_neg_raw(c)
-        work.append(((px - 2, py, pz, m + 2) + rest, c))
-        work.append(((px - 2, py + 2, pz, m) + rest, neg))
-        work.append(((px - 2, py, pz + 2, m) + rest, neg))
+        k -= 2 * _PX
+        neg = (-c[0], -c[1], c[2])
+        work.append((k + 2 * _RAD, c))
+        work.append((k + 2 * _PY, neg))
+        work.append((k + 2 * _PZ, neg))
+    _check(res)
     return res
 
 
 def expr_mul(ta, tb, half):
     """Terms of ``A*B`` in the quotient normal form."""
     out = {}
-    # the innermost body is sc_iadd_scaled, inlined: it runs once per term
-    # pair, scalar term and word, the engine's hottest loop
-    bs = [(sig_b[0:4] + sig_b[7:10], sig_b[4], sig_b[5], sig_b[6], sig_b, cb)
-          for sig_b, cb in tb.items()]
-    for sig_a, ca in ta.items():
-        pa0, pa1, pa2, rada = sig_a[0], sig_a[1], sig_a[2], sig_a[3]
-        row = _row(sig_a, half)
-        for kb, mb0, mb1, mb2, sig_b, cb in bs:
-            steps = row.get(kb) or _fill(row, sig_a, sig_b, half)
-            for ck, (xa, xb, xd) in sc_mul_raw(ca, cb).items():
-                for q0, q1, q2, q3, q4, q5, q6, w0, w1, w2, ga, gb, gd, h in steps:
-                    sig = (pa0 + q0, pa1 + q1, pa2 + q2, rada + q3,
-                           q4 + mb0, q5 + mb1, q6 + mb2, w0, w1, w2)
-                    if xd == 1 and gd == 1:
-                        v = (xa * ga - xb * gb, xa * gb + xb * ga, 1)
-                    else:
-                        v = g_norm(xa * ga - xb * gb, xa * gb + xb * ga, xd * gd)
-                    k = k_bump_hbar(ck, h) if h else ck
-                    tgt = out.get(sig)
-                    if tgt is None:
-                        out[sig] = {k: v}
-                        continue
-                    cur = tgt.get(k)
-                    if cur is None:
-                        tgt[k] = v
-                        continue
-                    if cur[2] == 1 and v[2] == 1:
-                        s = (cur[0] + v[0], cur[1] + v[1], 1)
-                    else:
-                        s = g_add(cur, v)
-                    if s[0] or s[1]:
-                        tgt[k] = s
-                    else:
-                        del tgt[k]
+    rows = _STEPS[half]
+    bs = [(kb, kb & _COL_MASK, g) for kb, g in tb.items()]
+    # the innermost body runs once per term pair and table word, the
+    # engine's hottest loop
+    for ka, (xa, xb, xd) in ta.items():
+        row = rows.get(ka & _ROW_MASK)
+        if row is None:
+            row = rows[ka & _ROW_MASK] = {}
+        for kb, col, (ya, yb, yd) in bs:
+            steps = row.get(col) or _steps(rows, ka, kb, half)
+            base = ka + kb
+            pa = xa * ya - xb * yb
+            pb = xa * yb + xb * ya
+            pd = xd * yd
+            for off, ga, gb, gd in steps:
+                k = base + off
+                if pd == 1 and gd == 1:
+                    v = (pa * ga - pb * gb, pa * gb + pb * ga, 1)
+                else:
+                    v = g_norm(pa * ga - pb * gb, pa * gb + pb * ga, pd * gd)
+                cur = out.get(k)
+                if cur is None:
+                    out[k] = v
+                    continue
+                if cur[2] == 1 and v[2] == 1:
+                    s = (cur[0] + v[0], cur[1] + v[1], 1)
+                else:
+                    s = g_add(cur, v)
+                if s[0] or s[1]:
+                    out[k] = s
+                else:
+                    del out[k]
     return _quotient(out)
 
 
-def _pair_into(acc, sig_a, sig_b, half, sign):
-    """``acc[(sig, h)] += sign * g`` over the words ``g * hbar**h * sig``
-    of the unit monomial product ``sig_a * sig_b``."""
-    pa0, pa1, pa2, rada = sig_a[0], sig_a[1], sig_a[2], sig_a[3]
-    mb0, mb1, mb2 = sig_b[4], sig_b[5], sig_b[6]
-    row = _row(sig_a, half)
-    steps = row.get(sig_b[0:4] + sig_b[7:10]) or _fill(row, sig_a, sig_b, half)
-    for q0, q1, q2, q3, q4, q5, q6, w0, w1, w2, ga, gb, gd, h in steps:
-        key = ((pa0 + q0, pa1 + q1, pa2 + q2, rada + q3,
-                q4 + mb0, q5 + mb1, q6 + mb2, w0, w1, w2), h)
-        g = (ga, gb, gd) if sign > 0 else (-ga, -gb, gd)
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = g
-            continue
-        s = g_add(cur, g)
-        if s[0] or s[1]:
-            acc[key] = s
+def _terms_by_word(terms):
+    out = {}
+    for k, g in terms.items():
+        w = k & SIG_MASK
+        grp = out.get(w)
+        if grp is None:
+            out[w] = [(k, g)]
         else:
-            del acc[key]
+            grp.append((k, g))
+    return out
 
 
 def expr_comm(ta, tb, half):
     """Terms of ``[A, B] = A*B - B*A`` in the quotient normal form.
 
-    For each monomial pair the words of both orders merge first, as unit
-    products; the leading word always cancels, often everything does, and
-    only the surviving words are scaled by the pair's coefficient.
+    For each pair of words the table entries of both orders merge first,
+    as unit products keyed by their offsets; the leading word always
+    cancels, often everything does, and only the surviving words are
+    scaled by each pair of terms on those words.
     """
     out = {}
-    for sig_a, ca in ta.items():
-        for sig_b, cb in tb.items():
+    rows = _STEPS[half]
+    words_b = list(_terms_by_word(tb).items())
+    for wa, terms_a in _terms_by_word(ta).items():
+        for wb, terms_b in words_b:
             acc = {}
-            _pair_into(acc, sig_a, sig_b, half, 1)
-            _pair_into(acc, sig_b, sig_a, half, -1)
+            for off, ga, gb, gd in _steps(rows, wa, wb, half):
+                acc_raw(acc, off, (ga, gb, gd))
+            for off, ga, gb, gd in _steps(rows, wb, wa, half):
+                acc_raw(acc, off, (-ga, -gb, gd))
             if not acc:
                 continue
-            cab = sc_mul_raw(ca, cb)
-            for (sig, h), (ga, gb, gd) in acc.items():
-                tgt = out.get(sig)
-                if tgt is None:
-                    tgt = out[sig] = {}
-                sc_iadd_scaled(tgt, cab, ga, gb, gd, h)
+            units = [(off, g[0], g[1], g[2]) for off, g in acc.items()]
+            for ka, (xa, xb, xd) in terms_a:
+                for kb, (ya, yb, yd) in terms_b:
+                    base = ka + kb
+                    pa = xa * ya - xb * yb
+                    pb = xa * yb + xb * ya
+                    pd = xd * yd
+                    for off, ga, gb, gd in units:
+                        k = base + off
+                        if pd == 1 and gd == 1:
+                            v = (pa * ga - pb * gb, pa * gb + pb * ga, 1)
+                        else:
+                            v = g_norm(pa * ga - pb * gb, pa * gb + pb * ga, pd * gd)
+                        cur = out.get(k)
+                        if cur is None:
+                            out[k] = v
+                            continue
+                        if cur[2] == 1 and v[2] == 1:
+                            s = (cur[0] + v[0], cur[1] + v[1], 1)
+                        else:
+                            s = g_add(cur, v)
+                        if s[0] or s[1]:
+                            out[k] = s
+                        else:
+                            del out[k]
     return _quotient(out)
+
+
+# ---------------------------------------------------------------------------
+# The spin-1/2 quotient map
+
+# spin fields of a key -> ((offset, a, b, d), ...) of its image words
+_HALF_WORDS = {}
+
+
+def reduce_half(terms):
+    """The terms of the spin-1/2 quotient image of an abstract term dict."""
+    out = {}
+    grew = False
+    for k, g in terms.items():
+        spin = k & _SPIN_MASK
+        if spin == _SPIN_ZERO:
+            acc_raw(out, k, g)
+            continue
+        image = _HALF_WORDS.get(spin)
+        if image is None:
+            word = word_fields(k)[7:]
+            image = _HALF_WORDS[spin] = tuple(
+                (_shift((0,) * 7 + (w0 - word[0], w1 - word[1], w2 - word[2])) + h * HBAR_UNIT,
+                 a, b, d)
+                for w0, w1, w2, a, b, d, h in spin_word_half(word))
+        xa, xb, xd = g
+        for off, ga, gb, gd in image:
+            grew = True
+            acc_raw(out, k + off, g_norm(xa * ga - xb * gb, xa * gb + xb * ga, xd * gd))
+    if grew:
+        _check(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,41 +699,21 @@ def expr_zero_at(terms, idx, v):
     At 0 a term survives unless its key holds a positive power of the
     symbol; every key is scanned first, and a negative power raises
     ZeroDivisionError, since 0 has no inverse.  At 1 the symbol drops out
-    of each key, so a signature vanishes exactly when its coefficients sum
+    of each key, so the terms vanish exactly when their coefficients sum
     to zero over the keys that then coincide.
     """
-    if v == 0:
-        zero = True
-        for c in terms.values():
-            for key in c:
-                e = 0
-                for s, ee in key:
-                    if s == idx:
-                        e = ee
-                        break
-                if e < 0:
-                    raise ZeroDivisionError("a negative power of symbol %d at 0" % idx)
-                if not e:
-                    zero = False
-        return zero
-    if v != 1:
+    if v not in (0, 1):
         raise ValueError("expr_zero_at takes 0 or 1, not %r" % (v,))
-    for c in terms.values():
-        sums = {}
-        for key, g in c.items():
-            for i, (s, _) in enumerate(key):
-                if s == idx:
-                    key = key[:i] + key[i + 1:]
-                    break
-            cur = sums.get(key)
-            if cur is None:
-                sums[key] = g
-            else:
-                s = g_add(cur, g)
-                if s[0] or s[1]:
-                    sums[key] = s
-                else:
-                    del sums[key]
-        if sums:
-            return False
-    return True
+    # exponent(k, idx) for every key, with the lift computed once
+    lift = _BIAS * _repunit(idx + 1)
+    at = FIELD_BITS * idx
+    exps = [(((k >> SIG_BITS) + lift) >> at & _FIELD) - _BIAS for k in terms]
+    if v == 0:
+        if min(exps, default=0) < 0:
+            raise ZeroDivisionError("a negative power of symbol %d at 0" % idx)
+        return all(exps)
+    unit = symbol_unit(idx)
+    sums = {}
+    for (k, g), e in zip(terms.items(), exps):
+        acc_raw(sums, k - e * unit, g)
+    return not sums

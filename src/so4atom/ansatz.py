@@ -114,14 +114,15 @@ class ConstraintSystem:
         rows {column of the unknown: Gaussian rational}."""
         column = {self.registry.index(nm): j for j, nm in enumerate(self.unknowns)}
         for axis, comp in zip("xyz", self.residual.components):
-            words = comp.raw_terms()
+            words = comp.words()
             for sig in sorted(words):
                 split = {}
-                for key, g in words[sig].items():
+                for packed, g in words[sig].raw().items():
+                    key = K.scalar_key(packed)
                     hits = [(idx, e) for idx, e in key if idx in column]
                     if len(hits) != 1 or hits[0][1] != 1:
                         raise DomainError("row %s %s is not linear in the unknowns: %s"
-                                          % (axis, sig, ScalarCoeff(self.registry, words[sig])))
+                                          % (axis, sig, words[sig]))
                     physical = tuple(p for p in key if p[0] not in column)
                     split.setdefault(physical, {})[column[hits[0][0]]] = g
                 yield from split.values()
@@ -143,7 +144,7 @@ class ConstraintSystem:
         basis, texts = [], []
         for f in free:
             vec = {f: ScalarCoeff.one(self.registry)}
-            vec.update((pc, -ScalarCoeff(self.registry, {(): prow[f]}))
+            vec.update((pc, -ScalarCoeff(self.registry, {K.ID_WORD: prow[f]}))
                        for pc, prow in pivots.items() if f in prow)
             cols = sorted(vec)
             basis.append({names[c]: vec[c] for c in cols})

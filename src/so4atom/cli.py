@@ -1,7 +1,7 @@
 """Command line front end.
 
     so4atom verify [--suite NAME] [--mu REGIME] [--spin MODE]
-    so4atom oracle [--suite NAME] [--points N] [--seed N] [--tol X]
+    so4atom oracle [--suite NAME] [--points N (1..1000)] [--seed N] [--tol X]
     so4atom inverse
     so4atom spin-potential
     so4atom spectrum [--j J] [--k1 X] [--k2 X] [--grid-n N] [--rmax X] ...
@@ -32,6 +32,10 @@ from .operators import SpinMode
 from . import ansatz, catalog, report
 
 __all__ = ["RunConfig", "main"]
+
+# the oracle's cost grows linearly with --points: 1000 points per state take
+# about 10 s and 110 MB, so a larger count is refused before any work
+MAX_POINTS = 1000
 
 
 @dataclass
@@ -123,8 +127,9 @@ def _build_config(args):
                          % (" or ".join(formats), args.command, cfg.format))
     if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
         raise UsageError("cannot write report file %s: no such directory" % cfg.out)
-    if cfg.points < 1:
-        raise UsageError("points must be at least 1, got %d" % cfg.points)
+    if not 1 <= cfg.points <= MAX_POINTS:
+        raise UsageError("points must be at least 1 and at most %d, got %d"
+                         % (MAX_POINTS, cfg.points))
     if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol > 0):
         raise UsageError("tol must be a finite number above 0, got %r" % cfg.tol)
     if cfg.j is not None:

@@ -6,6 +6,13 @@ r^n, commutator brackets [a, b], and the vector helpers cross/dot/idx.
 Parsing is precedence-climbing over a flat token list; every token and Ast
 node carries a character span so errors can point at the offending text.
 
+Two spellings would read against convention, so they are LangErrors that
+name the parenthesised forms.  A rational literal is one token (``2/3``),
+so it may not be an operand of ``^`` (``t^2/2``, ``4/2^2``) nor the right
+operand of ``/`` (``x / 3/4``), unary minus signs between included.  And
+unary minus binds tighter than ``^`` here, so it may not apply to a power
+(``-t^2``).
+
 Identity files are line oriented:
 
     # comment
@@ -193,6 +200,23 @@ class _Parser:
         self.pos = 0
         self.end_span = end_span
 
+    def text(self, first, last):
+        """The source of tokens first..last-1, each gap as one space."""
+        toks = self.toks[first:last]
+        return "".join(t.text + (" " if i + 1 < len(toks) and toks[i + 1].start > t.end else "")
+                       for i, t in enumerate(toks))
+
+    def ambiguous(self, what, spellings, first, last):
+        raise LangError("%s is ambiguous; write %s" % (what, " or ".join(spellings)),
+                        (self.toks[first].start, self.toks[last - 1].end))
+
+    def operand_after(self, caret):
+        """Parse the right operand of the '^' at index caret, for a message;
+        returns the index after it."""
+        self.pos = caret + 1
+        self.parse(_LBP["caret"] - 1)
+        return self.pos
+
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
@@ -213,6 +237,7 @@ class _Parser:
         return tok
 
     def parse(self, rbp=0):
+        first = self.pos
         node = self.nud(self.next())
         while True:
             tok = self.peek()
@@ -222,7 +247,7 @@ class _Parser:
             if lbp <= rbp:
                 break
             self.next()
-            node = self.led(tok, node)
+            node = self.led(tok, node, first)
         return node
 
     def nud(self, tok):
@@ -232,6 +257,14 @@ class _Parser:
             num, den = tok.text.split("/")
             if int(den) == 0:
                 raise LangError("zero denominator", (tok.start, tok.end))
+            nxt = self.peek()
+            if nxt is not None and nxt.kind == "caret":
+                first = self.pos - 1
+                end = self.operand_after(self.pos)
+                power = self.text(first + 2, end)
+                self.ambiguous("the rational literal %s left of '^'" % tok.text,
+                               ("(%s)^%s" % (tok.text, power), "%s/(%s^%s)" % (num, den, power)),
+                               first, end)
             return Num(Fraction(int(num), int(den)), span=(tok.start, tok.end))
         if tok.kind == "ident":
             nxt = self.peek()
@@ -245,7 +278,16 @@ class _Parser:
             self.expect("rparen")
             return node
         if tok.kind == "minus":
+            first = self.pos - 1
             operand = self.parse(_UNARY_BP)
+            nxt = self.peek()
+            if nxt is not None and nxt.kind == "caret":
+                caret = self.pos
+                end = self.operand_after(caret)
+                base, power = self.text(first + 1, caret), self.text(caret + 1, end)
+                self.ambiguous("unary minus of a power",
+                               ("-(%s^%s)" % (base, power), "(-%s)^%s" % (base, power)),
+                               first, end)
             return Neg(operand, span=(tok.start, operand.span[1]))
         if tok.kind == "lbracket":
             lhs = self.parse(0)
@@ -280,8 +322,23 @@ class _Parser:
             return Index(args[0], axis_name, span=span)
         return Apply(name_tok.text, tuple(args), span=span)
 
-    def led(self, tok, lhs):
+    def led(self, tok, lhs, first):
         op = tok.text
+        if tok.kind in ("caret", "slash"):
+            # the operators' right operand may not start with a rational
+            # literal, whatever unary minus signs come first
+            lit = self.pos
+            while lit < len(self.toks) and self.toks[lit].kind == "minus":
+                lit += 1
+            if lit < len(self.toks) and self.toks[lit].kind == "rational":
+                gap = " " if self.toks[self.pos].start > tok.end else ""
+                left = self.text(first, self.pos) + gap
+                signs = self.text(self.pos, lit)
+                num, den = self.toks[lit].text.split("/")
+                self.ambiguous("the rational literal %s right of '%s'" % (self.toks[lit].text, op),
+                               ("(%s%s%s)/%s" % (left, signs, num, den),
+                                "%s(%s%s)" % (left, signs, self.toks[lit].text)),
+                               first, lit + 1)
         if tok.kind == "caret":
             rhs = self.parse(_LBP["caret"] - 1)
         else:

@@ -5,8 +5,11 @@ three momenta p_u, three spin components S_u.  Canonical monomials are
 
     r_x^px r_y^py r_z^pz  r^rad  p_x^mx p_y^my p_z^mz  S_x^sx S_y^sy S_z^sz
 
-stored as 10-tuples of integer exponents with exact scalar coefficients
-(:class:`so4atom.scalars.ScalarCoeff`).  The defining relations:
+with exact scalar coefficients (:class:`so4atom.scalars.ScalarCoeff`).  An
+expression stores one flat kernel term dict: a packed int key per word
+times scalar monomial (see ``_kernel``), mapped to a Gaussian rational;
+``words()`` decodes it to ``{signature 10-tuple: ScalarCoeff}``.
+The defining relations:
 
     [r_u, p_v] = i hbar delta_uv        [S_u, S_v] = i hbar eps_uvw S_w
     [p_u, r^m] = -i hbar m r^(m-2) r_u  (spin commutes with r, p, r^m)
@@ -40,9 +43,10 @@ from fractions import Fraction
 
 from so4atom import _kernel as K
 from so4atom.errors import DomainError, UsageError
-from so4atom.scalars import ScalarCoeff, SymbolRegistry  # noqa: F401 (perfbench reads it here)
+from so4atom.scalars import ScalarCoeff, SymbolRegistry, exact, substitute_raw  # noqa: F401 (perfbench reads SymbolRegistry here)
 
-_ZERO_SIG = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+# every field of a word but the radial power's
+_NOT_RADIAL = (0, 1, 2, 4, 5, 6, 7, 8, 9)
 
 
 class SpinMode(enum.Enum):
@@ -62,11 +66,14 @@ def _check_compat(a, b):
 
 
 def scalar_raw(terms):
-    """The coefficient of a term dict whose only word is the identity,
-    else None."""
-    if len(terms) == 1:
-        return terms.get(_ZERO_SIG)
-    return None
+    """The coefficient of a nonempty term dict whose only word is the
+    identity (the dict itself), else None."""
+    if not terms:
+        return None
+    for k in terms:
+        if k & K.SIG_MASK != K.ID_WORD:
+            return None
+    return terms
 
 
 class OperatorExpr:
@@ -92,7 +99,7 @@ class OperatorExpr:
     def from_scalar(cls, coeff: ScalarCoeff, mode=SpinMode.ABSTRACT):
         if coeff.is_zero():
             return cls.zero(coeff.registry, mode)
-        return cls(coeff.registry, mode, {_ZERO_SIG: dict(coeff.raw())})
+        return cls(coeff.registry, mode, dict(coeff.raw()))
 
     @classmethod
     def one(cls, registry, mode=SpinMode.ABSTRACT):
@@ -102,15 +109,15 @@ class OperatorExpr:
     def generator(cls, registry, kind, axis=None, mode=SpinMode.ABSTRACT):
         """kind in {'pos', 'mom', 'spin'} with axis 0..2."""
         offset = {"pos": 0, "mom": 4, "spin": 7}[kind]
-        sig = list(_ZERO_SIG)
+        sig = [0] * K.SIG_FIELDS
         sig[offset + axis] = 1
-        return cls(registry, mode, {tuple(sig): {(): (1, 0, 1)}})
+        return cls(registry, mode, {K.pack(sig): (1, 0, 1)})
 
     @classmethod
     def radial_power(cls, registry, m, mode=SpinMode.ABSTRACT):
         if m == 0:
             return cls.one(registry, mode)
-        return cls(registry, mode, {(0, 0, 0, m, 0, 0, 0, 0, 0, 0): {(): (1, 0, 1)}})
+        return cls(registry, mode, {exact(K.pack, (0, 0, 0, m, 0, 0, 0, 0, 0, 0)): (1, 0, 1)})
 
     # -- arithmetic ---------------------------------------------------
 
@@ -122,24 +129,20 @@ class OperatorExpr:
         if not isinstance(other, OperatorExpr):
             return NotImplemented
         _check_compat(self, other)
-        out = dict(self._terms)
-        for sig, c in other._terms.items():
-            K.acc_raw(out, sig, c)
-        return OperatorExpr(self.registry, self.mode, out)
+        return OperatorExpr(self.registry, self.mode, K.sc_add_raw(self._terms, other._terms))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = OperatorExpr.from_scalar(
                 ScalarCoeff.from_rational(self.registry, other), self.mode
             )
-        return self + (-other)
+        if not isinstance(other, OperatorExpr):
+            return NotImplemented
+        _check_compat(self, other)
+        return OperatorExpr(self.registry, self.mode, K.sc_sub_raw(self._terms, other._terms))
 
     def __neg__(self):
-        return OperatorExpr(
-            self.registry,
-            self.mode,
-            {s: K.sc_neg_raw(c) for s, c in self._terms.items()},
-        )
+        return OperatorExpr(self.registry, self.mode, K.sc_neg_raw(self._terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,7 +159,7 @@ class OperatorExpr:
         scalar = scalar_raw(self._terms)
         if scalar is not None:
             return other._scaled_raw(scalar)
-        raw = K.expr_mul(self._terms, other._terms, self.mode is SpinMode.SPIN_HALF)
+        raw = exact(K.expr_mul, self._terms, other._terms, self.mode is SpinMode.SPIN_HALF)
         return OperatorExpr(self.registry, self.mode, raw)
 
     def __rmul__(self, other):
@@ -176,11 +179,7 @@ class OperatorExpr:
     def _scaled_raw(self, raw):
         if not raw:
             return OperatorExpr.zero(self.registry, self.mode)
-        return OperatorExpr(
-            self.registry,
-            self.mode,
-            {sig: K.sc_mul_raw(c, raw) for sig, c in self._terms.items()},
-        )
+        return OperatorExpr(self.registry, self.mode, exact(K.sc_mul_raw, self._terms, raw))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -195,24 +194,22 @@ class OperatorExpr:
     def try_invert(self) -> "OperatorExpr":
         """Inverse of a single-monomial expression whose word involves at
         most the radial power (anything else has no inverse here)."""
-        if len(self._terms) != 1:
+        if K.word_count(self._terms) != 1:
             raise DomainError("only single-term expressions are invertible")
-        (sig, c), = self._terms.items()
-        if any(sig[i] for i in (0, 1, 2, 4, 5, 6, 7, 8, 9)):
+        sig = K.word_fields(next(iter(self._terms)))
+        if any(sig[i] for i in _NOT_RADIAL):
             raise DomainError(
                 "inverse exists only for scalar multiples of radial powers"
             )
-        inv = ScalarCoeff(self.registry, dict(c)).invert()
-        return OperatorExpr(
-            self.registry,
-            self.mode,
-            {(0, 0, 0, -sig[3], 0, 0, 0, 0, 0, 0): dict(inv.raw())},
-        )
+        if len(self._terms) != 1:
+            raise DomainError("only single-monomial scalars are invertible")
+        return OperatorExpr(self.registry, self.mode, exact(K.invert_raw, self._terms))
 
     # -- substitution -------------------------------------------------
 
     def substitute(self, name, value) -> "OperatorExpr":
-        return self._map_coeffs(ScalarCoeff.substitute, name, value)
+        return OperatorExpr(self.registry, self.mode,
+                            substitute_raw(self._terms, self.registry, name, value))
 
     def zero_at(self, name, value) -> bool:
         """``self.substitute(name, value).is_zero()`` for ``value`` 0 or 1,
@@ -223,34 +220,12 @@ class OperatorExpr:
         except ZeroDivisionError:
             raise DomainError(f"substituting 0 for {name!r} hits a negative power") from None
 
-    def _map_coeffs(self, fn, *args):
-        """``fn(coeff, *args)`` on every coefficient, dropping zeros."""
-        out = {}
-        for sig, c in self._terms.items():
-            c2 = fn(ScalarCoeff(self.registry, c), *args).raw()
-            if c2:
-                out[sig] = c2
-        return OperatorExpr(self.registry, self.mode, out)
-
     # -- spin reduction -----------------------------------------------
 
     def reduce_spin_half(self) -> "OperatorExpr":
         if self.mode is SpinMode.SPIN_HALF:
             return self
-        # acc_raw stores a copy, so sc_iadd_scaled only fills dicts made here
-        out = {}
-        for sig, c in self._terms.items():
-            word = sig[7:10]
-            if word == (0, 0, 0):
-                K.acc_raw(out, sig, c)
-                continue
-            for w in K.spin_word_half(word):
-                sig2 = sig[:7] + (w[0], w[1], w[2])
-                tgt = out.setdefault(sig2, {})
-                K.sc_iadd_scaled(tgt, c, w[3], w[4], w[5], w[6])
-                if not tgt:
-                    del out[sig2]
-        return OperatorExpr(self.registry, SpinMode.SPIN_HALF, out)
+        return OperatorExpr(self.registry, SpinMode.SPIN_HALF, exact(K.reduce_half, self._terms))
 
     # -- queries ------------------------------------------------------
 
@@ -258,10 +233,16 @@ class OperatorExpr:
         return not self._terms
 
     def term_count(self):
-        return len(self._terms)
+        """The number of distinct operator words."""
+        return K.word_count(self._terms)
 
     def raw_terms(self):
         return self._terms
+
+    def words(self):
+        """``{signature: ScalarCoeff}``: the coefficient of each word."""
+        return {K.word_fields(w): ScalarCoeff(self.registry, c)
+                for w, c in K.by_word(self._terms).items()}
 
     def __eq__(self, other):
         if not isinstance(other, OperatorExpr):
@@ -273,15 +254,16 @@ class OperatorExpr:
         )
 
     def __hash__(self):
-        return hash(tuple(sorted((s, frozenset(c.items())) for s, c in self._terms.items())))
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self):
         if not self._terms:
             return "0"
         glyphs = ("x", "y", "z", None, "px", "py", "pz", "Sx", "Sy", "Sz")
         parts = []
-        for sig in sorted(self._terms):
-            c = ScalarCoeff(self.registry, self._terms[sig])
+        coeffs = self.words()
+        for sig in sorted(coeffs):
+            c = coeffs[sig]
             word = []
             for i, g in enumerate(glyphs):
                 if i == 3:
@@ -397,7 +379,7 @@ def commutator(a, b):
     if not (isinstance(a, OperatorExpr) and isinstance(b, OperatorExpr)):
         raise UsageError("commutator takes operators or vectors")
     _check_compat(a, b)
-    raw = K.expr_comm(a._terms, b._terms, a.mode is SpinMode.SPIN_HALF)
+    raw = exact(K.expr_comm, a._terms, b._terms, a.mode is SpinMode.SPIN_HALF)
     return OperatorExpr(a.registry, a.mode, raw)
 
 

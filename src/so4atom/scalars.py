@@ -28,6 +28,8 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 HBAR_INDEX = 0
 
+_ZERO_WORD = (0,) * K.SIG_FIELDS
+
 
 class SymbolRegistry:
     """Ordered collection of commuting scalar symbols.
@@ -79,12 +81,43 @@ def _check_same_registry(a, b):
         raise UsageError("operands belong to different symbol registries")
 
 
+def exact(fn, *args):
+    """``fn(*args)`` for a kernel function, with an exponent that leaves
+    its packed field (the kernel's OverflowError) as a DomainError."""
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        raise DomainError(str(exc)) from None
+
+
+def substitute_raw(terms, registry, name, value):
+    """A term dict with symbol ``name`` replaced by the rational ``value``."""
+    idx = registry.index(name)
+    value = Fraction(value)
+    unit = K.symbol_unit(idx)
+    out = {}
+    for key, g in terms.items():
+        e = K.exponent(key, idx)
+        if e:
+            if value == 0:
+                if e < 0:
+                    raise DomainError(f"substituting 0 for {name!r} hits a negative power")
+                continue
+            v = value**e
+            g = K.g_mul(g, K.g_norm(v.numerator, 0, v.denominator))
+            key -= e * unit
+        K.acc_raw(out, key, g)
+    return out
+
+
 class ScalarCoeff:
     """Immutable exact scalar: a Q(i)-linear combination of Laurent
     monomials in registered symbols.
 
-    The raw form maps sparse exponent keys (sorted ``(index, exponent)``
-    tuples) to Gaussian rational triples ``(a, b, d)`` = (a + b i)/d.
+    The raw form is a kernel term dict whose keys all carry the identity
+    word: packed exponent keys (``_kernel.pack((0,)*10, key)`` of a sparse
+    ``(index, exponent)`` key) mapped to Gaussian rational triples
+    ``(a, b, d)`` = (a + b i)/d.
     """
 
     __slots__ = ("registry", "_terms")
@@ -101,18 +134,18 @@ class ScalarCoeff:
 
     @classmethod
     def one(cls, registry):
-        return cls(registry, {(): (1, 0, 1)})
+        return cls(registry, {K.ID_WORD: (1, 0, 1)})
 
     @classmethod
     def imag_unit(cls, registry):
-        return cls(registry, {(): (0, 1, 1)})
+        return cls(registry, {K.ID_WORD: (0, 1, 1)})
 
     @classmethod
     def from_rational(cls, registry, value):
         value = Fraction(value)
         if value == 0:
             return cls(registry, {})
-        return cls(registry, {(): K.g_norm(value.numerator, 0, value.denominator)})
+        return cls(registry, {K.ID_WORD: K.g_norm(value.numerator, 0, value.denominator)})
 
     @classmethod
     def from_gauss(cls, registry, re_part, im_part):
@@ -123,14 +156,14 @@ class ScalarCoeff:
         b = im_part.numerator * re_part.denominator
         if a == 0 and b == 0:
             return cls(registry, {})
-        return cls(registry, {(): K.g_norm(a, b, den)})
+        return cls(registry, {K.ID_WORD: K.g_norm(a, b, den)})
 
     @classmethod
     def symbol(cls, registry, name, power=1):
         idx = registry.index(name)
         if power == 0:
             return cls.one(registry)
-        return cls(registry, {((idx, power),): (1, 0, 1)})
+        return cls(registry, {exact(K.pack, _ZERO_WORD, ((idx, power),)): (1, 0, 1)})
 
     # -- ring operations ----------------------------------------------
 
@@ -140,9 +173,7 @@ class ScalarCoeff:
 
     def __sub__(self, other):
         _check_same_registry(self, other)
-        return ScalarCoeff(
-            self.registry, K.sc_add_raw(self._terms, K.sc_neg_raw(other._terms))
-        )
+        return ScalarCoeff(self.registry, K.sc_sub_raw(self._terms, other._terms))
 
     def __neg__(self):
         return ScalarCoeff(self.registry, K.sc_neg_raw(self._terms))
@@ -153,7 +184,7 @@ class ScalarCoeff:
         if not isinstance(other, ScalarCoeff):
             return NotImplemented
         _check_same_registry(self, other)
-        return ScalarCoeff(self.registry, K.sc_mul_raw(self._terms, other._terms))
+        return ScalarCoeff(self.registry, exact(K.sc_mul_raw, self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -170,44 +201,13 @@ class ScalarCoeff:
     def invert(self) -> "ScalarCoeff":
         if len(self._terms) != 1:
             raise DomainError("only single-monomial scalars are invertible")
-        (key, g), = self._terms.items()
-        inv_key = tuple((idx, -e) for idx, e in key)
-        return ScalarCoeff(self.registry, {inv_key: K.g_inv(g)})
+        return ScalarCoeff(self.registry, exact(K.invert_raw, self._terms))
 
     # -- substitution -------------------------------------------------
 
     def substitute(self, name, value) -> "ScalarCoeff":
         """Replace a symbol by an exact rational value."""
-        idx = self.registry.index(name)
-        value = Fraction(value)
-        out = {}
-        for key, g in self._terms.items():
-            e = 0
-            rest = []
-            for s, ee in key:
-                if s == idx:
-                    e = ee
-                else:
-                    rest.append((s, ee))
-            if e:
-                if value == 0:
-                    if e < 0:
-                        raise DomainError(
-                            f"substituting 0 for {name!r} hits a negative power"
-                        )
-                    continue
-                v = value**e
-                g = K.g_mul(g, K.g_norm(v.numerator, 0, v.denominator))
-            cur = out.get(tuple(rest))
-            if cur is None:
-                out[tuple(rest)] = g
-            else:
-                s2 = K.g_add(cur, g)
-                if s2[0] == 0 and s2[1] == 0:
-                    del out[tuple(rest)]
-                else:
-                    out[tuple(rest)] = s2
-        return ScalarCoeff(self.registry, out)
+        return ScalarCoeff(self.registry, substitute_raw(self._terms, self.registry, name, value))
 
     # -- queries ------------------------------------------------------
 
@@ -215,14 +215,14 @@ class ScalarCoeff:
         return not self._terms
 
     def is_one(self):
-        return self._terms == {(): (1, 0, 1)}
+        return self._terms == {K.ID_WORD: (1, 0, 1)}
 
     def evaluate(self, bindings) -> complex:
         """Numeric value given per-symbol complex bindings."""
         total = 0j
         for key, (a, b, d) in self._terms.items():
             v = complex(a, b) / d
-            for idx, e in key:
+            for idx, e in K.scalar_key(key):
                 name = self.registry.name(idx)
                 try:
                     base = bindings[name]
@@ -249,7 +249,7 @@ class ScalarCoeff:
         if not self._terms:
             return "0"
         parts = []
-        for key, (a, b, d) in sorted(self._terms.items()):
+        for key, (a, b, d) in sorted((K.scalar_key(k), g) for k, g in self._terms.items()):
             if b == 0:
                 num = str(a) if d == 1 else f"{a}/{d}"
             elif a == 0:

@@ -10,7 +10,7 @@ import pytest
 
 import so4atom
 from so4atom import catalog, report, spectrum
-from so4atom.cli import RunConfig, main
+from so4atom.cli import MAX_POINTS, RunConfig, main
 
 
 def run(capsys, *argv):
@@ -106,6 +106,26 @@ def test_empty_oracle_sample_exit_2(capsys, points):
     assert code == 2
     assert "points must be at least 1" in err
     assert "pass" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--points", "100000000"],
+    ["oracle", "--suite", "so3", "--points", str(MAX_POINTS + 1)],
+    ["all", "--points", "100000000"],
+])
+def test_oracle_sample_above_the_maximum_exit_2_before_any_work(capsys, monkeypatch, argv):
+    # the count is refused while the config is built, so nothing is sampled
+    from so4atom import oracle
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(oracle, "run_battery", no_work)
+    monkeypatch.setattr(catalog, "run_suite", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "at most %d" % MAX_POINTS in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 """Expression language: tokenizer, parser, elaborator, identity files."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so4atom import lang
 from so4atom.errors import LangError
-from so4atom.operators import SpinMode
+from so4atom.operators import SpinMode, scalar_raw
 from so4atom.scalars import SymbolRegistry
 
 
@@ -51,9 +53,85 @@ def test_round_trip_through_to_text():
 def test_precedence_and_unary_minus():
     env = fresh_env()
     assert ev("2*hbar + 3*hbar - 5*hbar", env).is_zero()
-    assert ev("-hbar^2 - hbar^2", env).is_zero()  # unary - binds before ^
+    # unary - binds before ^, so a minus applied to a power is refused and
+    # each reading must be spelled out
+    with pytest.raises(LangError, match="unary minus of a power"):
+        ev("-hbar^2 - hbar^2", env)
+    assert ev("(-hbar)^2 - hbar^2", env).is_zero()
+    assert ev("-(hbar^2) + hbar^2", env).is_zero()
     assert ev("2^3 - 8", env).is_zero()
     assert ev("6/2/3 - 1", env).is_zero()  # division left-associates
+    assert ev("2^-1 - 1/2", env).is_zero()  # a minus after ^ is the exponent's
+
+
+@pytest.mark.parametrize("text, span, spellings", [
+    ("t^2/2", (0, 5), ("(t^2)/2", "t^(2/2)")),
+    ("hbar^2/4", (0, 8), ("(hbar^2)/4", "hbar^(2/4)")),
+    ("4/2^2", (0, 5), ("(4/2)^2", "4/(2^2)")),
+    ("-t^2", (0, 4), ("-(t^2)", "(-t)^2")),
+    ("x / 3/4", (0, 7), ("(x / 3)/4", "x / (3/4)")),
+    ("4/-2/3", (0, 6), ("(4/-2)/3", "4/(-2/3)")),
+    ("2^-4/2", (0, 6), ("(2^-4)/2", "2^(-4/2)")),
+    ("1 + dot(S,S)^3/4", (4, 16), ("(dot(S,S)^3)/4", "dot(S,S)^(3/4)")),
+])
+def test_ambiguous_spellings_are_refused(text, span, spellings):
+    # a glued rational literal as an operand of ^ or the right operand of /,
+    # or a unary minus applied to a power, read against convention: each is
+    # a LangError at its span that names the parenthesised spellings
+    with pytest.raises(LangError) as exc:
+        lang.parse_expr(text)
+    assert exc.value.span == span
+    for spelling in spellings:
+        assert spelling in str(exc.value)
+        lang.parse_expr(spelling)
+
+
+def test_a_refused_spelling_in_a_file_reports_the_file_span():
+    text = "let a = hbar\ncheck c : a == hbar^2/4\n"
+    with pytest.raises(LangError) as exc:
+        lang.parse_identity_file(text)
+    start = text.index("hbar^2/4")
+    assert exc.value.span == (start, start + len("hbar^2/4"))
+
+
+def _number(value):
+    """The Fraction an elaborated rational expression equals."""
+    if value.is_zero():
+        return Fraction(0)
+    ((a, b, d),) = scalar_raw(value.raw_terms()).values()
+    assert b == 0
+    return Fraction(a, d)
+
+
+@st.composite
+def numeric_text(draw, depth=0):
+    """Random integer expression over + - * / ^, unary minus and parentheses,
+    as a token list."""
+    choice = draw(st.integers(0, 3)) if depth < 3 else 0
+    if choice == 0:
+        return [str(draw(st.integers(0, 12)))]
+    if choice == 1:
+        return ["-"] + draw(numeric_text(depth=depth + 1))
+    if choice == 2:
+        return ["("] + draw(numeric_text(depth=depth + 1)) + [")"]
+    op = draw(st.sampled_from(["+", "-", "*", "/", "^"]))
+    rhs = [str(draw(st.integers(0, 4)))] if op == "^" and draw(st.booleans()) \
+        else draw(numeric_text(depth=depth + 1))
+    return draw(numeric_text(depth=depth + 1)) + [op] + rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_text(), st.booleans())
+def test_numeric_text_reads_as_python_reads_it_or_is_refused(tokens, spaced):
+    # Python's own grammar is the reference: ^ is **, each integer a Fraction
+    text = (" " if spaced else "").join(tokens)
+    python = " ".join("Fraction(%s)" % t if t.isdigit() else ("**" if t == "^" else t)
+                      for t in tokens)
+    try:
+        got = _number(ev(text))
+    except LangError:
+        return
+    assert got == eval(python, {"Fraction": Fraction}), text
 
 
 def test_power_requires_literal_exponent():

@@ -190,10 +190,9 @@ def _word_matrix(word, hbar=1.0):
 
 def _expr_matrix(expr, hbar=1.0):
     out = np.zeros((2, 2), dtype=complex)
-    for sig, coeff in expr.raw_terms().items():
+    for sig, coeff in expr.words().items():
         assert sig[:7] == (0,) * 7
-        out += ScalarCoeff(expr.registry, coeff).evaluate({"hbar": hbar}) \
-            * _word_matrix(sig[7:], hbar)
+        out += coeff.evaluate({"hbar": hbar}) * _word_matrix(sig[7:], hbar)
     return out
 
 
@@ -319,6 +318,17 @@ def test_commutator_is_difference_of_products(wa, wb, sa, sb):
 
 
 @settings(max_examples=40, deadline=None)
+@given(_word, _word, _scale, _scale)
+def test_subtraction_is_adding_the_negation(wa, wb, sa, sb):
+    # __sub__ merges negated coefficients in one pass, without building -b
+    for gens in (_ABSTRACT, _HALF):
+        a = _build(gens, wa, sa)
+        b = _build(gens, wb, sb)
+        assert (a - b).raw_terms() == (a + (-b)).raw_terms()
+        assert (a - a).raw_terms() == {}
+
+
+@settings(max_examples=40, deadline=None)
 @given(_word, _word)
 def test_distributivity_random_words(wa, wb):
     a = _build(_ABSTRACT, wa, 1)
@@ -403,9 +413,8 @@ def test_quotient_commutes_with_mu_specialisation(wa, wb, sa, mu_scale, v):
 
 def _assert_normal_form(x):
     # the stored invariant: every r_x exponent at most 1, no empty coefficient
-    terms = x.raw_terms()
-    assert all(sig[0] <= 1 for sig in terms), x
-    assert all(terms.values()), x
+    assert all(sig[0] <= 1 for sig in x.words()), x
+    assert all(g[0] or g[1] for g in x.raw_terms().values()), x
 
 
 @settings(max_examples=40, deadline=None)
