@@ -70,7 +70,9 @@ The module is self-contained on purpose; it must not import anything
 from the rest of the package.
 """
 
+from functools import cache
 from math import gcd
+from operator import mul
 
 KERNEL_NAME = "pure"
 
@@ -186,19 +188,33 @@ def pack(sig, key=()):
     return k
 
 
+_WORD_UNITS = tuple(_unit(i) for i in range(SIG_FIELDS))
+
+
 def _shift(deltas):
     """What adding ``deltas[i]`` to word field i adds to a key."""
-    return sum(e << (FIELD_BITS * i) for i, e in enumerate(deltas))
+    return sum(map(mul, deltas, _WORD_UNITS))
 
 
 def word_fields(k):
     """The signature of a key's word."""
-    return tuple(((k >> (FIELD_BITS * i)) & _FIELD) - _BIAS for i in range(SIG_FIELDS))
+    return _word_fields(k & SIG_MASK)
 
 
 def scalar_key(k):
     """A key's scalar monomial as sorted ``(symbol, exponent)`` pairs."""
-    s = k >> SIG_BITS
+    return _scalar_key(k >> SIG_BITS)
+
+
+# the decoders are memoised on the word and on the scalar part: printing
+# and scans decode the same few thousand of each again and again
+@cache
+def _word_fields(w):
+    return tuple(((w >> (FIELD_BITS * i)) & _FIELD) - _BIAS for i in range(SIG_FIELDS))
+
+
+@cache
+def _scalar_key(s):
     out = []
     idx = 0
     while s:
@@ -231,10 +247,14 @@ def symbol_unit(idx):
 
 def _check(terms):
     """Raise OverflowError if some key of ``terms`` has an exponent outside
-    EXP_MIN..EXP_MAX.  Every key must be a sum of at most two in-range keys
-    and a small offset: then each field's guard bits, once the scalar
-    fields are lifted like the word's, are clear exactly when it is in
-    range, and a field below cannot carry into them."""
+    EXP_MIN..EXP_MAX.
+
+    Sound for keys whose exponents lie within four times that range, as
+    every key does that one operation makes from in-range keys: once the
+    scalar fields are lifted like the word's, a field's guard bits are
+    clear exactly when it is in range, the lowest field out of range
+    takes no carry from below, and no two such exponent vectors share a
+    key, so none merged with another before the check."""
     if not terms:
         return
     top = max(max(terms), -min(terms)).bit_length()
@@ -523,14 +543,15 @@ def _steps(rows, ka, kb, half):
     if steps is None:
         _, _, _, _, ma0, ma1, ma2, sa0, sa1, sa2 = word_fields(ka)
         pb0, pb1, pb2, rb, _, _, _, sb0, sb1, sb2 = word_fields(kb)
-        # ka + kb carries each word field's bias twice, hence the -ID_WORD
+        # each word's key is ka + kb plus its signature minus the fields of
+        # ka and kb that the table reads, and ka + kb carries each word
+        # field's bias twice, hence ID_WORD
+        base = _shift((pb0, pb1, pb2, rb, ma0, ma1, ma2, sa0 + sb0, sa1 + sb1, sa2 + sb2))
+        base += ID_WORD
         steps = row[kb & _COL_MASK] = tuple(
-            (_shift((q0 - pb0, q1 - pb1, q2 - pb2, q3 - rb, q4 - ma0, q5 - ma1, q6 - ma2,
-                     w0 - sa0 - sb0, w1 - sa1 - sb1, w2 - sa2 - sb2))
-             - ID_WORD + h * HBAR_UNIT, a, b, d)
-            for q0, q1, q2, q3, q4, q5, q6, w0, w1, w2, a, b, d, h
-            in _step((ma0, ma1, ma2), (pb0, pb1, pb2), rb, (sa0, sa1, sa2),
-                     (sb0, sb1, sb2), half))
+            (_shift(e[:SIG_FIELDS]) - base + e[13] * HBAR_UNIT, e[10], e[11], e[12])
+            for e in _step((ma0, ma1, ma2), (pb0, pb1, pb2), rb, (sa0, sa1, sa2),
+                           (sb0, sb1, sb2), half))
     return steps
 
 
@@ -596,18 +617,6 @@ def expr_mul(ta, tb, half):
     return _quotient(out)
 
 
-def _terms_by_word(terms):
-    out = {}
-    for k, g in terms.items():
-        w = k & SIG_MASK
-        grp = out.get(w)
-        if grp is None:
-            out[w] = [(k, g)]
-        else:
-            grp.append((k, g))
-    return out
-
-
 def expr_comm(ta, tb, half):
     """Terms of ``[A, B] = A*B - B*A`` in the quotient normal form.
 
@@ -618,17 +627,28 @@ def expr_comm(ta, tb, half):
     """
     out = {}
     rows = _STEPS[half]
-    words_b = list(_terms_by_word(tb).items())
-    for wa, terms_a in _terms_by_word(ta).items():
+    words_b = [(wb, tuple(c.items())) for wb, c in by_word(tb).items()]
+    for wa, ca in by_word(ta).items():
+        terms_a = tuple(ca.items())
         for wb, terms_b in words_b:
-            acc = {}
-            for off, ga, gb, gd in _steps(rows, wa, wb, half):
-                acc_raw(acc, off, (ga, gb, gd))
+            # the words of one table entry are distinct, so only the second
+            # order's can meet
+            acc = {off: (ga, gb, gd) for off, ga, gb, gd in _steps(rows, wa, wb, half)}
             for off, ga, gb, gd in _steps(rows, wb, wa, half):
-                acc_raw(acc, off, (-ga, -gb, gd))
+                cur = acc.get(off)
+                if cur is None:
+                    acc[off] = (-ga, -gb, gd)
+                    continue
+                s = g_add(cur, (-ga, -gb, gd))
+                if s[0] or s[1]:
+                    acc[off] = s
+                else:
+                    del acc[off]
             if not acc:
                 continue
-            units = [(off, g[0], g[1], g[2]) for off, g in acc.items()]
+            # the coefficient keys carry the identity word in place of wa and wb
+            shift = wa + wb - 2 * ID_WORD
+            units = [(off + shift, g[0], g[1], g[2]) for off, g in acc.items()]
             for ka, (xa, xb, xd) in terms_a:
                 for kb, (ya, yb, yd) in terms_b:
                     base = ka + kb

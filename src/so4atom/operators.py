@@ -83,8 +83,8 @@ class OperatorExpr:
 
     def __init__(self, registry, mode, terms):
         """Store ``terms`` as given.  The caller guarantees the invariant:
-        the quotient normal form (every r_x exponent at most 1), no empty
-        coefficient, and coefficient dicts that nothing mutates later."""
+        the quotient normal form (every r_x exponent at most 1), no zero
+        coefficient, and a dict that nothing mutates later."""
         self.registry = registry
         self.mode = mode
         self._terms = terms

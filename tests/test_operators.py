@@ -412,7 +412,7 @@ def test_quotient_commutes_with_mu_specialisation(wa, wb, sa, mu_scale, v):
 
 
 def _assert_normal_form(x):
-    # the stored invariant: every r_x exponent at most 1, no empty coefficient
+    # the stored invariant: every r_x exponent at most 1, no zero coefficient
     assert all(sig[0] <= 1 for sig in x.words()), x
     assert all(g[0] or g[1] for g in x.raw_terms().values()), x
 
