@@ -6,8 +6,8 @@ r^n, commutator brackets [a, b], and the vector helpers cross/dot/idx.
 Parsing is precedence-climbing over a flat token list; every token and Ast
 node carries a character span so errors can point at the offending text.
 
-Two spellings would read against convention, so they are LangErrors that
-name the parenthesised forms.  A rational literal is one token (``2/3``),
+Spellings that would read against convention are LangErrors that name
+the parenthesised forms.  A rational literal is one token (``2/3``),
 so it may not be an operand of ``^`` (``t^2/2``, ``4/2^2``) nor the right
 operand of ``/`` (``x / 3/4``), unary minus signs between included.  And
 unary minus binds tighter than ``^`` here, so it may not apply to a power
