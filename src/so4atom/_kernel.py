@@ -732,8 +732,19 @@ def expr_zero_at(terms, idx, v):
         if min(exps, default=0) < 0:
             raise ZeroDivisionError("a negative power of symbol %d at 0" % idx)
         return all(exps)
+    if not any(exps):
+        return not terms
     unit = symbol_unit(idx)
     sums = {}
     for (k, g), e in zip(terms.items(), exps):
-        acc_raw(sums, k - e * unit, g)
+        k -= e * unit
+        cur = sums.get(k)
+        if cur is None:
+            sums[k] = g
+            continue
+        cur = g_add(cur, g)
+        if cur[0] or cur[1]:
+            sums[k] = cur
+        else:
+            del sums[k]
     return not sums

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import cache
 
 from so4atom import _kernel as K
 from so4atom.errors import DomainError, UsageError
@@ -259,27 +260,34 @@ class OperatorExpr:
     def __str__(self):
         if not self._terms:
             return "0"
-        glyphs = ("x", "y", "z", None, "px", "py", "pz", "Sx", "Sy", "Sz")
         parts = []
         coeffs = self.words()
         for sig in sorted(coeffs):
             c = coeffs[sig]
-            word = []
-            for i, g in enumerate(glyphs):
-                if i == 3:
-                    if sig[3]:
-                        word.append(f"r^{sig[3]}" if sig[3] != 1 else "r")
-                    continue
-                if sig[i]:
-                    word.append(f"{g}^{sig[i]}" if sig[i] != 1 else g)
+            word = _word_text(sig)
             cs = str(c)
             if len(c.raw()) > 1 or ("+" in cs and not cs.startswith("(")):
                 cs = f"({cs})"
-            parts.append(f"{cs}*{' '.join(word)}" if word else cs)
+            parts.append(f"{cs}*{word}" if word else cs)
         return " + ".join(parts)
 
     def __repr__(self):
         return f"OperatorExpr({self})"
+
+
+@cache
+def _word_text(sig):
+    """A word's printed form, such as ``x r^-2 px Sz``; '' for the identity."""
+    glyphs = ("x", "y", "z", None, "px", "py", "pz", "Sx", "Sy", "Sz")
+    word = []
+    for i, g in enumerate(glyphs):
+        if i == 3:
+            if sig[3]:
+                word.append(f"r^{sig[3]}" if sig[3] != 1 else "r")
+            continue
+        if sig[i]:
+            word.append(f"{g}^{sig[i]}" if sig[i] != 1 else g)
+    return " ".join(word)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ class SymbolRegistry:
     def __init__(self, extra=()):
         self._names = list(BUILTIN_SYMBOLS)
         self._index = {n: i for i, n in enumerate(self._names)}
+        self._texts = {}
         for name in extra:
             self.register(name)
 
@@ -64,6 +65,15 @@ class SymbolRegistry:
 
     def name(self, idx: int) -> str:
         return self._names[idx]
+
+    def monomial_text(self, key) -> str:
+        """The printed form of a sparse key, such as ``hbar^2*M``; kept,
+        since a registry only grows and a name never changes."""
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = "*".join(
+                self._names[i] + (f"^{e}" if e != 1 else "") for i, e in key)
+        return text
 
     @property
     def names(self):
@@ -256,9 +266,7 @@ class ScalarCoeff:
                 num = f"{b}i" if d == 1 else f"({b}i)/{d}"
             else:
                 num = f"({a}{'+' if b > 0 else ''}{b}i)/{d}" if d != 1 else f"({a}{'+' if b > 0 else ''}{b}i)"
-            syms = "*".join(
-                self.registry.name(i) + (f"^{e}" if e != 1 else "") for i, e in key
-            )
+            syms = self.registry.monomial_text(key)
             if not syms:
                 parts.append(num)
             elif num == "1":
