@@ -233,11 +233,22 @@ def unpack(k):
     return word_fields(k), scalar_key(k)
 
 
+@cache
+def _lift(n):
+    """Adds the bias to each of the lowest n scalar fields, so that none of
+    them borrows from the field above."""
+    return _BIAS * _repunit(n)
+
+
+@cache
+def _guards(n):
+    """The guard bits of the word and of the lowest n scalar fields."""
+    return _GUARDS * _repunit(SIG_FIELDS + n)
+
+
 def exponent(k, idx):
     """The exponent of symbol ``idx`` in key ``k``."""
-    # lift the lower fields to non-negative values so none borrows from idx
-    s = (k >> SIG_BITS) + _BIAS * _repunit(idx + 1)
-    return ((s >> (FIELD_BITS * idx)) & _FIELD) - _BIAS
+    return ((((k >> SIG_BITS) + _lift(idx + 1)) >> (FIELD_BITS * idx)) & _FIELD) - _BIAS
 
 
 def symbol_unit(idx):
@@ -259,9 +270,8 @@ def _check(terms):
         return
     top = max(max(terms), -min(terms)).bit_length()
     n = max(top - SIG_BITS, 0) // FIELD_BITS + 2
-    lift = (_BIAS * _repunit(n)) << SIG_BITS
-    guards = _GUARDS * _repunit(SIG_FIELDS + n)
-    if any(map(guards.__and__, map(lift.__add__, terms))):
+    lift = _lift(n) << SIG_BITS
+    if any(map(_guards(n).__and__, map(lift.__add__, terms))):
         raise OverflowError("an exponent left the packed range %d..%d"
                             % (EXP_MIN, EXP_MAX))
 
@@ -724,8 +734,8 @@ def expr_zero_at(terms, idx, v):
     """
     if v not in (0, 1):
         raise ValueError("expr_zero_at takes 0 or 1, not %r" % (v,))
-    # exponent(k, idx) for every key, with the lift computed once
-    lift = _BIAS * _repunit(idx + 1)
+    # exponent(k, idx) for every key
+    lift = _lift(idx + 1)
     at = FIELD_BITS * idx
     exps = [(((k >> SIG_BITS) + lift) >> at & _FIELD) - _BIAS for k in terms]
     if v == 0:
