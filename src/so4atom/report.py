@@ -47,9 +47,10 @@ def residual_entry(report, tol):
 
 def level_entry(row, tol):
     """One spectrum level: its error, that error over tol, and the
-    solver's own estimate of it."""
+    solver's own estimate of it.  Its status is the sector verdict's
+    (LevelRow.passes)."""
     return {"id": "%s %s level%d" % (row.sector_j, row.channel, row.level_index),
-            "status": "pass" if row.rel_error <= tol else "fail",
+            "status": "pass" if row.passes(tol) else "fail",
             "residual": row.rel_error, "margin": row.rel_error / tol,
             "est_error": row.est_error, "elapsed_ms": 0.0}
 

@@ -45,14 +45,15 @@ of the channel that produced it.  coupled_levels() solves the unrotated
 two-channel band, mapped the same way, with scipy.linalg.eig_banded on the
 same pair; it is the tests' reference for the rotation.
 
-Predictions come from the su(2) x su(2) pairing: solve_wk_pair() solves the
-two Casimir relations with exact rationals and reports a verdict for every
-candidate label, keeping the inadmissible ones on record instead of
-dropping them.  That is where the spurious deepest level of the raw
-closed form disappears: its only labelings need a negative ladder scale or
-a negative spin label.  A prediction table reaches the n of each level a
-result holds, up to the last n whose level can lie below the cutoff.  A mu=1
-table does not depend on j, so default_study() builds one per coupling.
+Levels are matched by rank.  A (w, k) multiplet of the su(2) x su(2)
+pairing holds the sectors j = |w-k|, ..., w+k (Bander & Itzykson, Rev. Mod.
+Phys. 38, 330, 1966), so the k-th level of channel s_r, counted upward, has
+nu = j+1+k and the closed form -M g^2/(2 hbar^2 nu^2) (n = l+1+k at mu=0),
+and a lost, doubled or misassigned level shifts the later ranks of its
+channel.  Its label (n, branch), n = nu - branch*s_r, is the branch the
+exact Casimir relations admit (solve_wk_pair).  predicted_levels() keeps
+every raw closed-form instance with its verdict: the raw form's spurious
+deepest level has only labelings with a negative ladder scale or spin label.
 """
 
 import math
@@ -176,9 +177,18 @@ class LevelRow:
     rel_error: float
     est_error: float
 
+    def passes(self, tol):
+        """Within tol of the closed form, and converged: the estimate at most
+        tol, or at most _EST_BAR under a tighter tol."""
+        return self.rel_error <= tol and self.est_error <= max(tol, _EST_BAR)
+
 
 _MIN_GRID = 500
 DEFAULT_GRID_N = 1000
+
+# the estimate is the fine grid's error, which the limit improves on: at
+# grid_n = 500, r_max = 150 estimates up to 4.3e-4 stand for limits within 5.1e-5
+_EST_BAR = 1e-3
 
 # absolute bisection tolerance of every channel solve: the mapped matrix is
 # graded (|T| ~ 2e7 on the default fine grid, 3e8 at 2000 points), and
@@ -429,52 +439,52 @@ def predicted_levels(sector, params=None, max_n=6):
     return out
 
 
-def _top_n(sector, params, cutoff, levels):
-    """The largest n a table for `levels` levels of sector needs: the k-th
-    level of a channel has nu = j+1+k and n <= nu + 1/2 (n = l+1+k at mu=0).
-    The cutoff caps that: a level -M g^2/(2 hbar^2 nu^2) below it needs
-    nu < |g| sqrt(M/(2|cutoff|))/hbar, with |g| <= |k1| + |k2| hbar/2, and
-    one more n keeps a level just below the cutoff whose prediction lands
-    just above it.
+def _label(nu, s_r, exact):
+    """The admissible (n, branch), n = nu - branch*s_r, of level nu in
+    channel s_r; None in a free channel, where no labeling is admissible."""
+    for branch in (+1, -1):
+        w = (nu - branch * s_r - 1) / 2
+        if _wk_report(w, w + branch * s_r, s_r, *exact).verdict == "admissible":
+            return int(2 * w + 1), branch
+    return None
+
+
+def match_spectrum(result, tol=1e-3):
+    """Pair each trustworthy computed level with its closed form by rank.
+
+    The k-th level of a channel, counted upward, has nu = j+1+k at mu=1 and
+    n = l+1+k at mu=0.  Returns (rows, ok); ok drops to False when a level
+    below the cutoff fails LevelRow.passes (one with no admissible label,
+    n_label "none", has rel_error inf), or when none sits below the cutoff.
     """
-    top = sector.l + levels if sector.mu == 0 else int(sector.j + levels + Fraction(1, 2))
-    g = abs(params.k1) + abs(params.k2) * params.hbar / 2
-    return min(top, int(g * math.sqrt(params.mass / (2 * abs(cutoff))) / params.hbar + 0.5) + 1)
-
-
-def match_spectrum(result, predictions=None, tol=1e-3):
-    """Pair each trustworthy computed level with an admissible prediction.
-
-    Without a table, the sector's predictions are built up to the n its
-    levels need (_top_n).  Returns (rows, ok); ok drops to False when a level
-    below the cutoff has no admissible partner within tol, or when no level
-    sits below it.
-    """
-    if predictions is None:
-        top = _top_n(result.sector, result.params, result.cutoff, len(result.energies))
-        predictions = predicted_levels(result.sector, result.params, max_n=top)
-    admissible = [p for p in predictions if p.admissible and p.energy is not None]
+    sector, params = result.sector, result.params
+    exact = _exact(params)
+    rank = {}               # channel -> levels of it seen so far
     rows = []
     ok = True
-    jlab = "j=%s" % result.sector.j if result.sector.mu == 1 else "l=%d" % result.sector.l
-    for idx, energy in enumerate(result.energies):
+    jlab = "j=%s" % sector.j if sector.mu == 1 else "l=%d" % sector.l
+    for idx, (energy, channel) in enumerate(zip(result.energies, result.channels)):
+        k = rank[channel] = rank.get(channel, -1) + 1
         if energy > result.cutoff:
             continue
-        channel = result.channels[idx]
-        pool = [p for p in admissible
-                if result.sector.mu == 0 or p.s_r == channel] or admissible
-        best = min(pool, key=lambda p: abs(p.energy - energy))
-        rel = abs(energy - best.energy) / abs(best.energy)
-        if rel > tol:
-            ok = False
+        if sector.mu == 0:
+            nu = n = sector.l + 1 + k
+            branch, g = 0, params.k1
+        else:
+            nu = sector.j + 1 + k
+            n, branch = _label(nu, channel, exact) or (0, 0)
+            g = params.k1 + params.k2 * params.hbar * float(channel)
+        predicted = -params.mass * g * g / (2 * params.hbar ** 2 * float(nu) ** 2)
         rows.append(LevelRow(
             jlab,
             "s_r=%+g" % float(channel) if channel is not None else "single",
-            idx, energy, best.energy,
-            "n=%d" % best.n,
-            "%+d" % best.branch if result.sector.mu == 1 else "",
-            rel, result.est_errors[idx],
+            idx, energy, predicted,
+            "n=%d" % n if n else "none",
+            "%+d" % branch if branch else "",
+            abs(energy - predicted) / abs(predicted) if n and predicted else math.inf,
+            result.est_errors[idx],
         ))
+        ok = ok and rows[-1].passes(tol)
     return rows, ok and bool(rows)
 
 
@@ -492,19 +502,8 @@ def default_study(params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=8,
         sweep.extend((RadialSector(1, j=j), p) for j in (Fraction(1, 2), Fraction(3, 2)))
     rows = []
     all_ok = True
-    # a mu=1 table does not depend on j: one per coupling, as deep as its
-    # j=3/2 sector needs, kept only while that coupling's sectors are matched
-    deepest = RadialSector(1, j=Fraction(3, 2))
-    table_for = table = None
     for sector, p in sweep:
-        res = solve_lowest(sector, p, grid_n, r_max, count, r_min)
-        predictions = None
-        if sector.mu == 1:
-            if p != table_for:
-                top = _top_n(deepest, p, res.cutoff, count)
-                table_for, table = p, predicted_levels(sector, p, max_n=top)
-            predictions = table
-        got, ok = match_spectrum(res, predictions, tol=tol)
+        got, ok = match_spectrum(solve_lowest(sector, p, grid_n, r_max, count, r_min), tol=tol)
         rows.extend(got)
         all_ok = all_ok and (ok or not got)
     return rows, all_ok and bool(rows)

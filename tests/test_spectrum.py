@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so4atom import _kernel, catalog, spectrum
+from so4atom import _kernel, catalog, report, spectrum
 from so4atom.errors import SolverError, UsageError
 from so4atom.operators import OperatorExpr, SpinMode
 
@@ -288,7 +288,7 @@ def test_every_computed_level_matches_an_admissible_one(j, k2):
                                    (Fraction(3, 2), 2.4), (Fraction(5, 2), -3.0)])
 def test_strong_charge_levels_find_their_high_n_partners(j, k2):
     # a strong channel charge binds 8 levels below the cutoff, up to n = 10;
-    # the prediction table must reach every one of them
+    # each is ranked to its own nu, however deep
     res = spectrum.solve_lowest(spectrum.RadialSector(1, j=j),
                                 spectrum.CouplingParams(k2=k2), count=8, **PIN)
     rows, ok = spectrum.match_spectrum(res)
@@ -333,7 +333,6 @@ def test_each_distinct_channel_is_solved_once(monkeypatch, k2, solves):
 @given(twice_j=st.integers(0, 4).map(lambda m: 2 * m + 1),
        k2=st.floats(-2.0, 2.0, allow_nan=False))
 def test_mu1_predictions_do_not_depend_on_j(twice_j, k2):
-    # the law default_study rests on when it builds one table per coupling
     params = spectrum.CouplingParams(k2=k2)
     base = spectrum.predicted_levels(spectrum.RadialSector(1, j=HALF), params, max_n=8)
     other = spectrum.predicted_levels(
@@ -493,14 +492,13 @@ def test_default_study_is_its_sectors_matched_one_by_one():
 
 def test_shared_table_covers_the_deepest_sector():
     # at k2 = -2*k1 the s_r=+1/2 channel is free, so the other holds every
-    # level: the eighth j=3/2 level needs n=10, one past what j=1/2's eight
-    # levels need, while the cutoff alone would allow n up to 28
+    # level: the k-th level has nu = j+1+k, so j=1/2's eight levels reach
+    # n=9 and j=3/2's eighth needs n=10
     params = spectrum.CouplingParams(k1=-3.0, k2=6.0)
-    res = spectrum.solve_lowest(spectrum.RadialSector(1, j=HALF), params, **PIN)
-    assert spectrum._top_n(res.sector, params, res.cutoff, len(res.energies)) == 9
     rows, ok = spectrum.default_study(spectrum.CouplingParams(k1=-3.0), k2_values=(6.0,))
-    deepest = [r for r in rows if r.sector_j == "j=3/2"]
-    assert [r.n_label for r in deepest] == ["n=%d" % n for n in range(3, 11)]
+    for j, first in (("j=1/2", 2), ("j=3/2", 3)):
+        assert [r.n_label for r in rows if r.sector_j == j] == \
+            ["n=%d" % n for n in range(first, first + 8)]
     want = []
     for j in (HALF, Fraction(3, 2)):
         got, sector_ok = spectrum.match_spectrum(
@@ -509,6 +507,126 @@ def test_shared_table_covers_the_deepest_sector():
         want.extend(got)
     assert [r for r in rows if r.sector_j.startswith("j=")] == want
     assert ok is True
+
+
+def test_levels_are_degenerate_across_the_so4_multiplet():
+    # a multiplet of nu holds j = 1/2, ..., nu - 1: each level below the
+    # cutoff must come out of channel s_r of every such sector, at one
+    # energy and under one label.  Levels are grouped by energy alone, and
+    # the groups of a channel, counted upward, are nu = 3/2, 5/2, ...
+    params = spectrum.CouplingParams(k2=0.2)
+    js = (HALF, Fraction(3, 2), Fraction(5, 2))
+    levels = {}             # channel -> [(energy, j, n_label, branch)]
+    for j in js:
+        res = spectrum.solve_lowest(spectrum.RadialSector(1, j=j), params, count=16, **PIN)
+        assert res.energies[-1] > res.cutoff     # every level below it was held
+        rows, ok = spectrum.match_spectrum(res)
+        assert ok
+        for row in rows:
+            levels.setdefault(row.channel, []).append(
+                (row.e_computed, j, row.n_label, row.branch))
+    assert sorted(levels) == ["s_r=+0.5", "s_r=-0.5"]
+    for channel, found in levels.items():
+        found.sort()
+        groups = [[found[0]]]
+        for level in found[1:]:
+            if abs(level[0] - groups[-1][0][0]) <= 1e-6 * abs(level[0]):
+                groups[-1].append(level)
+            else:
+                groups.append([level])
+        assert len(groups) >= 3, channel
+        for rank, group in enumerate(groups):
+            nu = Fraction(3, 2) + rank
+            assert sorted(j for _e, j, _n, _b in group) == [j for j in js if j <= nu - 1], \
+                (channel, nu)
+            assert len({(n, b) for _e, _j, n, b in group}) == 1, (channel, nu)
+            energies = [e for e, _j, _n, _b in group]
+            assert max(energies) - min(energies) <= 1e-6 * abs(energies[0]), (channel, nu)
+
+
+# -- planted faults ---------------------------------------------------------
+
+
+def coupled(j=HALF, k2=0.2):
+    """A mu=1 sector in the default box, checked to match before any fault
+    is planted in it."""
+    res = spectrum.solve_lowest(spectrum.RadialSector(1, j=j),
+                                spectrum.CouplingParams(k2=k2), **PIN)
+    assert spectrum.match_spectrum(res)[1] is True
+    return res
+
+
+def planted(res, keep):
+    """res with its levels at the positions keep, in that order."""
+    return replace(res, energies=tuple(res.energies[i] for i in keep),
+                   channels=tuple(res.channels[i] for i in keep),
+                   est_errors=tuple(res.est_errors[i] for i in keep))
+
+
+@pytest.mark.parametrize("fault", ["lost", "doubled"])
+@pytest.mark.parametrize("sector", [spectrum.RadialSector(0, l=0),
+                                    spectrum.RadialSector(1, j=HALF)], ids=["l=0", "j=1/2"])
+def test_a_lost_or_doubled_ground_level_fails(sector, fault):
+    res = spectrum.solve_lowest(sector, **PIN)
+    assert spectrum.match_spectrum(res)[1] is True
+    held = range(len(res.energies))
+    keep = held[1:] if fault == "lost" else [0, *held]
+    rows, ok = spectrum.match_spectrum(planted(res, keep))
+    assert ok is False
+    assert rows[0].rel_error > 1e-3 or rows[1].rel_error > 1e-3
+
+
+def test_swapped_channels_fail():
+    res = coupled()
+    assert res.channels[:2] == (-HALF, HALF)
+    _rows, ok = spectrum.match_spectrum(
+        replace(res, channels=(HALF, -HALF) + res.channels[2:]))
+    assert ok is False
+
+
+def test_a_lost_j32_ground_level_is_not_relabelled():
+    # j=3/2 holds nu >= 5/2 only, so its s_r=-1/2 channel starts at n=3;
+    # the j=1/2 ground level's label, n=2 in that channel, never appears.
+    # The parent matched the level after the lost one to its nearest
+    # neighbour, n=4, and passed
+    res = coupled(Fraction(3, 2))
+    assert res.channels[0] == -HALF
+    rows, ok = spectrum.match_spectrum(planted(res, range(1, len(res.energies))))
+    assert ok is False
+    lost = [r for r in rows if r.channel == "s_r=-0.5"]
+    assert [r.n_label for r in lost] == ["n=%d" % n for n in range(3, 3 + len(lost))]
+    assert all(r.rel_error > 1e-3 for r in lost)
+    # the other channel keeps its ranks, and its n=2 is its own nu = 5/2
+    kept = [r for r in rows if r.channel == "s_r=+0.5"]
+    assert kept[0].n_label == "n=2"
+    assert all(r.rel_error < 1e-4 for r in kept)
+
+
+@pytest.mark.parametrize("est, tol, passes", [(0.5, 1e-3, False), (2e-3, 1e-3, False),
+                                              (2e-3, 1e-4, False), (2e-3, 1e-2, True),
+                                              (5e-4, 1e-4, True)])
+def test_an_unconverged_row_fails_in_the_verdict_and_the_report(est, tol, passes):
+    # a level whose own estimate exceeds tol is unconverged, however close it
+    # lands to its closed form; below the default tolerance the bar stays
+    # at 1e-3, as the estimate is the fine grid's error, not the limit's
+    res = coupled()
+    rows, ok = spectrum.match_spectrum(replace(res, est_errors=(est,) + res.est_errors[1:]),
+                                       tol=tol)
+    assert rows[0].rel_error < 1e-6 and rows[0].est_error == est
+    assert ok is passes
+    assert [report.level_entry(r, tol)["status"] for r in rows] == \
+        ["pass" if passes else "fail"] + ["pass"] * (len(rows) - 1)
+
+
+def test_a_level_in_a_free_channel_fails():
+    # at k2 = -2*k1 the s_r=+1/2 channel is free: no labeling is admissible,
+    # so a level planted there below the cutoff has no partner
+    res = coupled(HALF, 2.0)
+    assert set(res.channels) == {-HALF}
+    rows, ok = spectrum.match_spectrum(replace(res, channels=(HALF,) + res.channels[1:]))
+    assert ok is False
+    assert (rows[0].n_label, rows[0].branch, rows[0].rel_error) == ("none", "", float("inf"))
+    assert report.level_entry(rows[0], 1e-3)["status"] == "fail"
 
 
 @pytest.mark.parametrize("k1, k2", [(-1e300, 0.2), (-1.0, 1e300), (-1e154, 0.0)])
