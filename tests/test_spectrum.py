@@ -547,13 +547,16 @@ def test_levels_are_degenerate_across_the_so4_multiplet():
 # -- planted faults ---------------------------------------------------------
 
 
-def coupled(j=HALF, k2=0.2):
-    """A mu=1 sector in the default box, checked to match before any fault
-    is planted in it."""
-    res = spectrum.solve_lowest(spectrum.RadialSector(1, j=j),
-                                spectrum.CouplingParams(k2=k2), **PIN)
+def matched(sector, k2=0.2):
+    """A sector solved in the default box, checked to match before any
+    fault is planted in it."""
+    res = spectrum.solve_lowest(sector, spectrum.CouplingParams(k2=k2), **PIN)
     assert spectrum.match_spectrum(res)[1] is True
     return res
+
+
+def coupled(j=HALF, k2=0.2):
+    return matched(spectrum.RadialSector(1, j=j), k2)
 
 
 def planted(res, keep):
@@ -567,8 +570,7 @@ def planted(res, keep):
 @pytest.mark.parametrize("sector", [spectrum.RadialSector(0, l=0),
                                     spectrum.RadialSector(1, j=HALF)], ids=["l=0", "j=1/2"])
 def test_a_lost_or_doubled_ground_level_fails(sector, fault):
-    res = spectrum.solve_lowest(sector, **PIN)
-    assert spectrum.match_spectrum(res)[1] is True
+    res = matched(sector)
     held = range(len(res.energies))
     keep = held[1:] if fault == "lost" else [0, *held]
     rows, ok = spectrum.match_spectrum(planted(res, keep))
