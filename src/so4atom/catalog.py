@@ -33,6 +33,7 @@ from importlib import resources
 from .errors import UsageError
 from .scalars import SymbolRegistry
 from .operators import SpinMode, VecExpr
+from .report import WITNESS_LIMIT
 from . import lang
 
 __all__ = [
@@ -74,7 +75,7 @@ class CheckResult:
     mu_policy: str
     requested_mu: str
     symbolic_zero: object  # bool when computed, else None
-    witness: str
+    witness: str           # the difference's text, cut after WITNESS_LIMIT + 1 characters
     residual_terms: int
     elapsed_ms: float
 
@@ -229,9 +230,32 @@ def _verdict(diff, relation, lens, declared):
         shown_diff = diff.substitute("mu", values[0]) if len(values) == 1 else diff
         vec = isinstance(shown_diff, VecExpr)
         parts = shown_diff.components if vec else (shown_diff,)
-        witness = "(%s)" % "; ".join(map(str, parts)) if vec else str(shown_diff)
+        witness = _witness(parts, vec)
         terms = sum(c.term_count() for c in parts)
     return shown, ok, sym, witness, terms
+
+
+def _witness(parts, vec):
+    """The text of a difference (a vector's components joined by '; ' in
+    parentheses), rendered only to its first WITNESS_LIMIT + 1 characters:
+    a report shows WITNESS_LIMIT of them, and the one more says it is cut."""
+    def pieces():
+        if vec:
+            yield "("
+        for i, part in enumerate(parts):
+            if i:
+                yield "; "
+            yield from part.text_pieces()
+        if vec:
+            yield ")"
+
+    text, size = [], 0
+    for piece in pieces():
+        text.append(piece)
+        size += len(piece)
+        if size > WITNESS_LIMIT:
+            break
+    return "".join(text)[:WITNESS_LIMIT + 1]
 
 
 def _compatible(declared, requested):

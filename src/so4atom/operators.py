@@ -257,19 +257,23 @@ class OperatorExpr:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def __str__(self):
+    def text_pieces(self):
+        """The printed form in pieces, one summand per word in word order,
+        rendered as they are consumed: ``"".join`` of them is ``str(self)``."""
         if not self._terms:
-            return "0"
-        parts = []
+            yield "0"
+            return
         coeffs = self.words()
-        for sig in sorted(coeffs):
+        for i, sig in enumerate(sorted(coeffs)):
             c = coeffs[sig]
             word = _word_text(sig)
             cs = str(c)
             if len(c.raw()) > 1 or ("+" in cs and not cs.startswith("(")):
                 cs = f"({cs})"
-            parts.append(f"{cs}*{word}" if word else cs)
-        return " + ".join(parts)
+            yield (" + " if i else "") + (f"{cs}*{word}" if word else cs)
+
+    def __str__(self):
+        return "".join(self.text_pieces())
 
     def __repr__(self):
         return f"OperatorExpr({self})"

@@ -24,7 +24,8 @@ __all__ = [
     "emit",
 ]
 
-_WITNESS_LIMIT = 400
+# the characters of a witness a report shows; catalog renders one more
+WITNESS_LIMIT = 400
 
 
 def check_entry(result):
@@ -32,8 +33,8 @@ def check_entry(result):
     entry = {"id": result.check_id, "status": result.status}
     if result.witness:
         text = result.witness
-        if len(text) > _WITNESS_LIMIT:
-            text = text[:_WITNESS_LIMIT] + "... (%d terms)" % result.residual_terms
+        if len(text) > WITNESS_LIMIT:
+            text = text[:WITNESS_LIMIT] + "... (%d terms)" % result.residual_terms
         entry["witness_text"] = text
     entry["elapsed_ms"] = round(result.elapsed_ms, 3)
     return entry

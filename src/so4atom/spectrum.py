@@ -41,7 +41,14 @@ level count must fit in the coarse grid.
 Each distinct charge is solved once per grid, for eigenvalues only, by
 scipy.linalg.eigh_tridiagonal with a fixed bisection tolerance (at k2=0
 both channels of a sector are one matrix), and each level keeps the label
-of the channel that produced it.  coupled_levels() solves the unrotated
+of the channel that produced it.  Only the levels that can become rows are
+bisected: a Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 386,
+1967), one O(N) pass through LAPACK's stebz, first finds how many levels of
+the channel lie at or below half the trust cutoff on each grid, and the
+solve stops at the larger count.  A level left out has both grid values
+above that window; its estimate is exactly (E_N - L)/|L| for its limit L,
+so if L still reached the cutoff the estimate would exceed 1/2, and the
+row could not pass.  coupled_levels() solves the unrotated
 two-channel band, mapped the same way, with scipy.linalg.eig_banded on the
 same pair; it is the tests' reference for the rotation.
 
@@ -62,6 +69,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .errors import SolverError, UsageError
 from . import catalog
@@ -135,7 +143,8 @@ class SpectrumResult:
     grid_n: int              # the fine grid; the coarse one is grid_n // 2
     r_max: float
     cutoff: float
-    energies: tuple          # everything requested, ascending, extrapolated
+    energies: tuple          # ascending, extrapolated: at most count, none that
+    #                          both grids put above half the cutoff
     channels: tuple          # s_r of the channel behind each energy (mu=1), else None
     est_errors: tuple        # estimated relative error of each energy
 
@@ -276,6 +285,33 @@ def _lowest(stencil, g, last):
         raise SolverError("eigenvalue solve failed: %s" % exc) from exc
 
 
+def _charge(params, s_r):
+    """Charge of channel s_r; s_r None is mu=0's one Coulomb channel."""
+    return params.k1 if s_r is None else params.k1 + params.k2 * params.hbar * float(s_r)
+
+
+def _channels(sector, params):
+    """(charge, s_r) of each channel: one at mu=0, else one per s_r = +-1/2
+    eigenline of (r.S)/r."""
+    labels = (None,) if sector.mu == 0 else (Fraction(1, 2), Fraction(-1, 2))
+    return tuple((_charge(params, s_r), s_r) for s_r in labels)
+
+
+def _count_at_or_below(stencil, g, top):
+    """How many levels of the mapped channel with charge g lie at or below
+    top: stebz over (-1e300, top] with a tolerance so wide that it reports
+    the Sturm counts of the two ends and does not bisect."""
+    try:
+        # stebz itself may not terminate on a nan
+        diag, off = map(np.asarray_chkfinite, _channel(stencil, g))
+    except ValueError as exc:
+        raise SolverError("eigenvalue solve failed: %s" % exc) from exc
+    count, _w, _block, _split, info = dstebz(diag, off, 1, -1e300, top, 0, 0, 1e300, "E")
+    if info:
+        raise SolverError("eigenvalue count failed: stebz info %d" % info)
+    return count
+
+
 def energy_cutoff(r_max):
     """Levels above this sit too close to the box wall to trust."""
     return -5.0 / r_max
@@ -283,33 +319,36 @@ def energy_cutoff(r_max):
 
 def solve_lowest(sector, params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=8,
                  r_min=0.0):
-    """The lowest `count` levels of a sector, each labelled by its channel.
+    """At most the lowest `count` levels of a sector, each labelled by its
+    channel.
 
     Each distinct channel charge is one tridiagonal solve per grid of the
     pair, for eigenvalues only, extrapolated level by level; the levels of
     all channels are merged in ascending order, so a label is the channel
-    that produced it.  A level whose estimate is 1 or more is dropped
-    before the merge: the coarse grid does not resolve it, so its limit can
-    land far below the true spectrum (at grid_n = 500, count 250, levels
-    down to -11524).  Fewer than `count` levels may then come back.
+    that produced it.  A channel is solved only up to the levels that lie
+    at or below half the cutoff on either grid (a Sturm count per grid):
+    a level that both grids put above it cannot reach the cutoff with an
+    estimate below 1/2, so it could never become a passing row.  A level
+    whose estimate is 1 or more is dropped before the merge: the coarse
+    grid does not resolve it, so its limit can land far below the true
+    spectrum (at grid_n = 500, count 250, levels down to -11524).  Fewer
+    than `count` levels may then come back, or none.
     """
     params = params or CouplingParams()
     pair = _pair(sector, params, grid_n, r_max, r_min)
-    if sector.mu == 0:
-        channels = ((params.k1, None),)
-    else:
-        # one channel per s_r = +-1/2 eigenline of (r.S)/r
-        channels = tuple((params.k1 + params.k2 * params.hbar * float(s_r), s_r)
-                         for s_r in (Fraction(1, 2), Fraction(-1, 2)))
+    channels = _channels(sector, params)
     _check_count(count, grid_n, len(channels))
     if sector.mu == 1 and not reduced_form_check():
         raise SolverError("engine rejected the reduced sector Hamiltonian")
-    last = min(count, grid_n // 2) - 1
+    window = energy_cutoff(r_max) / 2
     solved = {}             # charge -> (levels, estimates); at k2=0 both channels share one
     levels = []
     for g, label in channels:
         if g not in solved:
-            solved[g] = _extrapolate(pair, lambda stencil: _lowest(stencil, g, last))
+            held = min(count, grid_n // 2,
+                       max(_count_at_or_below(stencil, g, window) for stencil in pair))
+            solved[g] = (_extrapolate(pair, lambda stencil: _lowest(stencil, g, held - 1))
+                         if held else ((), ()))
         # a level the coarse grid does not resolve has est >= 1: the pair
         # disagrees by more than the level, and its limit is spurious
         levels.extend((float(e), label, float(est)) for e, est in zip(*solved[g])
@@ -455,11 +494,24 @@ def match_spectrum(result, tol=1e-3):
     The k-th level of a channel, counted upward, has nu = j+1+k at mu=1 and
     n = l+1+k at mu=0.  Returns (rows, ok); ok drops to False when a level
     below the cutoff fails LevelRow.passes (one with no admissible label,
-    n_label "none", has rel_error inf), or when none sits below the cutoff.
+    n_label "none", has rel_error inf), when none sits below the cutoff, or
+    when an attractive channel (charge g < 0) owes a level: the closed form
+    of the rank after its rows lies below both the cutoff and the highest
+    level returned, by more than tol.  solve_lowest returns the lowest
+    levels, so such a level was lost (a repulsive channel binds nothing,
+    though its closed forms may be admissible).
     """
     sector, params = result.sector, result.params
     exact = _exact(params)
+
+    def closed_form(channel, k):
+        """nu and energy of the k-th level of a channel."""
+        nu = (sector.l if sector.mu == 0 else sector.j) + 1 + k
+        g = _charge(params, channel)
+        return nu, -params.mass * g * g / (2 * params.hbar ** 2 * float(nu) ** 2)
+
     rank = {}               # channel -> levels of it seen so far
+    matched = {}            # channel -> its rows, the levels below the cutoff
     rows = []
     ok = True
     jlab = "j=%s" % sector.j if sector.mu == 1 else "l=%d" % sector.l
@@ -467,14 +519,12 @@ def match_spectrum(result, tol=1e-3):
         k = rank[channel] = rank.get(channel, -1) + 1
         if energy > result.cutoff:
             continue
+        matched[channel] = k + 1
+        nu, predicted = closed_form(channel, k)
         if sector.mu == 0:
-            nu = n = sector.l + 1 + k
-            branch, g = 0, params.k1
+            n, branch = nu, 0
         else:
-            nu = sector.j + 1 + k
             n, branch = _label(nu, channel, exact) or (0, 0)
-            g = params.k1 + params.k2 * params.hbar * float(channel)
-        predicted = -params.mass * g * g / (2 * params.hbar ** 2 * float(nu) ** 2)
         rows.append(LevelRow(
             jlab,
             "s_r=%+g" % float(channel) if channel is not None else "single",
@@ -485,6 +535,11 @@ def match_spectrum(result, tol=1e-3):
             result.est_errors[idx],
         ))
         ok = ok and rows[-1].passes(tol)
+    if result.energies:
+        below = min(result.cutoff, max(result.energies))
+        for g, channel in _channels(sector, params):
+            owed = closed_form(channel, matched.get(channel, 0))[1]
+            ok = ok and not (g < 0 and owed < below - tol * abs(owed))
     return rows, ok and bool(rows)
 
 

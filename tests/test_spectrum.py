@@ -37,6 +37,18 @@ def channel_solve(sector, params, grid_n, g, r_max=200.0, count=8, **kwargs):
                                          select_range=(0, count - 1), **kwargs)
 
 
+def held_count(sector, params, grid_n, g, r_max=200.0, count=8):
+    """How many levels of one channel solve_lowest solves: those at or below
+    half the cutoff on either grid of the pair, counted here by a
+    full-precision solve, capped at count and at the coarse grid's size."""
+    window = spectrum.energy_cutoff(r_max) / 2
+    below = (scipy.linalg.eigh_tridiagonal(
+        *spectrum._channel(spectrum._stencil(sector, params, n, r_max, 0.0), g),
+        eigvals_only=True, select="v", select_range=(-1e300, window), tol=1e-15)
+        for n in (grid_n, grid_n // 2))
+    return min(count, grid_n // 2, max(map(len, below)))
+
+
 def merged(levels, count=8):
     """(energies, labels) of the lowest count (energy, label) pairs."""
     levels = sorted(levels, key=lambda lv: lv[0])[:count]
@@ -46,12 +58,16 @@ def merged(levels, count=8):
 def per_channel_levels(sector, params, grid_n=spectrum.DEFAULT_GRID_N, r_max=200.0,
                        count=8):
     """Reference: every channel solved on its own on both grids of the pair,
-    eigenvectors included, extrapolated by hand, then merged and cut exactly
-    as solve_lowest merges and cuts."""
+    over the index range solve_lowest solves (held_count), eigenvectors
+    included, extrapolated by hand, then merged and cut exactly as
+    solve_lowest merges and cuts."""
     rho2 = (grid_n / (grid_n // 2)) ** 2
     levels = []
     for g, label in channel_charges(sector, params):
-        (fine, _), (coarse, _) = (channel_solve(sector, params, n, g, r_max, count,
+        held = held_count(sector, params, grid_n, g, r_max, count)
+        if not held:
+            continue
+        (fine, _), (coarse, _) = (channel_solve(sector, params, n, g, r_max, held,
                                                 tol=spectrum._EIG_TOL)
                                   for n in (grid_n, grid_n // 2))
         levels.extend((float((rho2 * f - c) / (rho2 - 1)), label)
@@ -327,6 +343,96 @@ def test_each_distinct_channel_is_solved_once(monkeypatch, k2, solves):
         [PIN["grid_n"] // 2] * solves + [PIN["grid_n"]] * solves
     assert all(kw["eigvals_only"] for _n, kw in calls)
     assert (res.energies, res.channels) == per_channel_levels(sector, params)
+
+
+# -- the window: only levels that can become rows are solved ----------------
+
+
+def full_count_result(sector, params, grid_n, r_max, count):
+    """solve_lowest without the window: every channel solved to
+    min(count, grid_n // 2) levels on both grids, extrapolated, each level
+    whose estimate is 1 or more dropped, then merged and cut to count."""
+    res = spectrum.solve_lowest(sector, params, grid_n, r_max, count)
+    pair = spectrum._pair(sector, params, grid_n, r_max, 0.0)
+    last = min(count, grid_n // 2) - 1
+    levels = []
+    for g, label in channel_charges(sector, params):
+        limits, ests = spectrum._extrapolate(
+            pair, lambda stencil: spectrum._lowest(stencil, g, last))
+        levels.extend((float(e), label, float(est)) for e, est in zip(limits, ests)
+                      if est < 1)
+    levels = sorted(levels, key=lambda lv: lv[0])[:count]
+    return res, replace(res, energies=tuple(e for e, _, _ in levels),
+                        channels=tuple(label for _, label, _ in levels),
+                        est_errors=tuple(est for _, _, est in levels))
+
+
+@pytest.mark.parametrize("sector, k2, grid_n, r_max, count", [
+    (spectrum.RadialSector(0, l=0), 0.0, 500, 100.0, 3),
+    (spectrum.RadialSector(0, l=2), 0.0, 1000, 400.0, 20),
+    (spectrum.RadialSector(1, j=HALF), 0.0, 1000, 200.0, 20),
+    (spectrum.RadialSector(1, j=HALF), 0.2, 500, 200.0, 8),
+    (spectrum.RadialSector(1, j=HALF), -1.5, 1000, 100.0, 20),
+    (spectrum.RadialSector(1, j=Fraction(3, 2)), 1.0, 500, 400.0, 8),
+    (spectrum.RadialSector(1, j=Fraction(5, 2)), 0.2, 1000, 200.0, 3),
+    (spectrum.RadialSector(1, j=Fraction(5, 2)), -1.5, 500, 400.0, 20),
+])
+def test_windowed_rows_are_the_full_count_rows(sector, k2, grid_n, r_max, count):
+    # the levels left unsolved lie above half the cutoff on both grids, so
+    # none of them was ever a row: every row keeps its labels and verdict,
+    # and its energy moves by bisection noise only
+    params = spectrum.CouplingParams(k2=k2)
+    res, full = full_count_result(sector, params, grid_n, r_max, count)
+    assert len(res.energies) <= len(full.energies)
+    rows, ok = spectrum.match_spectrum(res)
+    want, want_ok = spectrum.match_spectrum(full)
+    assert rows and ok is want_ok is True
+    fields = ("sector_j", "channel", "level_index", "n_label", "branch")
+    assert [[getattr(r, f) for f in fields] + [r.passes(1e-3)] for r in rows] == \
+        [[getattr(r, f) for f in fields] + [r.passes(1e-3)] for r in want]
+    for got, ref in zip(rows, want):
+        assert got.e_computed == pytest.approx(ref.e_computed, rel=1e-11, abs=0)
+
+
+def test_sturm_count_is_the_length_of_a_full_solve():
+    # stebz with a tolerance too wide to bisect still counts exactly
+    for sector, params in default_sweep():
+        for g, _label in channel_charges(sector, params):
+            for grid_n in (spectrum.DEFAULT_GRID_N, spectrum.DEFAULT_GRID_N // 2):
+                stencil = spectrum._stencil(sector, params, grid_n, 200.0, 0.0)
+                for top in (-0.0125, -0.025, -0.2, 0.0):
+                    full = scipy.linalg.eigh_tridiagonal(
+                        *spectrum._channel(stencil, g), eigvals_only=True, select="v",
+                        select_range=(-1e300, top), tol=1e-15)
+                    assert spectrum._count_at_or_below(stencil, g, top) == len(full), \
+                        (sector, params.k2, g, grid_n, top)
+
+
+@pytest.mark.parametrize("grid_n, count", [(spectrum.DEFAULT_GRID_N, 8), (500, 250)])
+def test_default_study_solves_only_the_windowed_levels(monkeypatch, grid_n, count):
+    # 224 indices without the window (8 per channel and grid); the window
+    # holds 134 at the default count, and as many when 250 are asked for
+    asked = []
+    solve = spectrum.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        first, last = kwargs["select_range"]
+        asked.append(last - first + 1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+    rows, ok = spectrum.default_study(grid_n=grid_n, count=count)
+    assert ok is True and len(rows) == 44
+    assert (len(asked), sum(asked)) == (28, 134)
+
+
+def test_a_channel_with_no_level_in_the_window_is_not_solved(monkeypatch):
+    # no charge: every level of the box is positive, far above the window
+    calls = []
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", lambda *a, **k: calls.append(a))
+    res = spectrum.solve_lowest(spectrum.RadialSector(0, l=0),
+                                spectrum.CouplingParams(k1=0.0), 1000, 100.0, 3)
+    assert (res.energies, res.channels, res.est_errors, calls) == ((), (), (), [])
 
 
 @settings(max_examples=30, deadline=None)
@@ -618,6 +724,35 @@ def test_an_unconverged_row_fails_in_the_verdict_and_the_report(est, tol, passes
     assert ok is passes
     assert [report.level_entry(r, tol)["status"] for r in rows] == \
         ["pass" if passes else "fail"] + ["pass"] * (len(rows) - 1)
+
+
+def test_a_lost_top_level_below_the_cutoff_fails():
+    # nu = 9/2 of channel s_r=-1/2 (-0.0299) is the last level below the
+    # cutoff (-0.025) in that channel; no later rank of its channel is
+    # matched, so only the levels above it (up to -0.02) show it was owed
+    res = coupled()
+    lost = [i for i, c in enumerate(res.channels) if c == -HALF
+            and res.energies[i] < res.cutoff][-1]
+    assert res.energies[lost] == pytest.approx(-1.21 / (2 * 4.5 ** 2), rel=1e-6)
+    rows, ok = spectrum.match_spectrum(planted(res, [i for i in range(len(res.energies))
+                                                     if i != lost]))
+    assert ok is False
+    assert len(rows) == 6 and all(row.passes(1e-3) for row in rows)
+    # a level cut by the count is not owed: it lies above the highest one
+    for count in (2, 5, 7):
+        held = planted(res, range(count))
+        assert spectrum.match_spectrum(held)[1] is True
+
+
+@pytest.mark.parametrize("k2", [3.0, -3.0])
+def test_a_repulsive_channel_owes_no_level(k2):
+    # at k2 = +-3 one channel of j=1/2 has charge +0.5: its closed forms are
+    # admissible, but it binds nothing, so its empty ranks are not lost
+    res = coupled(HALF, k2)
+    g = {label: charge for charge, label in
+         channel_charges(res.sector, res.params)}
+    assert sorted(g.values()) == [-2.5, 0.5]
+    assert set(res.channels) == {label for label in g if g[label] < 0}
 
 
 def test_a_level_in_a_free_channel_fails():
