@@ -50,7 +50,6 @@ class RunConfig:
     k1: float = -1.0
     k2: float = 0.2
     grid_n: int = 1000       # spectrum.DEFAULT_GRID_N; importing it would load numpy
-    rmin: float = 0.0
     rmax: float = 200.0
     levels: int = 8
     format: str = None
@@ -95,7 +94,7 @@ _READS = {
     "oracle": ("suite", "seed", "points", "tol"),
     "inverse": (),
     "spin-potential": (),
-    "spectrum": ("tol", "j", "k1", "k2", "grid_n", "rmin", "rmax", "levels"),
+    "spectrum": ("j", "k1", "k2", "grid_n", "rmax", "levels", "tol"),
     "all": tuple(_FIELD_TYPES),
 }
 
@@ -113,7 +112,7 @@ def _build_config(args):
         setattr(cfg, key, value)
     if "k2" in given and cfg.j is None and args.command in ("spectrum", "all"):
         raise UsageError("k2 needs j: without j the spectrum sweeps k2 over 0, 0.2 and 0.4")
-    for key in ("k1", "k2", "rmin", "rmax"):
+    for key in ("k1", "k2", "rmax"):
         if not math.isfinite(getattr(cfg, key)):
             raise UsageError("%s must be a finite number, got %r" % (key, getattr(cfg, key)))
     modes = [m.value for m in SpinMode]
@@ -139,7 +138,7 @@ def _build_config(args):
         # j sector has two channels, the study's mu=0 sectors one
         from . import spectrum
         spectrum.CouplingParams(k1=cfg.k1, k2=cfg.k2)
-        spectrum._check_grid(cfg.grid_n, cfg.rmax, cfg.rmin)
+        spectrum._check_grid(cfg.grid_n, cfg.rmax)
         spectrum._check_count(cfg.levels, cfg.grid_n, 1 if cfg.j is None else 2)
     return cfg
 
@@ -181,8 +180,7 @@ def cmd_verify(cfg):
         extra = (", %d skipped" % skipped) if skipped else ""
         print("verify %s: %d pass, %d fail%s" % (name, passed, failed, extra))
         entries.extend(report.check_entry(r) for r in results if r.status != "skipped")
-    payload = report.build_payload(
-        "verify", cfg.echo(("suite", "mu", "spin")), entries)
+    payload = report.build_payload("verify", cfg.echo(_READS["verify"]), entries)
     payload["summary"] = {"pass": ok_count, "fail": fail_count}
     _finish(payload, cfg)
     return 1 if fail_count else 0
@@ -213,7 +211,7 @@ def cmd_oracle(cfg):
               % (name, worst[name], verdict, cfg.seed))
     entries = [report.residual_entry(rep, tol) for rep in reports]
     payload = report.build_payload(
-        "oracle", cfg.echo(("suite", "seed", "points")) | {"tol": tol}, entries)
+        "oracle", cfg.echo(_READS["oracle"]) | {"tol": tol}, entries)
     _finish(payload, cfg)
     return 1 if failures else 0
 
@@ -248,12 +246,10 @@ def cmd_spectrum(cfg):
     params = spectrum.CouplingParams(k1=cfg.k1, k2=cfg.k2)
     if cfg.j is not None:
         sector = spectrum.RadialSector(1, j=_parse_j(cfg.j))
-        result = spectrum.solve_lowest(sector, params, cfg.grid_n, cfg.rmax,
-                                       cfg.levels, cfg.rmin)
+        result = spectrum.solve_lowest(sector, params, cfg.grid_n, cfg.rmax, cfg.levels)
         rows, ok = spectrum.match_spectrum(result, tol=tol)
     else:
-        rows, ok = spectrum.default_study(params, cfg.grid_n, cfg.rmax,
-                                          cfg.levels, r_min=cfg.rmin, tol=tol)
+        rows, ok = spectrum.default_study(params, cfg.grid_n, cfg.rmax, cfg.levels, tol=tol)
     worst = max((r.rel_error for r in rows), default=0.0)
     print("spectrum: %d matched levels, worst rel error %.3e [%s]"
           % (len(rows), worst, "pass" if ok else "FAIL"))
@@ -267,8 +263,7 @@ def cmd_spectrum(cfg):
     else:
         entries = [report.level_entry(r, tol) for r in rows]
         payload = report.build_payload(
-            "spectrum", cfg.echo(("j", "k1", "k2", "grid_n", "rmin", "rmax",
-                                  "levels")) | {"tol": tol}, entries)
+            "spectrum", cfg.echo(_READS["spectrum"]) | {"tol": tol}, entries)
         report.emit(report.render(payload, fmt), cfg.out)
     return 0 if ok else 1
 

@@ -9,15 +9,17 @@ catalog.run_check, which certify, exactly, that
 (reduced_gate), that the left side vanishes at mu=0 (reduced_off), and that
 l^2 + 2*S.l + S^2 == J^2 at mu=1 (J2_recombination).  Together they put the
 same centrifugal weight j(j+1) in front of 1/r^2 for both orbital channels
-of a j sector, leaving the (r.S)/r^2 coupling as a pure off-diagonal
-k2*hbar/(2r).  Rotating into the s_r = +-1/2 eigenlines of (r.S)/r then
-splits the sector exactly into two plain Coulomb channels with charge
-k1 + k2*hbar*s_r.
+of a j sector.  The solver works in atomic units, hbar = M = 1, the values
+the oracle binds (oracle.DEFAULT_BINDINGS), so the (r.S)/r^2 coupling is a
+pure off-diagonal k2/(2r).  Rotating into the s_r = +-1/2 eigenlines of
+(r.S)/r then splits the sector exactly into two plain Coulomb channels with
+charge k1 + k2*s_r.
 
 Every channel (the single one at mu=0, with weight l(l+1)) is discretised
-on the square-root map r = x^2, u = x^(1/2) v, which turns
+in the box [0, r_max] on the square-root map r = x^2, u = x^(1/2) v, which
+turns
 
-    -A u'' + (A w/r^2 + g/r) u = E u,        A = hbar^2/2M,
+    -A u'' + (A w/r^2 + g/r) u = E u,        A = 1/2,
 
 into -(A/4) v'' + (A(3/16 + w)/x^2 + g) v = E x^2 v.  A j=1/2 channel has
 u ~ r^(3/2) at the origin, where a uniform grid in r converges at order
@@ -55,7 +57,7 @@ same pair; it is the tests' reference for the rotation.
 Levels are matched by rank.  A (w, k) multiplet of the su(2) x su(2)
 pairing holds the sectors j = |w-k|, ..., w+k (Bander & Itzykson, Rev. Mod.
 Phys. 38, 330, 1966), so the k-th level of channel s_r, counted upward, has
-nu = j+1+k and the closed form -M g^2/(2 hbar^2 nu^2) (n = l+1+k at mu=0),
+nu = j+1+k and the closed form -g^2/(2 nu^2) (n = l+1+k at mu=0),
 and a lost, doubled or misassigned level shifts the later ranks of its
 channel.  Its label (n, branch), n = nu - branch*s_r, is the branch the
 exact Casimir relations admit (solve_wk_pair).  predicted_levels() keeps
@@ -66,6 +68,7 @@ deepest level has only labelings with a negative ladder scale or spin label.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import eig_banded, eigh_tridiagonal
@@ -95,15 +98,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CouplingParams:
-    hbar: float = 1.0
-    mass: float = 1.0
+    """The charges of k1/r + k2*(r.S)/r^2, in atomic units."""
     k1: float = -1.0
     k2: float = 0.2
 
     def __post_init__(self):
-        # the deepest closed-form level, at nu = 1/2, is -2 M g^2/hbar^2
-        g = (abs(self.k1) + abs(self.k2) * self.hbar / 2) / self.hbar
-        if not math.isfinite(2 * self.mass * g * g):
+        if not (math.isfinite(self.k1) and math.isfinite(self.k2)):
+            raise UsageError("k1=%r, k2=%r: a coupling is not finite" % (self.k1, self.k2))
+        # the deepest closed-form level, at nu = 1/2, is -2 g^2
+        g = abs(self.k1) + abs(self.k2) / 2
+        if not math.isfinite(2 * g * g):
             raise UsageError("k1=%r, k2=%r put the deepest level beyond float range"
                              % (self.k1, self.k2))
 
@@ -117,12 +121,15 @@ class RadialSector:
 
     def __post_init__(self):
         if self.mu == 0:
-            if self.l is None or self.l < 0 or self.j is not None:
-                raise UsageError("mu=0 sector needs l >= 0 and no j")
+            if not isinstance(self.l, Integral) or self.l < 0 or self.j is not None:
+                raise UsageError("mu=0 sector needs an integer l >= 0 and no j")
         elif self.mu == 1:
             if self.l is not None or self.j is None:
                 raise UsageError("mu=1 sector needs j and no l")
-            j = Fraction(self.j)
+            try:
+                j = Fraction(self.j)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise UsageError("cannot read j=%r as a number" % (self.j,)) from exc
             if j < Fraction(1, 2) or (2 * j) % 2 != 1:
                 raise UsageError("j must be a positive half-odd integer")
             object.__setattr__(self, "j", j)
@@ -140,8 +147,6 @@ class RadialSector:
 class SpectrumResult:
     sector: RadialSector
     params: CouplingParams
-    grid_n: int              # the fine grid; the coarse one is grid_n // 2
-    r_max: float
     cutoff: float
     energies: tuple          # ascending, extrapolated: at most count, none that
     #                          both grids put above half the cutoff
@@ -216,25 +221,24 @@ def reduced_form_check():
     return all(catalog.run_check(suite.spec(c)).ok for c in _GATE)
 
 
-def _check_grid(grid_n, r_max, r_min):
+def _check_grid(grid_n, r_max):
     if grid_n < _MIN_GRID:
         raise UsageError("grid_n below %d gives untrustworthy levels" % _MIN_GRID)
-    if r_max <= r_min or r_min < 0:
-        raise UsageError("need 0 <= r_min < r_max")
+    if not 0 < r_max < math.inf:
+        raise UsageError("need 0 < r_max < inf, got %r" % r_max)
 
 
-def _grid(grid_n, r_max, r_min=0.0):
+def _grid(grid_n, r_max):
     """Spacing and interior points of the uniform grid in x = sqrt(r)."""
-    x_min = np.sqrt(r_min)
-    h = (np.sqrt(r_max) - x_min) / grid_n
-    return h, x_min + h * np.arange(1, grid_n + 1)
+    h = np.sqrt(r_max) / grid_n
+    return h, h * np.arange(1, grid_n + 1)
 
 
-def _stencil(sector, params, grid_n, r_max, r_min):
-    """Grid in x, neighbour weight a and centrifugal numerator of a sector."""
-    h, x = _grid(grid_n, r_max, r_min)
-    kin = params.hbar ** 2 / (2 * params.mass)
-    return x, kin / (4 * h * h), kin * (3 / 16 + float(sector.centrifugal))
+def _stencil(sector, grid_n, r_max):
+    """Grid in x, neighbour weight a and centrifugal numerator of a sector;
+    the kinetic weight A = hbar^2/2M is 1/2."""
+    h, x = _grid(grid_n, r_max)
+    return x, 0.5 / (4 * h * h), 0.5 * (3 / 16 + float(sector.centrifugal))
 
 
 def _channel(stencil, g):
@@ -254,11 +258,11 @@ def _check_count(count, grid_n, channels):
                          % (count, size))
 
 
-def _pair(sector, params, grid_n, r_max, r_min):
+def _pair(sector, grid_n, r_max):
     """Stencils of the fine grid grid_n and the coarse grid grid_n // 2; only
     the fine grid is held to _MIN_GRID."""
-    _check_grid(grid_n, r_max, r_min)
-    return tuple(_stencil(sector, params, n, r_max, r_min) for n in (grid_n, grid_n // 2))
+    _check_grid(grid_n, r_max)
+    return tuple(_stencil(sector, n, r_max) for n in (grid_n, grid_n // 2))
 
 
 def _extrapolate(pair, solve):
@@ -287,7 +291,7 @@ def _lowest(stencil, g, last):
 
 def _charge(params, s_r):
     """Charge of channel s_r; s_r None is mu=0's one Coulomb channel."""
-    return params.k1 if s_r is None else params.k1 + params.k2 * params.hbar * float(s_r)
+    return params.k1 if s_r is None else params.k1 + params.k2 * float(s_r)
 
 
 def _channels(sector, params):
@@ -317,8 +321,7 @@ def energy_cutoff(r_max):
     return -5.0 / r_max
 
 
-def solve_lowest(sector, params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=8,
-                 r_min=0.0):
+def solve_lowest(sector, params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=8):
     """At most the lowest `count` levels of a sector, each labelled by its
     channel.
 
@@ -335,7 +338,7 @@ def solve_lowest(sector, params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=
     than `count` levels may then come back, or none.
     """
     params = params or CouplingParams()
-    pair = _pair(sector, params, grid_n, r_max, r_min)
+    pair = _pair(sector, grid_n, r_max)
     channels = _channels(sector, params)
     _check_count(count, grid_n, len(channels))
     if sector.mu == 1 and not reduced_form_check():
@@ -355,25 +358,25 @@ def solve_lowest(sector, params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=
                       if est < 1)
     levels.sort(key=lambda lv: lv[0])
     levels = levels[:count]
-    return SpectrumResult(sector, params, grid_n, r_max, energy_cutoff(r_max),
+    return SpectrumResult(sector, params, energy_cutoff(r_max),
                           tuple(e for e, _, _ in levels),
                           tuple(label for _, label, _ in levels),
                           tuple(est for _, _, est in levels))
 
 
-def coupled_levels(sector, params, grid_n, r_max, count, r_min=0.0):
+def coupled_levels(sector, params, grid_n, r_max, count):
     """Reference solve of a mu=1 sector in the orbital basis, for the tests.
 
     Both orbital channels on one interleaved (3, 2N) band (upper form),
     mapped like a channel: offset 2 is the stencil neighbour within a
-    channel, offset 1 the k2*hbar/(2x^2) coupling at a single radius.
+    channel, offset 1 the k2/(2x^2) coupling at a single radius.
     Solved on the same grid pair and extrapolated the same way, level by
     level.  solve_lowest's channels are an exact rotation of this matrix,
     so the two must agree to eigensolver precision.
     """
     if sector.mu != 1:
         raise UsageError("the coupled band is a mu=1 construction")
-    pair = _pair(sector, params, grid_n, r_max, r_min)
+    pair = _pair(sector, grid_n, r_max)
     _check_count(count, grid_n, 2)
     if not reduced_form_check():
         raise SolverError("engine rejected the reduced sector Hamiltonian")
@@ -383,7 +386,7 @@ def coupled_levels(sector, params, grid_n, r_max, count, r_min=0.0):
         x = stencil[0]
         band = np.zeros((3, 2 * len(x)))
         band[2, 0::2] = band[2, 1::2] = diag
-        band[1, 1::2] = params.k2 * params.hbar / (2 * x * x)
+        band[1, 1::2] = params.k2 / (2 * x * x)
         band[0, 2::2] = band[0, 3::2] = off
         try:
             return eig_banded(band, lower=False, select="i",
@@ -406,7 +409,7 @@ def solve_wk_pair(w, k, s_r, params=None):
 
     Exact rational arithmetic throughout.  The difference relation fixes the
     ladder scale t; the sum relation must then hold identically and t must
-    be positive for t^2 = M/(-2E) to name a bound state.
+    be positive for t^2 = 1/(-2E) to name a bound state.
     """
     params = params or CouplingParams()
     w = Fraction(w)
@@ -418,43 +421,42 @@ def solve_wk_pair(w, k, s_r, params=None):
 
 
 def _exact(params):
-    """hbar, mass, k1 and k2 as the rationals the Casimir relations use."""
-    return tuple(Fraction(x).limit_denominator(10 ** 12)
-                 for x in (params.hbar, params.mass, params.k1, params.k2))
+    """k1 and k2 as the rationals the Casimir relations use."""
+    return tuple(Fraction(x).limit_denominator(10 ** 12) for x in (params.k1, params.k2))
 
 
-def _wk_report(w, k, s_r, hbar, mass, k1, k2):
-    g = k1 + k2 * hbar * s_r
+def _wk_report(w, k, s_r, k1, k2):
+    g = k1 + k2 * s_r
     if not (_is_half_integer(w) and _is_half_integer(k)) or w < 0 or k < 0:
         return WkReport(w, k, s_r, "invalid_label", Fraction(0), None)
     if g == 0:
         return WkReport(w, k, s_r, "free", Fraction(0), None)
     cw = w * (w + 1)
     ck = k * (k + 1)
-    # difference of Casimirs: (cw - ck) hbar^2 = t hbar s_r g
-    t = (cw - ck) * hbar / (s_r * g)
-    # sum of Casimirs: (cw + ck) hbar^2 = -3 hbar^2/8 + g^2 t^2 / 2
-    if (cw + ck) * hbar ** 2 != -Fraction(3, 8) * hbar ** 2 + g * g * t * t / 2:
+    # difference of Casimirs: cw - ck = t s_r g
+    t = (cw - ck) / (s_r * g)
+    # sum of Casimirs: cw + ck = -3/8 + g^2 t^2 / 2
+    if cw + ck != -Fraction(3, 8) + g * g * t * t / 2:
         return WkReport(w, k, s_r, "casimir_mismatch", t, None)
     if t <= 0:
         return WkReport(w, k, s_r, "nonpositive_scale", t, None)
-    energy = -mass / (2 * t * t)
+    energy = -1 / (2 * t * t)
     return WkReport(w, k, s_r, "admissible", t, float(energy))
 
 
 def predicted_levels(sector, params=None, max_n=6):
     """Closed-form instances for a sector, each carrying its label verdict.
 
-    mu=0: the plain ladder -M k1^2 / (2 hbar^2 n^2) for n > l.  mu=1: every
-    (n, branch, s_r) instance of -M g^2 / (2 hbar^2 (n + branch*s_r)^2) with
-    g = k1 + k2 hbar s_r, n = 2w + 1, and the label verdict from
+    mu=0: the plain ladder -k1^2 / (2 n^2) for n > l.  mu=1: every
+    (n, branch, s_r) instance of -g^2 / (2 (n + branch*s_r)^2) with
+    g = k1 + k2 s_r, n = 2w + 1, and the label verdict from
     solve_wk_pair(w, w + branch*s_r, s_r).  Inadmissible instances are
     returned too; only their verdict says so.
     """
     params = params or CouplingParams()
     out = []
     if sector.mu == 0:
-        scale = -params.mass * params.k1 ** 2 / (2 * params.hbar ** 2)
+        scale = -params.k1 ** 2 / 2
         for n in range(sector.l + 1, max_n + 1):
             report = WkReport(Fraction(n - 1, 2), Fraction(n - 1, 2),
                               Fraction(1, 2), "admissible",
@@ -468,12 +470,12 @@ def predicted_levels(sector, params=None, max_n=6):
         for branch in (+1, -1):
             for s_r in (Fraction(1, 2), Fraction(-1, 2)):
                 nu = n + branch * s_r
-                g = params.k1 + params.k2 * params.hbar * float(s_r)
+                g = _charge(params, s_r)
                 report = _wk_report(w, w + branch * s_r, s_r, *exact)
                 if nu == 0 or g == 0:
                     energy = None
                 else:
-                    energy = -params.mass * g * g / (2 * params.hbar ** 2 * float(nu) ** 2)
+                    energy = -g * g / (2 * float(nu) ** 2)
                 out.append(PredictedLevel(energy, n, branch, s_r, nu, report))
     return out
 
@@ -508,7 +510,7 @@ def match_spectrum(result, tol=1e-3):
         """nu and energy of the k-th level of a channel."""
         nu = (sector.l if sector.mu == 0 else sector.j) + 1 + k
         g = _charge(params, channel)
-        return nu, -params.mass * g * g / (2 * params.hbar ** 2 * float(nu) ** 2)
+        return nu, -g * g / (2 * float(nu) ** 2)
 
     rank = {}               # channel -> levels of it seen so far
     matched = {}            # channel -> its rows, the levels below the cutoff
@@ -544,7 +546,7 @@ def match_spectrum(result, tol=1e-3):
 
 
 def default_study(params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=8,
-                  k2_values=(0.0, 0.2, 0.4), r_min=0.0, tol=1e-3):
+                  k2_values=(0.0, 0.2, 0.4), tol=1e-3):
     """The standard sweep: mu=0 l=0..3, then mu=1 j in {1/2, 3/2} per k2.
 
     A small box may leave a high-l sector with no level below the cutoff;
@@ -553,12 +555,12 @@ def default_study(params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=8,
     params = params or CouplingParams()
     sweep = [(RadialSector(0, l=l), params) for l in range(4)]
     for k2 in k2_values:
-        p = CouplingParams(params.hbar, params.mass, params.k1, k2)
+        p = CouplingParams(params.k1, k2)
         sweep.extend((RadialSector(1, j=j), p) for j in (Fraction(1, 2), Fraction(3, 2)))
     rows = []
     all_ok = True
     for sector, p in sweep:
-        got, ok = match_spectrum(solve_lowest(sector, p, grid_n, r_max, count, r_min), tol=tol)
+        got, ok = match_spectrum(solve_lowest(sector, p, grid_n, r_max, count), tol=tol)
         rows.extend(got)
         all_ok = all_ok and (ok or not got)
     return rows, all_ok and bool(rows)

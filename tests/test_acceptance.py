@@ -137,7 +137,7 @@ def test_06_plain_coulomb_spectrum():
     t0 = time.monotonic()
     res = spectrum.solve_lowest(
         spectrum.RadialSector(0, l=0),
-        spectrum.CouplingParams(hbar=1.0, mass=1.0, k1=-1.0),
+        spectrum.CouplingParams(k1=-1.0),
         grid_n=4000, r_max=200.0, count=4)
     ok = all(
         abs(energy - (-0.5 / (idx + 1) ** 2)) < 1e-3

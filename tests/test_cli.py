@@ -165,7 +165,7 @@ def test_bad_tol_in_config_exit_2(capsys, tmp_path, tol):
 
 @pytest.mark.parametrize("argv", [
     ["--rmax", "nan"],
-    ["--rmin=-inf"],
+    ["--rmax=inf"],
     ["--k1", "nan"],
     ["--j", "1/2", "--k2", "inf"],
     ["--j", "1/2", "--k2", "nan"],
@@ -185,6 +185,20 @@ def test_non_finite_spectrum_input_in_config_exit_2(capsys, tmp_path, line):
     code, out, err = run(capsys, "spectrum", "--config", str(cfg))
     assert code == 2
     assert "must be a finite number" in err
+    assert out == ""
+
+
+def test_rmin_is_no_option_exit_2(capsys, tmp_path):
+    # the box is [0, rmax]: neither a flag nor a config line moves its wall
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--rmin", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rmin = 0\n")
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key 'rmin'" in err
     assert out == ""
 
 
@@ -538,7 +552,7 @@ def test_all_command(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--grid-n", "100"], "grid_n below 500"),
     (["--levels", "0"], "need at least 1"),
-    (["--rmin", "300"], "need 0 <= r_min < r_max"),
+    (["--rmax", "0"], "need 0 < r_max < inf"),
     (["--levels", "501"], "levels from a sector of 500 on the coarse grid"),
     (["--k1=-1e300"], "beyond float range"),
 ])

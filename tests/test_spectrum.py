@@ -26,13 +26,13 @@ def channel_charges(sector, params):
     """(charge, s_r label) of each channel of a sector, as solve_lowest builds them."""
     if sector.mu == 0:
         return ((params.k1, None),)
-    return tuple((params.k1 + params.k2 * params.hbar * float(s_r), s_r)
+    return tuple((params.k1 + params.k2 * float(s_r), s_r)
                  for s_r in (HALF, -HALF))
 
 
 def channel_solve(sector, params, grid_n, g, r_max=200.0, count=8, **kwargs):
     """The lowest levels of one channel on one grid, solved directly."""
-    stencil = spectrum._stencil(sector, params, grid_n, r_max, 0.0)
+    stencil = spectrum._stencil(sector, grid_n, r_max)
     return scipy.linalg.eigh_tridiagonal(*spectrum._channel(stencil, g), select="i",
                                          select_range=(0, count - 1), **kwargs)
 
@@ -43,7 +43,7 @@ def held_count(sector, params, grid_n, g, r_max=200.0, count=8):
     full-precision solve, capped at count and at the coarse grid's size."""
     window = spectrum.energy_cutoff(r_max) / 2
     below = (scipy.linalg.eigh_tridiagonal(
-        *spectrum._channel(spectrum._stencil(sector, params, n, r_max, 0.0), g),
+        *spectrum._channel(spectrum._stencil(sector, n, r_max), g),
         eigvals_only=True, select="v", select_range=(-1e300, window), tol=1e-15)
         for n in (grid_n, grid_n // 2))
     return min(count, grid_n // 2, max(map(len, below)))
@@ -167,6 +167,40 @@ def test_sector_validation():
         spectrum.RadialSector(1, j=Fraction(1, 3))
     with pytest.raises(UsageError):
         spectrum.RadialSector(2, l=0)
+
+
+def test_a_fractional_l_is_a_usage_error():
+    # a fractional l has no label: l=1.5 would be solved with weight 3.75
+    # and its rows printed as l=1
+    for l in (1.5, 2.0, "2"):
+        with pytest.raises(UsageError, match="integer l"):
+            spectrum.RadialSector(0, l=l)
+
+
+def test_a_j_that_names_no_number_is_a_usage_error():
+    with pytest.raises(UsageError, match="'abc'"):
+        spectrum.RadialSector(1, j="abc")
+
+
+def test_a_coupling_that_is_not_finite_is_named_so():
+    for k1, k2 in ((float("nan"), 0.2), (-1.0, float("inf"))):
+        with pytest.raises(UsageError, match="not finite"):
+            spectrum.CouplingParams(k1=k1, k2=k2)
+
+
+@pytest.mark.parametrize("r_max", [float("inf"), float("nan"), 0.0, -5.0])
+def test_a_box_that_is_not_finite_and_positive_fails_before_any_solve(monkeypatch, r_max):
+    # an infinite box has spacing inf and an all-zero matrix, and nan
+    # reaches the eigensolver: the box is checked before either is built
+    calls = []
+    for name in ("eigh_tridiagonal", "eig_banded", "dstebz"):
+        monkeypatch.setattr(spectrum, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(UsageError, match="0 < r_max < inf"):
+        spectrum.solve_lowest(spectrum.RadialSector(0, l=0), r_max=r_max)
+    with pytest.raises(UsageError, match="0 < r_max < inf"):
+        spectrum.coupled_levels(spectrum.RadialSector(1, j=HALF),
+                                spectrum.CouplingParams(), 1000, r_max, 2)
+    assert calls == []
 
 
 def test_grid_guardrails():
@@ -353,7 +387,7 @@ def full_count_result(sector, params, grid_n, r_max, count):
     min(count, grid_n // 2) levels on both grids, extrapolated, each level
     whose estimate is 1 or more dropped, then merged and cut to count."""
     res = spectrum.solve_lowest(sector, params, grid_n, r_max, count)
-    pair = spectrum._pair(sector, params, grid_n, r_max, 0.0)
+    pair = spectrum._pair(sector, grid_n, r_max)
     last = min(count, grid_n // 2) - 1
     levels = []
     for g, label in channel_charges(sector, params):
@@ -399,7 +433,7 @@ def test_sturm_count_is_the_length_of_a_full_solve():
     for sector, params in default_sweep():
         for g, _label in channel_charges(sector, params):
             for grid_n in (spectrum.DEFAULT_GRID_N, spectrum.DEFAULT_GRID_N // 2):
-                stencil = spectrum._stencil(sector, params, grid_n, 200.0, 0.0)
+                stencil = spectrum._stencil(sector, grid_n, 200.0)
                 for top in (-0.0125, -0.025, -0.2, 0.0):
                     full = scipy.linalg.eigh_tridiagonal(
                         *spectrum._channel(stencil, g), eigvals_only=True, select="v",
