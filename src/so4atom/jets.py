@@ -130,8 +130,12 @@ class Jet:
 
     def times_variable(self, axis, base):
         """The jet times variable(order, axis, base), without a full product."""
-        padded = np.concatenate([self.coeffs, 0.0 * self.coeffs[:1]])
-        return Jet(self.order, self.coeffs * base + padded[_DOWN[axis][:_size(self.order)]])
+        out = self.coeffs * base
+        if self.order:   # at order 0 no key has a neighbour one unit lower
+            down = _DOWN[axis][:_size(self.order)]
+            has = down >= 0
+            out[has] += self.coeffs[down[has]]
+        return Jet(self.order, out)
 
     def cross_grad(self, axis, base):
         """((base + dx) x grad f)_axis as a jet one order lower; base[u] is the

@@ -12,7 +12,8 @@ consumer needs.  A check read at both couplings mu = 0 and 1 is walked once:
 mu scales a lens axis of the jets.  Derivatives are exact, so a passing
 identity sits at float roundoff, about 1e-15, far below the tolerance of
 1e-8.  One sample table per battery holds the state jets at the highest
-order any check needs.
+order any check needs, and each let body is applied to that sample state
+once per suite, lens set and order.
 
 The relative residual at a point is |lhs - rhs|, a 1-norm over the spinor,
 divided by the largest such norm among the left side's top-level summands: a
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import sqrt
+from numbers import Integral
 from operator import add, mul, sub, truediv
 
 import numpy as np
@@ -182,7 +184,10 @@ class _Walk:
     -i*hbar and hbar/2 stay scalars until summands of different coefficients
     meet.  act() gives node's top-level summands, which the normaliser reads.
     Shape, momentum order, constant value and the way to act are kept per
-    node for the walk; jets are not kept.
+    node for the walk.  The only jets kept are those of a let body (or
+    unitr(), or a builtin's component) applied to the sample state itself,
+    by (body, axis, order): every other input is an intermediate of one
+    check.
     """
 
     def __init__(self, suite, bindings, mus):
@@ -193,10 +198,15 @@ class _Walk:
             del self.consts["mu"]
         self.lenses = np.array(mus, dtype=float).reshape(-1, 1, 1)
         self._info = {}
+        self.state, self.memo = None, {}
 
-    def at(self, points, radius2, factors):
+    def at(self, points, radius2, factors, state):
         """Act at these points (n, 3), whose |r|^2 jet is radius2; factors
-        keeps each |r|^m jet, by (m/2, order), for every walk at them."""
+        keeps each |r|^m jet, by (m/2, order), for every walk at them.  The
+        let bodies applied to state, the sample's jet, are kept until
+        another state arrives."""
+        if state is not self.state:
+            self.state, self.memo = state, {}
         self.points, self.radius2, self.factors = points, radius2, factors
         return self
 
@@ -222,10 +232,13 @@ class _Walk:
 
     def info(self, node):
         """(is a vector, momentum order, constant value or None, how to act)."""
-        key = id(node)
-        if key not in self._info:
-            self._info[key] = self._describe(node)
-        return self._info[key]
+        # a walk outlives one check, and the trees of mutated or ad-hoc
+        # checks are transient: an entry holds its node, so no other tree
+        # takes its id while the walk lives
+        entry = self._info.get(id(node))
+        if entry is None or entry[0] is not node:
+            entry = self._info[id(node)] = (node, self._describe(node))
+        return entry[1]
 
     def order(self, spec):
         return max(self.info(spec.lhs)[1], self.info(spec.rhs)[1])
@@ -296,7 +309,13 @@ class _Walk:
         if value is not None:
             return value, psi.truncate(need)
         if how == "alias":
-            return self.apply(args[0], axis if args[1] is None else args[1], psi, need)
+            body, axis = args[0], axis if args[1] is None else args[1]
+            if psi is not self.state:
+                return self.apply(body, axis, psi, need)
+            key = (id(body), axis, need)   # bodies live as long as the walk
+            if key not in self.memo:
+                self.memo[key] = self.apply(body, axis, psi, need)
+            return self.memo[key]
         if how == "radial" and not need:   # at order 0, a plain factor |r|^m per point
             return 1.0, psi.truncate(0).scale(self.radius2.value() ** args[0])
         if how == "radial":
@@ -371,9 +390,10 @@ class _Walk:
                 for c, inner in self.spread(b, axis, psi, need + self.info(a)[1]) if c
                 for c2, jet in self.spread(a, axis, inner, need)]
 
-    def gaps(self, lhs, rhs, psi):
-        """Per component: |lhs - rhs| and the largest lhs summand, per point."""
-        lvec, rvec = self.info(lhs)[0], self.info(rhs)[0]
+    def gaps(self, lhs, rhs):
+        """Per component, at the sample state: |lhs - rhs| and the largest
+        lhs summand, per point."""
+        lvec, rvec, psi = self.info(lhs)[0], self.info(rhs)[0], self.state
         for axis in (0, 1, 2) if lvec or rvec else (None,):
             # a product alone on the left is its own only summand: split it
             parts = [c * jet.value() for c, jet in self.spread(lhs, axis, psi, 0) if c]
@@ -400,10 +420,28 @@ def _combine(terms):
 
 
 def _check_sample(states, points_per_state):
-    if points_per_state < 1:
-        raise UsageError("points per state must be at least 1, got %r" % points_per_state)
+    if not isinstance(points_per_state, Integral) or points_per_state < 1:
+        raise UsageError("points per state must be an integer of at least 1, got %r"
+                         % points_per_state)
     if not states:
         raise UsageError("the oracle needs at least one test state")
+
+
+# the walks of one suite object, by (suite, lenses); a check of another
+# suite empties the table, so a battery, which groups its checks by suite,
+# keeps one suite's memo at a time
+_WALKS = {}
+
+
+def _walk(spec):
+    """The walk of spec's suite under spec's lenses."""
+    suite = catalog.get_suite(spec.suite)
+    mus = lang.MU_POLICIES[spec.mu_policy] or (0, 1)
+    if (suite, mus) not in _WALKS:
+        if any(kept is not suite for kept, _mus in _WALKS):
+            _WALKS.clear()
+        _WALKS[suite, mus] = _Walk(suite, DEFAULT_BINDINGS, mus)
+    return _WALKS[suite, mus]
 
 
 def residual(spec, states=None, points_per_state=20, seed=42):
@@ -411,18 +449,16 @@ def residual(spec, states=None, points_per_state=20, seed=42):
     if states is None:
         states = default_states(5, seed)
     _check_sample(states, points_per_state)
-    suite = catalog.get_suite(spec.suite)
-    mus = lang.MU_POLICIES[spec.mu_policy] or (0, 1)
-    walk = _Walk(suite, DEFAULT_BINDINGS, mus)
+    walk = _walk(spec)
     points, psi, radius2, factors = _sample(states, points_per_state, seed, walk.order(spec))
     max_abs, max_rel = 0.0, 0.0
     # every lens at once: a check that never reads mu stays one lens wide
-    for gap, largest in walk.at(points, radius2, factors).gaps(spec.lhs, spec.rhs, psi):
+    for gap, largest in walk.at(points, radius2, factors, psi).gaps(spec.lhs, spec.rhs):
         gap, largest = np.broadcast_arrays(gap, largest)
         rel = np.divide(gap, largest, out=gap.copy(), where=largest > 0)
         max_abs = max(max_abs, float(gap.max()))
         max_rel = max(max_rel, float(rel.max()))
-    return ResidualReport(spec.check_id, len(points) * len(mus), max_abs, max_rel, seed)
+    return ResidualReport(spec.check_id, len(points) * len(walk.lenses), max_abs, max_rel, seed)
 
 
 # checks the numeric battery runs by default: every equation from the three
@@ -471,7 +507,7 @@ def run_battery(pairs=None, states=None, points_per_state=20, seed=42):
         return []
     specs = [catalog.get_suite(name).spec(cid) for name, cid in pairs]
     # one sample table for the battery, at the highest order any check needs
-    top = max(_Walk(catalog.get_suite(s.suite), DEFAULT_BINDINGS, (0,)).order(s) for s in specs)
+    top = max(_walk(spec).order(spec) for spec in specs)
     _sample(states, points_per_state, seed, top)
     return [residual(spec, states=states, points_per_state=points_per_state, seed=seed)
             for spec in specs]

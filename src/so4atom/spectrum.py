@@ -222,6 +222,8 @@ def reduced_form_check():
 
 
 def _check_grid(grid_n, r_max):
+    if not isinstance(grid_n, Integral):
+        raise UsageError("grid_n must be an integer, got %r" % grid_n)
     if grid_n < _MIN_GRID:
         raise UsageError("grid_n below %d gives untrustworthy levels" % _MIN_GRID)
     if not 0 < r_max < math.inf:

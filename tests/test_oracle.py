@@ -16,11 +16,11 @@ from so4atom.lang import parse_expr
 def act(text, point, order):
     """text acting on the seed-5 state at one point, through the oracle's walk."""
     state = oracle.default_states(1, seed=5)[0]
-    psi = oracle.state_jets(state, point, order)
+    psi = Jet(order, oracle.state_jets(state, point, order).coeffs[:, None, :, None])
     walk = oracle._Walk(catalog.get_suite("so3"), oracle.DEFAULT_BINDINGS, (0,))
     x = [Jet.variable(order, u, np.full((1, 1, 1), c)) for u, c in enumerate(point)]
-    walk.at(np.array([point]), x[0] * x[0] + x[1] * x[1] + x[2] * x[2], {})
-    coeff, jet = walk.apply(parse_expr(text), None, Jet(order, psi.coeffs[:, None, :, None]), 0)
+    walk.at(np.array([point]), x[0] * x[0] + x[1] * x[1] + x[2] * x[2], {}, psi)
+    coeff, jet = walk.apply(parse_expr(text), None, psi, 0)
     return coeff * jet.value()[0, :, 0]
 
 
@@ -205,6 +205,72 @@ def test_run_battery_builds_each_jet_once(monkeypatch):
     assert calls and max(calls.values()) == 1
     orders = {order for _state, _point, order in calls}
     assert len(calls) == len(states) * 3 * len(orders)
+
+
+def test_run_battery_applies_each_let_body_to_the_sample_once(monkeypatch):
+    # a let body reached again at the sample state, by any check of its
+    # suite, reads the jet the first reach made
+    applied, reaches = Counter(), []
+    apply = oracle._Walk.apply
+
+    def counting(self, node, axis, psi, need):
+        if psi is self.state:
+            if self.info(node)[3][0] == "alias":
+                reaches.append(node)
+            if any(node is body for body in self.defs.values()):
+                applied[id(node), axis, need, tuple(self.lenses.ravel())] += 1
+        return apply(self, node, axis, psi, need)
+
+    monkeypatch.setattr(oracle._Walk, "apply", counting)
+    monkeypatch.setattr(oracle, "_SAMPLE", None)
+    reports = oracle.run_battery(states=oracle.default_states(2, seed=5), points_per_state=2)
+    assert len(reports) == len(oracle.default_battery())
+    assert applied and max(applied.values()) == 1
+    assert len(reaches) > len(applied)
+
+
+def test_the_memo_cannot_be_seen_from_outside(monkeypatch):
+    # each report of the default battery equals its check run alone, from a
+    # fresh sample and no kept walk, float for float, and in any order
+    monkeypatch.setattr(oracle, "_SAMPLE", None)
+    pairs = oracle.default_battery()
+    reports = oracle.run_battery()
+    assert len(reports) == len(pairs) == 77
+    for (name, cid), report in zip(pairs, reports):
+        monkeypatch.setattr(oracle, "_SAMPLE", None)
+        monkeypatch.setattr(oracle, "_WALKS", {})
+        assert oracle.residual(catalog.get_suite(name).spec(cid)) == report
+    assert oracle.run_battery(pairs[::-1]) == reports[::-1]
+
+
+def test_the_memo_follows_the_suite_object(tmp_path, monkeypatch):
+    # one process, one sample: a suite read from other files brings its own
+    # let bodies, and the packaged suite brings its own back
+    packaged = catalog.data_dir()
+    text = (Path(packaged) / "theorem.ident").read_text()
+    let_v = "let V = h + mu*((rS*rS)*rpow(-4))/(2*M)\n"
+    assert text.count(let_v) == 1
+    (tmp_path / "theorem.ident").write_text(
+        text.replace(let_v, "let V = h + mu*((rS*rS)*rpow(-4))/M\n"))
+
+    def r_ham():
+        return oracle.residual(catalog.get_suite("theorem").spec("R_Ham")).max_rel_residual
+
+    assert r_ham() < 1e-8
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))
+    assert r_ham() > 1e-3
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", packaged)
+    assert r_ham() < 1e-8
+
+
+@pytest.mark.parametrize("points", [2.5, float("nan"), 3.0])
+def test_a_fractional_sample_size_is_a_usage_error(points):
+    # 2.5 drew 3 points a state and reported 30 points; nan failed in np.stack
+    spec = catalog.get_suite("so3").spec("l_cross_l")
+    with pytest.raises(UsageError, match="an integer"):
+        oracle.residual(spec, points_per_state=points)
+    with pytest.raises(UsageError, match="an integer"):
+        oracle.run_battery([("so3", "l_cross_l")], points_per_state=points)
 
 
 def test_run_battery_builds_each_radial_factor_once(monkeypatch):

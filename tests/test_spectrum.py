@@ -203,6 +203,21 @@ def test_a_box_that_is_not_finite_and_positive_fails_before_any_solve(monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize("grid_n", [1000.5, float("nan"), 1000.0])
+def test_a_fractional_grid_fails_before_any_solve(monkeypatch, grid_n):
+    # 1000.5 would lay 1001 points, the last past r_max, and read the
+    # Richardson ratio from the point counts; nan would reach numpy's arange
+    calls = []
+    for name in ("eigh_tridiagonal", "eig_banded", "dstebz"):
+        monkeypatch.setattr(spectrum, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(UsageError, match="grid_n must be an integer"):
+        spectrum.solve_lowest(spectrum.RadialSector(0, l=0), grid_n=grid_n)
+    with pytest.raises(UsageError, match="grid_n must be an integer"):
+        spectrum.coupled_levels(spectrum.RadialSector(1, j=HALF),
+                                spectrum.CouplingParams(), grid_n, 200.0, 2)
+    assert calls == []
+
+
 def test_grid_guardrails():
     sec = spectrum.RadialSector(0, l=0)
     with pytest.raises(UsageError):
