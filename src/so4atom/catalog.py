@@ -13,7 +13,9 @@ spectrum_algebra  helicity conservation, Casimir-style contractions, and the
 
 The suite text lives only in the .ident files under data/, one per suite.
 Set SO4ATOM_DATA_DIR to load the files from somewhere else; a suite whose
-file is missing there is a UsageError.
+file is missing there is a UsageError.  A `use NAME` line lends the lets
+of suite NAME in the same directory, so a let shared by two suites has one
+source: spectrum_algebra uses theorem's Hamiltonian, so4 uses so3's H.
 
 Each check is one lang.RawCheck, parsed from its suite's file, and carries
 a mu policy, a key of lang.MU_POLICIES.  'all' (the default) means the
@@ -30,7 +32,7 @@ import time
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .errors import UsageError
+from .errors import LangError, UsageError
 from .scalars import SymbolRegistry
 from .operators import SpinMode, VecExpr
 from .report import WITNESS_LIMIT
@@ -83,6 +85,13 @@ class CheckResult:
 class Suite:
     """A parsed suite plus, per spin mode, its definitions' bindings (env).
 
+    text is the file NAME.ident of directory.  Its use lines lend the lets
+    of the named suites' shared Suites in directory (data_dir() if None),
+    which may not use another suite themselves, and which the file may
+    not redefine.  definitions holds the lent lets first, then the file's
+    own.  A file that does not parse, a bad use line, and a let that does
+    not elaborate in a mode are UsageErrors naming the let's file and line.
+
     Both modes share one SymbolRegistry.  Each cached env carries an
     elaboration memo (lang.ElabEnv.memo) mapping every compound subtree
     elaborated under it, for this suite's checks and mutated or ad-hoc
@@ -100,12 +109,20 @@ class Suite:
     elaborated in half mode.
     """
 
-    def __init__(self, name, text):
+    def __init__(self, name, text, directory=None):
         if name not in SUITE_NAMES:
             raise UsageError("unknown suite %r" % name)
         self.name = name
-        parsed = lang.parse_identity_file(text, name)
-        self.definitions = parsed.definitions
+        self.path = os.path.join(directory or "", name + ".ident")
+        try:
+            parsed = lang.parse_identity_file(text, name)
+            lenders = _lenders(parsed, directory or data_dir())
+        except LangError as exc:
+            raise _located(self.path, text.count("\n", 0, exc.span[0]) + 1, exc) from exc
+        # (file, lets) per source, lenders first; definitions reads them in order
+        self._lets = tuple((used.path, used.definitions) for used in lenders) \
+            + ((self.path, parsed.definitions),)
+        self.definitions = tuple(d for _, lets in self._lets for d in lets)
         self.checks = parsed.checks
         self.registry = SymbolRegistry(extra=_REGISTRY_EXTRA.get(name, ()))
         self._by_id = {c.check_id: c for c in self.checks}
@@ -117,7 +134,13 @@ class Suite:
         if mode not in self._envs:
             abstract = self._envs.get(SpinMode.ABSTRACT)
             if abstract is None:
-                env = lang.elaborate_definitions(self.definitions, self.registry, mode)
+                env = lang.ElabEnv(self.registry, mode, {})
+                for path, lets in self._lets:
+                    for d in lets:
+                        try:
+                            env.bindings[d.name] = lang.elaborate(d.expr, env)
+                        except LangError as exc:
+                            raise _located(path, d.line, exc) from exc
                 env.memo = {}
             else:
                 bindings = {name: value.reduce_spin_half()
@@ -132,6 +155,36 @@ class Suite:
         return self._by_id[check_id]
 
 
+def _lenders(parsed, directory):
+    """The shared Suites that parsed's use lines name, in order."""
+    lenders, lent = [], {}
+    for use in parsed.uses:
+        span = (use.start, use.end)
+        if use.text not in SUITE_NAMES:
+            raise LangError("use of unknown suite %r" % use.text, span)
+        used = _shared(use.text, directory)
+        # None: that suite is still loading, so its own uses lead back here
+        if used is None or len(used._lets) > 1:
+            raise LangError("suite %r cannot be used: it uses a suite itself" % use.text,
+                            span)
+        for d in used.definitions:
+            if d.name in lent:
+                raise LangError("%s and %s both lend %r" % (lent[d.name], use.text, d.name),
+                                span)
+            lent[d.name] = use.text
+        lenders.append(used)
+    for d in parsed.definitions:
+        if d.name in lent:
+            raise LangError("let %r redefines the let %s lends" % (d.name, lent[d.name]),
+                            d.expr.span)
+    return lenders
+
+
+def _located(path, line, exc):
+    """exc, a LangError in a suite file, as a UsageError naming the file and line."""
+    return UsageError("%s line %d: %s" % (path, line, exc))
+
+
 # the packaged suites' directory, resolved once: every get_suite asks for it
 _PACKAGED_DATA = str(resources.files("so4atom") / "data")
 
@@ -141,20 +194,36 @@ def data_dir():
 
 
 def load_suite(name, directory=None):
-    """Parse a suite from its .ident file; an unreadable file is a UsageError."""
+    """Parse a suite from its .ident file in directory (default data_dir());
+    an unreadable or malformed file is a UsageError (see Suite).  The file
+    is read again, but lent lets come from the shared Suites of directory."""
     if name not in SUITE_NAMES:
         raise UsageError("unknown suite %r" % name)
-    directory = directory or data_dir()
+    directory = os.fspath(directory or data_dir())
     path = os.path.join(directory, name + ".ident")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError("cannot read suite file %s: %s" % (path, exc.strerror or exc)) from exc
-    return Suite(name, text)
+    return Suite(name, text, directory)
 
 
 _SUITES = {}
+
+
+def _shared(name, directory):
+    """The one Suite per (name, directory), loaded on first request; None
+    while it is loading."""
+    key = (name, directory)
+    if key not in _SUITES:
+        _SUITES[key] = None
+        try:
+            _SUITES[key] = load_suite(name, directory)
+        finally:
+            if _SUITES[key] is None:
+                del _SUITES[key]
+    return _SUITES[key]
 
 
 def get_suite(name):
@@ -163,10 +232,7 @@ def get_suite(name):
     One Suite per (name, data directory), so each suite is read, parsed
     and elaborated once per process.
     """
-    key = (name, data_dir())
-    if key not in _SUITES:
-        _SUITES[key] = load_suite(*key)
-    return _SUITES[key]
+    return _shared(name, data_dir())
 
 
 # --- running checks -------------------------------------------------------

@@ -16,15 +16,17 @@ unary minus binds tighter than ``^`` here, so it may not apply to a power
 Identity files are line oriented:
 
     # comment
+    use NAME
     let NAME = EXPR
     check ID : LHS == RHS mode=half mu=1
 
-A check may use '!=' instead of '==' to assert that a difference does not
-vanish (used to pin down deviations on record).  parse_identity_file turns
-each check line into a RawCheck, the one record of a check that the catalog,
-the oracle and the mutations read.  MU_POLICIES names the mu policies a
-check may declare and the mu values each one claims; the spin modes are
-operators.SpinMode.
+A use line names another suite whose lets the file borrows; use lines come
+before any let or check, and the catalog resolves them.  A check may use
+'!=' instead of '==' to assert that a difference does not vanish (used to
+pin down deviations on record).  parse_identity_file turns each check line
+into a RawCheck, the one record of a check that the catalog, the oracle and
+the mutations read.  MU_POLICIES names the mu policies a check may declare
+and the mu values each one claims; the spin modes are operators.SpinMode.
 """
 
 from dataclasses import dataclass, field
@@ -584,6 +586,7 @@ def _elaborate_power(node, env):
 class RawDefinition:
     name: str
     expr: object
+    line: int = field(default=0, compare=False)   # in its file, from 1
 
 
 # each mu policy and the mu values at which it claims its check holds; a
@@ -606,19 +609,21 @@ class RawCheck:
 
 @dataclass(frozen=True)
 class IdentityFile:
+    uses: tuple            # the name Token of each use line, in order
     definitions: tuple
     checks: tuple
 
 
 def parse_identity_file(text, suite=None):
-    """Parse the line-oriented let/check format; each check records suite.
-    Spans are file-absolute."""
+    """Parse the line-oriented use/let/check format; each check records
+    suite.  Spans are file-absolute."""
+    uses = []
     definitions = []
     checks = []
     seen_defs = {}
     seen_ids = set()
     offset = 0
-    for line in text.splitlines(keepends=True):
+    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
         stripped = line.strip()
         base = offset
         offset += len(line)
@@ -628,14 +633,16 @@ def parse_identity_file(text, suite=None):
         if not toks:
             continue
         head = toks[0]
-        if head.kind != "ident" or head.text not in ("let", "check"):
-            raise LangError("line must start with 'let' or 'check'",
+        if head.kind != "ident" or head.text not in ("use", "let", "check"):
+            raise LangError("line must start with 'use', 'let' or 'check'",
                             (head.start, head.end))
-        if head.text == "let":
-            _parse_let(toks, base, line, definitions, seen_defs)
+        if head.text == "use":
+            _parse_use(toks, base, line, uses, definitions or checks)
+        elif head.text == "let":
+            _parse_let(toks, base, line, lineno, definitions, seen_defs)
         else:
             _parse_check(toks, base, line, suite, checks, seen_ids)
-    return IdentityFile(tuple(definitions), tuple(checks))
+    return IdentityFile(tuple(uses), tuple(definitions), tuple(checks))
 
 
 def _line_end_span(toks, base, line):
@@ -643,7 +650,19 @@ def _line_end_span(toks, base, line):
     return (end, end)
 
 
-def _parse_let(toks, base, line, definitions, seen_defs):
+def _parse_use(toks, base, line, uses, late):
+    if late:
+        raise LangError("use must come before any let or check", (toks[0].start, toks[0].end))
+    if len(toks) < 2 or toks[1].kind != "ident":
+        raise LangError("use needs a suite name", _line_end_span(toks, base, line))
+    if len(toks) > 2:
+        raise LangError("use takes one suite name", (toks[2].start, toks[-1].end))
+    if any(use.text == toks[1].text for use in uses):
+        raise LangError("duplicate use %r" % toks[1].text, (toks[1].start, toks[1].end))
+    uses.append(toks[1])
+
+
+def _parse_let(toks, base, line, lineno, definitions, seen_defs):
     end_span = _line_end_span(toks, base, line)
     if len(toks) < 2 or toks[1].kind != "ident":
         raise LangError("let needs a name", end_span)
@@ -657,7 +676,7 @@ def _parse_let(toks, base, line, definitions, seen_defs):
         raise LangError("let needs '='", end_span)
     expr = parse_tokens(toks[3:], end_span)
     seen_defs[name] = True
-    definitions.append(RawDefinition(name, expr))
+    definitions.append(RawDefinition(name, expr, lineno))
 
 
 def _split_options(toks):

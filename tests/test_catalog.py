@@ -2,13 +2,14 @@
 
 import collections
 import dataclasses
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from so4atom import _kernel, catalog, lang
-from so4atom.errors import LangError, UsageError
+from so4atom import _kernel, catalog, lang, oracle
+from so4atom.errors import UsageError
 from so4atom.operators import OperatorExpr, SpinMode, VecExpr
 
 
@@ -382,13 +383,15 @@ def test_half_only_division_after_the_abstract_env(tmp_path, monkeypatch, abstra
     # dividing by dot(S,S) elaborates only in the quotient, where it is the
     # scalar 3*hbar^2/4: it never reaches the abstract memo and is elaborated
     # directly, whether the abstract env was built first or failed to build
+    # (a let that does not elaborate is a usage error naming its line)
     text = packaged_text("so3") + HALF_ONLY
     if abstract_fails:
         text += "let u = r_x/dot(S,S)\n"
     (tmp_path / "so3.ident").write_text(text)
     monkeypatch.setenv("SO4ATOM_DATA_DIR", str(tmp_path))
     if abstract_fails:
-        with pytest.raises(LangError):
+        line = text.count("\n")
+        with pytest.raises(UsageError, match=r"so3\.ident line %d: division" % line):
             catalog.run_suite("so3")
     else:
         assert status_table(catalog.run_suite("so3")) == EXPECTED["so3"]
@@ -525,6 +528,117 @@ def test_load_suite_from_directory(tmp_path):
     suite = catalog.load_suite("so3", tmp_path)
     results = catalog.run_suite("so3", suite=suite)
     assert status_table(results) == EXPECTED["so3"]
+
+
+# -- one source per let: use lines ----------------------------------------
+
+# (the lending file, its shared let's text and a slip in it, and the checks
+# the slip flips in each suite that reads the let)
+SHARED_SLIPS = {
+    "theorem": ("let h = k1*r^-1", "let h = k1*r^-2", {
+        "theorem": {"RR_closure", "R_Ham", "V_from_constraint", "h_constraint",
+                    "h_constraint_inner", "reduced_gate", "reduced_off"},
+        "spectrum_algebra": {"R2_expansion"},
+    }),
+    "so3": ("kappa*r^-1", "kappa*r^-2", {
+        "so3": set(),
+        "so4": {"RxR_eq_H_l", "H_R_conserved", "R2_identity"},
+    }),
+}
+
+
+def data_copy(tmp_path, name=None, old=None, new=None):
+    """A copy of the packaged data, with old replaced by new in name's file."""
+    data = tmp_path / "data"
+    shutil.copytree(catalog._PACKAGED_DATA, data)
+    if name is not None:
+        path = data / ("%s.ident" % name)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+    return data
+
+
+def test_no_let_is_copied_between_suite_files():
+    # a let two suites share lives in one file and is lent by a use line
+    first, copies = {}, []
+    for name in catalog.SUITE_NAMES:
+        for d in lang.parse_identity_file(packaged_text(name)).definitions:
+            key = (d.name, d.expr)
+            if key in first:
+                copies.append((d.name, first[key], name))
+            first.setdefault(key, name)
+    assert copies == []
+
+
+@pytest.mark.parametrize("user,lender", [("spectrum_algebra", "theorem"), ("so4", "so3")])
+def test_a_use_line_lends_the_shared_suites_lets_first(user, lender):
+    lent = catalog.get_suite(lender).definitions
+    own = lang.parse_identity_file(packaged_text(user)).definitions
+    for suite in (catalog.get_suite(user), catalog.load_suite(user)):
+        assert all(a is b for a, b in zip(suite.definitions, lent))
+        assert suite.definitions[len(lent):] == own
+
+
+@pytest.mark.parametrize("route", ["load_suite", "data_dir"])
+@pytest.mark.parametrize("lender", sorted(SHARED_SLIPS))
+def test_a_slip_in_a_shared_let_reaches_every_suite_that_reads_it(
+        tmp_path, monkeypatch, lender, route):
+    old, new, flips = SHARED_SLIPS[lender]
+    data = data_copy(tmp_path, lender, old, new)
+    if route == "data_dir":
+        monkeypatch.setenv("SO4ATOM_DATA_DIR", str(data))
+    for name, want in flips.items():
+        suite = catalog.load_suite(name, data) if route == "load_suite" else None
+        results = catalog.run_suite(name, suite=suite)
+        assert {r.check_id for r in results if not r.ok} == want, name
+
+
+def test_the_oracle_reads_the_slip_in_a_lent_let(tmp_path, monkeypatch):
+    def r2_expansion():
+        spec = catalog.get_suite("spectrum_algebra").spec("R2_expansion")
+        return oracle.residual(spec, points_per_state=3).max_rel_residual
+
+    monkeypatch.delenv("SO4ATOM_DATA_DIR", raising=False)
+    assert r2_expansion() < 1e-8
+    old, new, _ = SHARED_SLIPS["theorem"]
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(data_copy(tmp_path, "theorem", old, new)))
+    assert r2_expansion() > 1e-3
+
+
+@pytest.mark.parametrize(
+    "name,old,bad,fragment",
+    [
+        ("so4", "use so3", "use nope", "use of unknown suite 'nope'"),
+        # so4 itself uses so3, and uses that lead back are refused too
+        ("inverse", "let f_m3", "use so4", "suite 'so4' cannot be used"),
+        ("so3", "let H", "use so4", "suite 'so4' cannot be used"),
+        ("so3", "let H", "use so3", "suite 'so3' cannot be used"),
+        ("spectrum_algebra", "let Sr", "let h = 0", "let 'h' redefines the let theorem lends"),
+    ],
+)
+def test_a_bad_use_is_a_usage_error_at_its_line(tmp_path, name, old, bad, fragment):
+    # the bad line goes in after the first use line, or before the first let
+    new = old + "\n" + bad if old.startswith("use") else bad + "\n" + old
+    data = data_copy(tmp_path, name, old, new)
+    path = data / ("%s.ident" % name)
+    line = path.read_text().splitlines().index(bad) + 1
+    with pytest.raises(UsageError, match="line %d: " % line) as exc:
+        catalog.load_suite(name, data)
+    assert str(path) in str(exc.value)
+    assert fragment in str(exc.value)
+    # a refused use leaves nothing half loaded behind
+    assert None not in catalog._SUITES.values()
+
+
+def test_two_suites_may_not_lend_one_name(tmp_path):
+    data = data_copy(tmp_path, "inverse", "let f_m3", "let H = 1\nlet f_m3")
+    path = data / "so4.ident"
+    path.write_text(path.read_text().replace("use so3", "use so3\nuse inverse"))
+    line = path.read_text().splitlines().index("use inverse") + 1
+    with pytest.raises(UsageError, match="so4.ident line %d: so3 and inverse both lend 'H'"
+                       % line):
+        catalog.load_suite("so4", data)
 
 
 def test_data_dir_override(tmp_path, monkeypatch):

@@ -71,6 +71,35 @@ def test_missing_suite_file_exit_2(capsys, tmp_path, monkeypatch):
     assert "pass" not in out
 
 
+@pytest.mark.parametrize(
+    "name,old,new,bad,command",
+    [
+        ("so3", "check l_cross_l", "stray\ncheck l_cross_l", "stray", "so3"),
+        ("so3", "let H = dot(p,p)/(2*M) - kappa*r^-1", "let H = dot(p,q)", "let H = dot(p,q)",
+         "so3"),
+        # so4 borrows so3's H: the error names the line in so3.ident
+        ("so3", "let H = dot(p,p)/(2*M) - kappa*r^-1", "let H = dot(p,q)", "let H = dot(p,q)",
+         "so4"),
+        ("so4", "use so3", "use so3\nuse nope", "use nope", "so4"),
+    ],
+)
+def test_malformed_suite_file_exit_2(capsys, tmp_path, monkeypatch, name, old, new, bad, command):
+    # a suite file that does not parse, a bad use line and a let that does
+    # not elaborate are usage errors naming the file and the line
+    data = tmp_path / "data"
+    shutil.copytree(catalog.data_dir(), data)
+    path = data / (name + ".ident")
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    line = path.read_text().splitlines().index(bad) + 1
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(data))
+    for argv in (("verify", "--suite", command), ("all",)):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error: %s line %d: " % (path, line) in err
+
+
 def test_bad_j_exit_2(capsys):
     code, _, err = run(capsys, "spectrum", "--j", "x/y")
     assert code == 2

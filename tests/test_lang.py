@@ -261,6 +261,34 @@ def test_identity_file_rejects(text, fragment):
     assert fragment in str(exc.value)
 
 
+def test_use_lines_are_recorded_in_order():
+    parsed = lang.parse_identity_file("# lent\nuse so3\nuse theorem  # and more\nlet X = H\n")
+    assert [use.text for use in parsed.uses] == ["so3", "theorem"]
+    assert [d.name for d in parsed.definitions] == ["X"]
+    assert lang.parse_identity_file("let X = 1\n").uses == ()
+
+
+@pytest.mark.parametrize(
+    "text,fragment,at",
+    [
+        ("let A = 1\nuse so3\n", "before any let or check", "use"),
+        ("check a : 1 == 0\nuse so3\n", "before any let or check", "use"),
+        ("use\n", "needs a suite name", ""),
+        ("use 3\n", "needs a suite name", ""),
+        ("use so3 so4\n", "one suite name", "so4"),
+        ("use so3 = 1\n", "one suite name", "= 1"),
+        ("use so3\nuse so3\n", "duplicate use 'so3'", "so3"),
+    ],
+)
+def test_a_misplaced_or_malformed_use_is_rejected_at_its_span(text, fragment, at):
+    with pytest.raises(LangError) as exc:
+        lang.parse_identity_file(text)
+    assert fragment in str(exc.value)
+    start, end = exc.value.span
+    assert text[start:end] == at
+    assert start >= text.rindex("use")
+
+
 def test_elaborate_definitions_resolves_in_order():
     parsed = lang.parse_identity_file(
         "let A = dot(p,p)\nlet B = A + hbar^2\ncheck x : B - A == hbar^2\n"
