@@ -85,12 +85,13 @@ class CheckResult:
 class Suite:
     """A parsed suite plus, per spin mode, its definitions' bindings (env).
 
-    text is the file NAME.ident of directory.  Its use lines lend the lets
-    of the named suites' shared Suites in directory (data_dir() if None),
-    which may not use another suite themselves, and which the file may
-    not redefine.  definitions holds the lent lets first, then the file's
-    own.  A file that does not parse, a bad use line, and a let that does
-    not elaborate in a mode are UsageErrors naming the let's file and line.
+    text is the file NAME.ident.  Its use lines lend the lets of the named
+    suites' shared Suites in the directory the file was read from
+    (data_dir() for a text given directly); a used suite may not use
+    another, and the file may not redefine a lent let.  definitions holds
+    the lent lets first, then the file's own, each with its file's path.
+    A file that does not parse, a bad use line, and a let that does not
+    elaborate in a mode are UsageErrors naming the let's file and line.
 
     Both modes share one SymbolRegistry.  Each cached env carries an
     elaboration memo (lang.ElabEnv.memo) mapping every compound subtree
@@ -109,20 +110,19 @@ class Suite:
     elaborated in half mode.
     """
 
-    def __init__(self, name, text, directory=None):
+    def __init__(self, name, text, _directory=None):
         if name not in SUITE_NAMES:
             raise UsageError("unknown suite %r" % name)
         self.name = name
-        self.path = os.path.join(directory or "", name + ".ident")
+        path = os.path.join(_directory or "", name + ".ident")
         try:
             parsed = lang.parse_identity_file(text, name)
-            lenders = _lenders(parsed, directory or data_dir())
+            lenders = _lenders(parsed, _directory or data_dir())
         except LangError as exc:
-            raise _located(self.path, text.count("\n", 0, exc.span[0]) + 1, exc) from exc
-        # (file, lets) per source, lenders first; definitions reads them in order
-        self._lets = tuple((used.path, used.definitions) for used in lenders) \
-            + ((self.path, parsed.definitions),)
-        self.definitions = tuple(d for _, lets in self._lets for d in lets)
+            raise _located(path, text.count("\n", 0, exc.span[0]) + 1, exc) from exc
+        self.uses = parsed.uses
+        self.definitions = tuple(d for used in lenders for d in used.definitions) \
+            + tuple(replace(d, path=path) for d in parsed.definitions)
         self.checks = parsed.checks
         self.registry = SymbolRegistry(extra=_REGISTRY_EXTRA.get(name, ()))
         self._by_id = {c.check_id: c for c in self.checks}
@@ -134,13 +134,10 @@ class Suite:
         if mode not in self._envs:
             abstract = self._envs.get(SpinMode.ABSTRACT)
             if abstract is None:
-                env = lang.ElabEnv(self.registry, mode, {})
-                for path, lets in self._lets:
-                    for d in lets:
-                        try:
-                            env.bindings[d.name] = lang.elaborate(d.expr, env)
-                        except LangError as exc:
-                            raise _located(path, d.line, exc) from exc
+                try:
+                    env = lang.elaborate_definitions(self.definitions, self.registry, mode)
+                except LangError as exc:
+                    raise _located(exc.definition.path, exc.definition.line, exc) from exc
                 env.memo = {}
             else:
                 bindings = {name: value.reduce_spin_half()
@@ -164,7 +161,7 @@ def _lenders(parsed, directory):
             raise LangError("use of unknown suite %r" % use.text, span)
         used = _shared(use.text, directory)
         # None: that suite is still loading, so its own uses lead back here
-        if used is None or len(used._lets) > 1:
+        if used is None or used.uses:
             raise LangError("suite %r cannot be used: it uses a suite itself" % use.text,
                             span)
         for d in used.definitions:

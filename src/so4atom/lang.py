@@ -587,6 +587,7 @@ class RawDefinition:
     name: str
     expr: object
     line: int = field(default=0, compare=False)   # in its file, from 1
+    path: str = field(default=None, compare=False)   # its file, once the catalog read one
 
 
 # each mu policy and the mu values at which it claims its check holds; a
@@ -746,8 +747,13 @@ def _parse_check(toks, base, line, suite, checks, seen_ids):
 
 
 def elaborate_definitions(defs, registry, mode):
-    """Build the binding environment for one file, in order."""
+    """Build the binding environment for one file, in order.  A LangError
+    raised by a definition carries it as the error's definition."""
     env = ElabEnv(registry, mode, {})
     for d in defs:
-        env.bindings[d.name] = elaborate(d.expr, env)
+        try:
+            env.bindings[d.name] = elaborate(d.expr, env)
+        except LangError as exc:
+            exc.definition = d
+            raise
     return env

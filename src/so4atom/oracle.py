@@ -192,6 +192,7 @@ class _Walk:
 
     def __init__(self, suite, bindings, mus):
         self.defs = {d.name: d.expr for d in suite.definitions}
+        self._lets = suite.definitions
         # under one lens mu folds like any constant; under two it scales a lens axis
         self.consts = dict(bindings, i=1j, mu=mus[0])
         if len(mus) > 1:
@@ -240,6 +241,17 @@ class _Walk:
             entry = self._info[id(node)] = (node, self._describe(node))
         return entry[1]
 
+    def _body_info(self, body):
+        """info(body); a LangError in a let's body is a UsageError naming
+        the let's file and line, as when the suite elaborates it."""
+        try:
+            return self.info(body)
+        except LangError as exc:
+            for d in self._lets:
+                if d.expr is body:
+                    raise catalog._located(d.path, d.line, exc) from exc
+            raise
+
     def order(self, spec):
         return max(self.info(spec.lhs)[1], self.info(spec.rhs)[1])
 
@@ -250,7 +262,7 @@ class _Walk:
         if alias and alias[0] is None or isinstance(node, Num):
             return False, 0, alias[1] if alias else complex(node.value), ("const",)
         if alias:
-            vec, order, value, _how = self.info(alias[0])
+            vec, order, value, _how = self._body_info(alias[0])
             return vec and alias[1] is None, order, value, ("alias",) + alias
         if m is not None:
             return False, 0, None, ("radial", m / 2)

@@ -85,7 +85,8 @@ def test_missing_suite_file_exit_2(capsys, tmp_path, monkeypatch):
 )
 def test_malformed_suite_file_exit_2(capsys, tmp_path, monkeypatch, name, old, new, bad, command):
     # a suite file that does not parse, a bad use line and a let that does
-    # not elaborate are usage errors naming the file and the line
+    # not elaborate are usage errors naming the file and the line; the
+    # oracle, which walks a let's body without elaborating it, names them too
     data = tmp_path / "data"
     shutil.copytree(catalog.data_dir(), data)
     path = data / (name + ".ident")
@@ -94,7 +95,8 @@ def test_malformed_suite_file_exit_2(capsys, tmp_path, monkeypatch, name, old, n
     path.write_text(text.replace(old, new))
     line = path.read_text().splitlines().index(bad) + 1
     monkeypatch.setenv("SO4ATOM_DATA_DIR", str(data))
-    for argv in (("verify", "--suite", command), ("all",)):
+    for argv in (("verify", "--suite", command), ("all",),
+                 ("oracle", "--suite", command, "--points", "2")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error: %s line %d: " % (path, line) in err

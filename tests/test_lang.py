@@ -302,6 +302,14 @@ def test_elaborate_definitions_resolves_in_order():
     assert diff.is_zero()
 
 
+def test_elaborate_definitions_names_the_definition_that_fails():
+    parsed = lang.parse_identity_file("let A = dot(p,p)\n\nlet B = A + q\n")
+    with pytest.raises(LangError, match="unbound name 'q'") as exc:
+        lang.elaborate_definitions(parsed.definitions, SymbolRegistry(), SpinMode.ABSTRACT)
+    assert exc.value.definition is parsed.definitions[1]
+    assert exc.value.definition.line == 3
+
+
 # -- the elaboration memo ----------------------------------------------------
 
 

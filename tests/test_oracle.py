@@ -210,7 +210,8 @@ def test_run_battery_builds_each_jet_once(monkeypatch):
 def test_run_battery_applies_each_let_body_to_the_sample_once(monkeypatch):
     # a let body reached again at the sample state, by any check of its
     # suite, reads the jet the first reach made.  A body one suite lends to
-    # another is applied once by each suite's walk (one per lens set)
+    # another is applied once by each suite (per lens set); a suite's let
+    # names tell theorem and spectrum_algebra apart
     applied, reaches = Counter(), []
     apply = oracle._Walk.apply
 
@@ -219,7 +220,7 @@ def test_run_battery_applies_each_let_body_to_the_sample_once(monkeypatch):
             if self.info(node)[3][0] == "alias":
                 reaches.append(node)
             if any(node is body for body in self.defs.values()):
-                applied[self, id(node), axis, need] += 1
+                applied[tuple(self.defs), id(node), axis, need, tuple(self.lenses.ravel())] += 1
         return apply(self, node, axis, psi, need)
 
     monkeypatch.setattr(oracle._Walk, "apply", counting)
