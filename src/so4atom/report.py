@@ -7,6 +7,7 @@ comparing runs.
 
 import io
 import json
+import math
 
 from . import __version__
 from .errors import UsageError
@@ -94,13 +95,20 @@ def render_markdown(payload):
 
 
 def spectrum_csv(rows):
+    """One line per level.  E_computed has 10 significant digits: the 11th
+    and 12th carry stebz's bisection noise, which depends on how many levels
+    were solved, so they moved with --levels.  rel_error is read from the
+    printed E_computed, so a level prints the same row whatever the count."""
     out = io.StringIO()
     out.write("sector_j,channel,level_index,E_computed,E_predicted,"
               "n_label,branch,rel_error\n")
     for r in rows:
-        out.write("%s,%s,%d,%.12g,%.12g,%s,%s,%.6e\n" % (
-            r.sector_j, r.channel, r.level_index, r.e_computed,
-            r.e_predicted, r.n_label, r.branch, r.rel_error))
+        e_computed = "%.10g" % r.e_computed
+        rel_error = r.rel_error if math.isinf(r.rel_error) else \
+            abs(float(e_computed) - r.e_predicted) / abs(r.e_predicted)
+        out.write("%s,%s,%d,%s,%.12g,%s,%s,%.6e\n" % (
+            r.sector_j, r.channel, r.level_index, e_computed,
+            r.e_predicted, r.n_label, r.branch, rel_error))
     return out.getvalue()
 
 

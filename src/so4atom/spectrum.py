@@ -41,18 +41,22 @@ that does not look at the closed form, |E_N - E_Nc|/((rho^2 - 1)|E|).  A
 level count must fit in the coarse grid.
 
 Each distinct charge is solved once per grid, for eigenvalues only, by
-scipy.linalg.eigh_tridiagonal with a fixed bisection tolerance (at k2=0
-both channels of a sector are one matrix), and each level keeps the label
-of the channel that produced it.  Only the levels that can become rows are
-bisected: a Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 386,
-1967), one O(N) pass through LAPACK's stebz, first finds how many levels of
-the channel lie at or below half the trust cutoff on each grid, and the
-solve stops at the larger count.  A level left out has both grid values
-above that window; its estimate is exactly (E_N - L)/|L| for its limit L,
-so if L still reached the cutoff the estimate would exceed 1/2, and the
-row could not pass.  coupled_levels() solves the unrotated
-two-channel band, mapped the same way, with scipy.linalg.eig_banded on the
-same pair; it is the tests' reference for the rotation.
+LAPACK's bisection, stebz, with a fixed tolerance (at k2=0 both channels of
+a sector are one matrix), and each level keeps the label of the channel
+that produced it.  Only the levels that can become rows are bisected: a
+Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 386, 1967), one
+O(N) pass through the same stebz, first finds how many levels of the
+channel lie at or below half the trust cutoff on each grid, and the solve
+stops at the larger count.  A level left out has both grid values above
+that window; its estimate is exactly (E_N - L)/|L| for its limit L, so if
+L still reached the cutoff the estimate would exceed 1/2, and the row
+could not pass.  stebz is scipy's compiled routine, loaded at import from
+scipy's LAPACK extension module alone: importing scipy.linalg for it took
+several times as long as the whole default study.  eigh_tridiagonal is
+the few lines of scipy's wrapper the solver uses.  coupled_levels() solves
+the unrotated two-channel band, mapped the same way, with
+scipy.linalg.eig_banded on the same pair; it is the tests' reference for
+the rotation, and the one caller that imports scipy.linalg.
 
 Levels are matched by rank.  A (w, k) multiplet of the su(2) x su(2)
 pairing holds the sectors j = |w-k|, ..., w+k (Bander & Itzykson, Rev. Mod.
@@ -65,14 +69,15 @@ every raw closed-form instance with its verdict: the raw form's spurious
 deepest level has only labelings with a negative ladder scale or spin label.
 """
 
+import importlib.util
 import math
+import os
+import sysconfig
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
 
 from .errors import SolverError, UsageError
 from . import catalog
@@ -212,6 +217,62 @@ _EIG_TOL = 1e-13
 
 # the theorem checks that certify the channel reduction
 _GATE = ("reduced_off", "reduced_gate", "J2_recombination")
+
+
+def _scipy_dirs():
+    """Where the scipy package lives; finding a top-level package runs none
+    of its code."""
+    spec = importlib.util.find_spec("scipy")
+    return list(spec.submodule_search_locations) if spec else []
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, scipy/linalg/_flapack, loaded from its
+    file.  Importing it by name would run scipy.linalg's package code, which
+    copies numpy's whole namespace; the extension itself needs only numpy.
+    The interpreter keeps one copy of an extension per file, so its routines
+    are scipy.linalg.lapack's own objects, whichever is loaded first."""
+    name = "_flapack" + sysconfig.get_config_var("EXT_SUFFIX")
+    dirs = [os.path.join(d, "linalg") for d in _scipy_dirs()]
+    for path in (os.path.join(d, name) for d in dirs):
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError("no %s in %s" % (name, ", ".join(dirs) or "any scipy install"))
+
+
+# LAPACK's stebz: eigenvalues of a symmetric tridiagonal by bisection
+dstebz = _load_flapack().dstebz
+
+
+def eigh_tridiagonal(d, e, *, eigvals_only, select, select_range, tol):
+    """Eigenvalues lo..hi (select_range, from 0) of the symmetric tridiagonal
+    with diagonal d and off-diagonal e, ascending: scipy.linalg's
+    eigh_tridiagonal on its stebz path, with its input checks, for the one
+    case the solver asks for, eigenvalues only by index."""
+    if not eigvals_only or select != "i":
+        raise ValueError("only eigenvalues by index are solved here")
+    # stebz itself may not terminate on a nan
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    lo, hi = select_range
+    if not 0 <= lo <= hi < len(d):
+        raise ValueError("select_range %r out of bounds for %d eigenvalues"
+                         % (tuple(select_range), len(d)))
+    m, w, _block, _split, info = dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, float(tol), "E")
+    if info < 0:
+        raise ValueError("illegal value in argument %d of stebz" % -info)
+    if info > 0:
+        raise np.linalg.LinAlgError("stebz did not converge (LAPACK info=%d)" % info)
+    return w[:m]
+
+
+def eig_banded(*args, **kwargs):
+    """scipy.linalg.eig_banded, imported on the first call: only
+    coupled_levels, the tests' reference, solves a band."""
+    from scipy.linalg import eig_banded
+    return eig_banded(*args, **kwargs)
 
 
 def reduced_form_check():

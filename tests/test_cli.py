@@ -493,6 +493,23 @@ def test_spectrum_json_reports_each_level_margin(capsys, tmp_path):
                                           "est_error", "elapsed_ms"]
 
 
+def spectrum_rows(capsys, *argv):
+    """The CSV rows of a spectrum run, keyed by (sector, channel, level)."""
+    code, out, _ = run(capsys, "spectrum", *argv, "--format", "csv")
+    assert code == 0
+    return {tuple(line.split(",")[:3]): line for line in out.splitlines()[2:]}
+
+
+def test_a_level_prints_the_same_row_whatever_the_count(capsys):
+    # stebz's last digits depend on how many levels are bisected; they are
+    # not printed, so --levels only adds or drops rows
+    full = spectrum_rows(capsys, "--levels", "8")
+    for count in range(1, 8):
+        rows = spectrum_rows(capsys, "--levels", str(count))
+        assert rows and set(rows) <= set(full)
+        assert {key: full[key] for key in rows} == rows, count
+
+
 def test_spectrum_drops_levels_the_coarse_grid_does_not_resolve(capsys):
     # at 250 levels on the pair (250, 500) the top levels are unresolved on
     # the coarse grid; extrapolated, they went as deep as -11524 and matched
@@ -640,6 +657,20 @@ def test_engine_only_command_leaves_numpy_unimported():
                 for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "so4atom.cli" in imported
     assert "numpy" not in imported
+
+
+@pytest.mark.parametrize("argv", [["all", "--seed", "1"], ["spectrum", "--j", "1/2"]])
+def test_the_spectrum_leaves_scipy_linalg_unimported(argv):
+    # it loads scipy's compiled LAPACK module alone; only the tests'
+    # coupled_levels imports scipy.linalg
+    src = os.path.dirname(os.path.dirname(so4atom.__file__))
+    code = ("import sys; from so4atom import cli; code = cli.main(%r); "
+            "print(code, 'scipy.linalg' in sys.modules, "
+            "'scipy.linalg._flapack' in sys.modules)" % (argv,))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False True"
 
 
 def test_runconfig_defaults():

@@ -1,10 +1,16 @@
 """Radial eigensolver against the closed-form level structure."""
 
+import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
@@ -455,6 +461,73 @@ def test_sturm_count_is_the_length_of_a_full_solve():
                         select_range=(-1e300, top), tol=1e-15)
                     assert spectrum._count_at_or_below(stencil, g, top) == len(full), \
                         (sector, params.k2, g, grid_n, top)
+
+
+# -- LAPACK without scipy.linalg ----------------------------------------------
+
+
+@pytest.mark.parametrize("first", ["scipy", "spectrum"])
+def test_stebz_is_scipys_own_routine(first):
+    # the extension is loaded from its file, without scipy.linalg; either
+    # way round, the process holds one copy of it
+    imports = ["from so4atom import spectrum", "import scipy.linalg.lapack as L"]
+    if first == "scipy":
+        imports.reverse()
+    code = "import sys; %s; linalg = 'scipy.linalg' in sys.modules; %s; " \
+        "print(linalg, spectrum.dstebz is L.dstebz)" % tuple(imports)
+    src = str(Path(spectrum.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(first == "scipy"), "True"]
+
+
+@pytest.mark.parametrize("select_range", [(0, 7), (3, 5)])
+def test_eigh_tridiagonal_is_scipys_bit_for_bit(select_range):
+    for sector, params in default_sweep():
+        for g, _label in channel_charges(sector, params):
+            for grid_n in (spectrum.DEFAULT_GRID_N, spectrum.DEFAULT_GRID_N // 2):
+                channel = spectrum._channel(spectrum._stencil(sector, grid_n, 200.0), g)
+                kwargs = dict(eigvals_only=True, select="i", select_range=select_range,
+                              tol=spectrum._EIG_TOL)
+                got = spectrum.eigh_tridiagonal(*channel, **kwargs)
+                want = scipy.linalg.eigh_tridiagonal(*channel, **kwargs)
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), \
+                    (sector, params.k2, g, grid_n)
+
+
+@pytest.mark.parametrize("g, last, message", [
+    (math.nan, 7, "must not contain infs or NaNs"),
+    (math.inf, 7, "must not contain infs or NaNs"),
+    (-1.0, 500, "out of bounds"),
+])
+def test_a_bad_channel_solve_is_a_solver_error(g, last, message):
+    stencil = spectrum._stencil(spectrum.RadialSector(0, l=0), 500, 200.0)
+    with pytest.raises(SolverError, match=message):
+        spectrum._lowest(stencil, g, last)
+
+
+@pytest.mark.parametrize("info, message", [
+    (-3, "illegal value in argument 3"), (2, "did not converge")])
+def test_a_lapack_error_is_a_solver_error(monkeypatch, info, message):
+    monkeypatch.setattr(spectrum, "dstebz",
+                        lambda *args: (0, np.zeros(len(args[0])), None, None, info))
+    stencil = spectrum._stencil(spectrum.RadialSector(0, l=0), 500, 200.0)
+    with pytest.raises(SolverError, match=message):
+        spectrum._lowest(stencil, -1.0, 7)
+
+
+def test_the_sturm_count_refuses_a_nan():
+    stencil = spectrum._stencil(spectrum.RadialSector(0, l=0), 500, 200.0)
+    with pytest.raises(SolverError, match="must not contain infs or NaNs"):
+        spectrum._count_at_or_below(stencil, math.nan, -0.0125)
+
+
+def test_a_missing_lapack_module_names_where_it_looked(monkeypatch, tmp_path):
+    # no second import path: scipy.linalg is there, and is not tried
+    monkeypatch.setattr(spectrum, "_scipy_dirs", lambda: [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        spectrum._load_flapack()
 
 
 @pytest.mark.parametrize("grid_n, count", [(spectrum.DEFAULT_GRID_N, 8), (500, 250)])
