@@ -101,6 +101,13 @@ class Suite:
     Suite.  The cached env's bindings never change, and entries are never
     evicted, so the memo is bounded by the distinct subtrees elaborated.
 
+    Beside the memo each cached env carries facts (lang.ElabEnv.facts):
+    per check spec run under it, whether lhs - rhs is symbolically zero
+    and, once asked, whether it vanishes at mu=0 and at mu=1.  Each is
+    computed at most once per env, so a lens, a gate call or a run_suite
+    that repeats a verdict reads its booleans (see run_check).  An entry
+    is keyed by id(spec) and holds the spec, so its id is never reused.
+
     The spin-1/2 quotient map (OperatorExpr.reduce_spin_half) is an algebra
     homomorphism.  So when the abstract env is cached first, the half env's
     bindings are the images of its bindings and its source is the abstract
@@ -138,11 +145,11 @@ class Suite:
                     env = lang.elaborate_definitions(self.definitions, self.registry, mode)
                 except LangError as exc:
                     raise _located(exc.definition.path, exc.definition.line, exc) from exc
-                env.memo = {}
+                env.memo, env.facts = {}, {}
             else:
                 bindings = {name: value.reduce_spin_half()
                             for name, value in abstract.bindings.items()}
-                env = lang.ElabEnv(self.registry, mode, bindings, {}, abstract.memo)
+                env = lang.ElabEnv(self.registry, mode, bindings, {}, abstract.memo, {})
             self._envs[mode] = env
         return self._envs[mode]
 
@@ -235,44 +242,49 @@ def get_suite(name):
 # --- running checks -------------------------------------------------------
 
 
-def _shape_difference(lhs, rhs):
-    lvec = isinstance(lhs, VecExpr)
-    rvec = isinstance(rhs, VecExpr)
-    if lvec == rvec:
-        return lhs - rhs
-    # a literal zero on either side takes the shape of the other
-    if not rvec and rhs.is_zero():
-        return lhs
-    if not lvec and lhs.is_zero():
-        return -rhs
-    raise UsageError("one side is a vector and the other is not")
-
-
-def _difference(spec, env):
+def _sides(spec, env):
+    """spec's two sides elaborated under env, in one shape: a literal zero
+    on either side takes the shape of the other, as a vector of zeros."""
     try:
-        return _shape_difference(lang.elaborate(spec.lhs, env),
-                                 lang.elaborate(spec.rhs, env))
+        lhs = lang.elaborate(spec.lhs, env)
+        rhs = lang.elaborate(spec.rhs, env)
+        lvec = isinstance(lhs, VecExpr)
+        rvec = isinstance(rhs, VecExpr)
+        if lvec == rvec:
+            return lhs, rhs
+        if not rvec and rhs.is_zero():
+            return lhs, lhs.map(lambda c: rhs)
+        if not lvec and lhs.is_zero():
+            return rhs.map(lambda c: lhs), rhs
+        raise UsageError("one side is a vector and the other is not")
     except Exception as exc:
         raise UsageError("check %s: %s" % (spec.check_id, exc)) from exc
 
 
-def _verdict(diff, relation, lens, declared):
-    """(status under the lens, ok under the declared policy, symbolic zero,
-    witness, witness terms) for one difference.
+def _difference(spec, env):
+    lhs, rhs = _sides(spec, env)
+    return lhs - rhs
 
+
+def _verdict(facts, difference, relation, lens, declared):
+    """(status under the lens, ok under the declared policy, symbolic zero,
+    witness, witness terms) for one check.
+
+    facts holds the check's zero tests of lhs - rhs: 'symbolic' always,
+    and 0 and 1, at those mu values, once run.  A missing mu test runs on
+    difference(), which builds the difference once, and is added to facts.
     An '==' check passes where the difference vanishes: symbolically, or at
     every mu value of the policy ('all' names the values that held).  A
-    '!=' check passes where it vanishes at none of them.  Each zero test
-    runs at most once, and at a mu value it builds nothing (zero_at); only
-    a witness at mu=0 or mu=1 substitutes mu into the difference.
+    '!=' check passes where it vanishes at none of them.  A mu zero test
+    builds nothing (zero_at); only a witness at mu=0 or mu=1 substitutes
+    mu into the difference.
     """
-    sym = diff.is_zero()
-    at_mu = {}
+    sym = facts["symbolic"]
 
     def zero_at(v):
-        if v not in at_mu:
-            at_mu[v] = diff.zero_at("mu", v)
-        return at_mu[v]
+        if v not in facts:
+            facts[v] = difference().zero_at("mu", v)
+        return facts[v]
 
     def status(policy):
         values = lang.MU_POLICIES[policy]
@@ -290,6 +302,7 @@ def _verdict(diff, relation, lens, declared):
     witness, terms = "", 0
     if relation == "==" and (shown == "fail" or not ok):
         values = lang.MU_POLICIES[lens]
+        diff = difference()
         shown_diff = diff.substitute("mu", values[0]) if len(values) == 1 else diff
         vec = isinstance(shown_diff, VecExpr)
         parts = shown_diff.components if vec else (shown_diff,)
@@ -332,18 +345,38 @@ def _compatible(declared, requested):
 def run_check(spec, env=None, requested_mu=None):
     """Evaluate one identity under env (default: the suite's cached abstract
     env), in env's spin mode, which the result reports.  Both sides go
-    through lang.elaborate, so through env's memo and source (see Suite)."""
+    through lang.elaborate, so through env's memo and source (see Suite).
+
+    The symbolic zero is lhs == rhs, since the normal form is canonical;
+    lhs - rhs is built only for a mu zero test or a witness.  An env with
+    a facts record (lang.ElabEnv.facts, a Suite's) keeps each zero test it
+    has run, keyed by the spec object, so every later lens or call on that
+    env reads it instead; a mutated spec is a new object, with its own.
+    """
     started = time.perf_counter()
     if env is None:
         env = get_suite(spec.suite).env(SpinMode.ABSTRACT)
     mode = env.mode.value
     if spec.mode is not None and spec.mode != mode:
         raise UsageError("check %s is declared for mode=%s" % (spec.check_id, spec.mode))
-    diff = _difference(spec, env)
+    record = {} if env.facts is None else env.facts
+    sides = diff = None
+    if id(spec) not in record:
+        sides = _sides(spec, env)
+        # the entry holds spec, so its id is not reused while the entry lives
+        record[id(spec)] = (spec, {"symbolic": sides[0] == sides[1]})
+    facts = record[id(spec)][1]
+
+    def difference():
+        nonlocal diff
+        if diff is None:
+            lhs, rhs = sides or _sides(spec, env)
+            diff = lhs - rhs
+        return diff
 
     # '!=' checks always speak about their declared policy
     effective = spec.mu_policy if spec.relation == "!=" else (requested_mu or spec.mu_policy)
-    status, ok, sym, witness, terms = _verdict(diff, spec.relation, effective,
+    status, ok, sym, witness, terms = _verdict(facts, difference, spec.relation, effective,
                                                spec.mu_policy)
     elapsed = (time.perf_counter() - started) * 1000.0
     return CheckResult(spec.check_id, spec.suite, status, ok, mode, spec.mu_policy,

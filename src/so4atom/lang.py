@@ -103,13 +103,14 @@ def tokenize(source, base=0):
         if ch == "#":
             break
         start = i
-        if ch.isdigit():
-            while i < n and source[i].isdigit():
+        # isdecimal is what int() reads; isdigit also takes '²'
+        if ch.isdecimal():
+            while i < n and source[i].isdecimal():
                 i += 1
             # a slash glued between digit runs makes one rational literal
-            if i + 1 < n and source[i] == "/" and source[i + 1].isdigit():
+            if i + 1 < n and source[i] == "/" and source[i + 1].isdecimal():
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i].isdecimal():
                     i += 1
                 toks.append(Token("rational", source[start:i], base + start, base + i))
             else:
@@ -379,14 +380,18 @@ class ElabEnv:
     entries are right only while the bindings stay as they were when it
     was filled, so whoever gives an env a memo never changes its bindings
     afterwards.  source, read only alongside memo, is the abstract memo a
-    half env was made from (catalog.Suite.env), else None.  A hand-built
-    env, or one from elaborate_definitions, has neither.
+    half env was made from (catalog.Suite.env), else None.  facts, set
+    only by catalog.Suite.env beside the memo, is catalog.run_check's
+    record of each check's zero tests under this env; it is kept out of
+    memo, which holds only elaborated values.  A hand-built env, or one
+    from elaborate_definitions, has none of the three.
     """
     registry: object
     mode: SpinMode
     bindings: dict
     memo: dict = field(default=None, repr=False, compare=False)
     source: dict = field(default=None, repr=False, compare=False)
+    facts: dict = field(default=None, repr=False, compare=False)
 
 
 def _scalar_expr(env, coeff):

@@ -368,6 +368,15 @@ class VecExpr:
     def is_zero(self):
         return self.x.is_zero() and self.y.is_zero() and self.z.is_zero()
 
+    # componentwise, so mathematical like OperatorExpr's
+    def __eq__(self, other):
+        if not isinstance(other, VecExpr):
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash(self.components)
+
     def __str__(self):
         return f"({self.x}, {self.y}, {self.z})"
 

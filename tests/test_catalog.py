@@ -233,7 +233,9 @@ def test_original_checks_still_pass_after_mutation_runs():
 def test_lenses_read_recorded_differences(monkeypatch):
     # once the declared run has filled the memo, a lens takes no product,
     # no commutator and no substitution: each side is one memo lookup and
-    # the mu zero tests build nothing
+    # the mu zero tests build nothing.  Once a lens has run, its zero tests
+    # are recorded: running it again takes no zero test and no subtraction,
+    # but for the difference a witness is rendered from, which is not kept
     suite = catalog.get_suite("theorem")
     for mode in ("abstract", "half"):
         catalog.run_suite("theorem", mode=mode)
@@ -250,11 +252,56 @@ def test_lenses_read_recorded_differences(monkeypatch):
     monkeypatch.setattr(_kernel, "expr_comm", counted("expr_comm", _kernel.expr_comm))
     monkeypatch.setattr(OperatorExpr, "substitute",
                         counted("substitute", OperatorExpr.substitute))
-    for mode in ("abstract", "half"):
-        for mu in ("0", "1", "symbolic", "all"):
-            catalog.run_suite("theorem", mode=mode, mu=mu)
+    lenses = [(mode, mu) for mode in ("abstract", "half")
+              for mu in ("0", "1", "symbolic", "all")]
+    for mode, mu in lenses:
+        catalog.run_suite("theorem", mode=mode, mu=mu)
     assert calls == []
     assert {mode: len(suite.env(mode).memo) for mode in SpinMode} == sizes
+
+    monkeypatch.setattr(_kernel, "sc_sub_raw", counted("sc_sub_raw", _kernel.sc_sub_raw))
+    monkeypatch.setattr(_kernel, "expr_zero_at",
+                        counted("expr_zero_at", _kernel.expr_zero_at))
+    run_check = catalog.run_check
+
+    def checked(spec, env=None, requested_mu=None):
+        del calls[:]
+        result = run_check(spec, env, requested_mu)
+        assert "expr_zero_at" not in calls, spec.check_id
+        assert result.witness or calls == [], spec.check_id
+        return result
+
+    monkeypatch.setattr(catalog, "run_check", checked)
+    witnessed = 0
+    for mode, mu in lenses:
+        witnessed += sum(bool(r.witness)
+                         for r in catalog.run_suite("theorem", mode=mode, mu=mu))
+    assert witnessed
+
+
+def test_a_symbolic_zero_takes_no_subtraction(monkeypatch):
+    # lhs == rhs decides a symbolic zero on the memoised sides: the first
+    # run of such a check, with its sides elaborated but no zero test yet
+    # recorded, builds no difference
+    subtractions = []
+    sub = _kernel.sc_sub_raw
+    monkeypatch.setattr(_kernel, "sc_sub_raw",
+                        lambda *args: subtractions.append(args) or sub(*args))
+    zeros = 0
+    for name in catalog.SUITE_NAMES:
+        suite = catalog.load_suite(name)
+        for mode in SpinMode:
+            env = suite.env(mode)
+            for spec in suite.checks:
+                if spec.mode not in (None, mode.value):
+                    continue
+                catalog._sides(spec, env)
+                assert id(spec) not in env.facts
+                del subtractions[:]
+                if catalog.run_check(spec, env).symbolic_zero:
+                    zeros += 1
+                    assert subtractions == [], (name, spec.check_id)
+    assert zeros > 100
 
 
 def without_timing(results):
@@ -283,14 +330,24 @@ def test_a_loaded_suite_keeps_its_own_memo(monkeypatch):
 @pytest.mark.parametrize("mode", ["abstract", "half"])
 def test_recorded_results_match_a_cold_suite(mode):
     # a suite from load_suite is not the shared one: its checks fill and
-    # read its own memo, from empty, never the shared suite's
-    for name in catalog.SUITE_NAMES:
-        cold = catalog.load_suite(name)
-        catalog.run_suite(name, mode=mode)
-        for mu in (None, "symbolic", "0", "1", "all"):
-            warm = catalog.run_suite(name, mode=mode, mu=mu)
-            assert without_timing(warm) == without_timing(
-                catalog.run_suite(name, mode=mode, mu=mu, suite=cold)), (name, mu)
+    # read its own memo and facts, from empty, never the shared suite's.
+    # Whichever lens runs first records a check's zero tests, the lenses
+    # before the declared pass or after it, and every later lens reports
+    # what a cold suite reports
+    lenses = ["symbolic", "0", "1", "all"]
+    cold = {(name, mu): without_timing(catalog.run_suite(
+                name, mode=mode, mu=mu, suite=catalog.load_suite(name)))
+            for name in catalog.SUITE_NAMES for mu in lenses + [None]}
+    for order in (lenses + [None] + lenses, [None] + lenses):
+        for name in catalog.SUITE_NAMES:
+            warm = catalog.load_suite(name)
+            for mu in order:
+                got = catalog.run_suite(name, mode=mode, mu=mu, suite=warm)
+                assert without_timing(got) == cold[name, mu], (name, mu)
+            facts = warm.env(SpinMode(mode)).facts
+            assert {spec.check_id for spec, _ in facts.values()} == \
+                {r.check_id for r in catalog.run_suite(name, mode=mode, suite=warm)}
+            assert all(spec is warm.spec(spec.check_id) for spec, _ in facts.values())
 
 
 def raw_value(value):
@@ -497,6 +554,33 @@ def test_hand_built_env_is_never_read_from_the_record():
     assert len(memo) == size
     assert all(memo[side] is value for side, value in clean.items())
     assert catalog.run_check(spec, env).ok is True
+
+
+def test_facts_are_read_only_by_their_own_spec_and_env():
+    # the record is keyed by the spec object: a hand-built env keeps none,
+    # and a mutant, run after its clean check, is a new spec with its own
+    suite = catalog.load_suite("so4")
+    env = suite.env(SpinMode.ABSTRACT)
+    spec = suite.spec("RxR_eq_H_l")
+    assert catalog.run_check(spec, env).symbolic_zero is True
+    clean = env.facts[id(spec)]
+    assert clean == (spec, {"symbolic": True})
+    hand = lang.ElabEnv(env.registry, env.mode, dict(env.bindings))
+    hand.bindings["H"] = hand.bindings["H"].scaled(Fraction(2))
+    result = catalog.run_check(spec, hand)
+    assert (result.symbolic_zero, result.ok, hand.facts) == (False, False, None)
+    mutation, = (m for m in catalog.mutations_for("so4") if m.check_id == spec.check_id)
+    broken = catalog.apply_mutation(spec, mutation)
+    result = catalog.run_check(broken, env)
+    assert (result.symbolic_zero, result.ok) == (False, False)
+    assert env.facts[id(broken)][0] is broken
+    assert env.facts[id(spec)] is clean and clean[1] == {"symbolic": True}
+    # an equal spec that is another object has an entry of its own too
+    twin = dataclasses.replace(spec)
+    assert twin == spec and twin is not spec
+    assert catalog.run_check(twin, env).ok is True
+    assert env.facts[id(twin)][0] is twin
+    assert len(env.facts) == 3
 
 
 def test_spin_mode_member_reads_as_its_name():

@@ -81,6 +81,9 @@ def test_missing_suite_file_exit_2(capsys, tmp_path, monkeypatch):
         ("so3", "let H = dot(p,p)/(2*M) - kappa*r^-1", "let H = dot(p,q)", "let H = dot(p,q)",
          "so4"),
         ("so4", "use so3", "use so3\nuse nope", "use nope", "so4"),
+        # '²' is a digit to str.isdigit, but not one int() reads
+        ("so3", "check l_cross_l", "check sq : r^² == r^2\ncheck l_cross_l",
+         "check sq : r^² == r^2", "so3"),
     ],
 )
 def test_malformed_suite_file_exit_2(capsys, tmp_path, monkeypatch, name, old, new, bad, command):

@@ -204,6 +204,17 @@ def test_non_invertible_power_or_divisor_reports_its_node(text, span):
     assert exc.value.span == span
 
 
+def test_a_non_decimal_digit_is_refused_at_its_span():
+    # '2'.isdigit() and '²'.isdigit() both hold, but int() reads only
+    # decimal digits: the superscript is an unexpected character, not a crash
+    with pytest.raises(LangError, match="unexpected character") as exc:
+        lang.parse_expr("2²")
+    assert exc.value.span == (1, 2)
+    with pytest.raises(LangError) as exc:
+        lang.parse_expr("1/²")
+    assert exc.value.span == (2, 3)
+
+
 def test_unknown_symbol_reports_name():
     with pytest.raises(LangError) as exc:
         ev("nope * hbar")
@@ -388,3 +399,19 @@ def test_to_text_round_trip_property(texts):
     env = fresh_env()
     for text in texts[:2]:
         _through_check_source(text, env)
+
+
+# -- vector equality -------------------------------------------------------
+
+
+def test_vector_equality_is_componentwise():
+    # like OperatorExpr's, VecExpr's == and hash are mathematical: the
+    # closure [l_u, l_v] = i hbar eps_uvw l_w as cross(l,l) == i*hbar*l
+    env = fresh_env()
+    closure, target = ev("cross(l,l)", env), ev("i*hbar*l", env)
+    again = ev("cross(l,l)", env)
+    assert closure is not again
+    assert closure == target == again
+    assert hash(closure) == hash(target) == hash(again)
+    assert closure != ev("2*i*hbar*l", env)
+    assert closure != ev("i*hbar*l_x", env)
