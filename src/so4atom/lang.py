@@ -19,16 +19,31 @@ Identity files are line oriented:
     use NAME
     let NAME = EXPR
     check ID : LHS == RHS mode=half mu=1
+    levi ID : LHS == TARGET mu=1
+    kron ID : LHS == TARGET
 
 A use line names another suite whose lets the file borrows; use lines come
 before any let or check, and the catalog resolves them.  A check may use
 '!=' instead of '==' to assert that a difference does not vanish (used to
-pin down deviations on record).  parse_identity_file turns each check line
-into a RawCheck, the one record of a check that the catalog, the oracle and
+pin down deviations on record).
+
+A levi or kron line is a family of nine checks, one per pair of axes
+(u, v), with the id ID_uv; {u}, {v} and {w} in its text stand for u, v
+and the third axis.  A levi line (the Levi-Civita symbol) gives TARGET to
+the cyclic pairs xy, yz, zx, -(TARGET) to the anticyclic pairs yx, zy,
+xz and 0 to the diagonal pairs xx, yy, zz, in that order; {w} stands only
+in its TARGET.  A kron line (the Kronecker delta) gives TARGET to xx, yy,
+zz and 0 to xy, yx, yz, zy, zx, xz, in that order, and has no {w}.  Its
+options carry over to each component.  The line is expanded into check
+lines before it is lexed, and any error in it is reported at the line.
+
+parse_identity_file turns each check, and each family's components, into
+a RawCheck, the one record of a check that the catalog, the oracle and
 the mutations read.  MU_POLICIES names the mu policies a check may declare
 and the mu values each one claims; the spin modes are operators.SpinMode.
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -621,8 +636,10 @@ class IdentityFile:
 
 
 def parse_identity_file(text, suite=None):
-    """Parse the line-oriented use/let/check format; each check records
-    suite.  Spans are file-absolute."""
+    """Parse the line-oriented use/let/check/levi/kron format; each check
+    records suite.  Spans are file-absolute, except that a family's
+    components carry spans into their own expanded text, laid at the
+    family line's start."""
     uses = []
     definitions = []
     checks = []
@@ -635,12 +652,15 @@ def parse_identity_file(text, suite=None):
         offset += len(line)
         if not stripped or stripped.startswith("#"):
             continue
+        if stripped.split(None, 1)[0] in _FAMILIES:
+            _parse_family(line.rstrip("\n"), base, suite, checks, seen_ids)
+            continue
         toks = tokenize(line.rstrip("\n"), base)
         if not toks:
             continue
         head = toks[0]
         if head.kind != "ident" or head.text not in ("use", "let", "check"):
-            raise LangError("line must start with 'use', 'let' or 'check'",
+            raise LangError("line must start with 'use', 'let', 'check', 'levi' or 'kron'",
                             (head.start, head.end))
         if head.text == "use":
             _parse_use(toks, base, line, uses, definitions or checks)
@@ -749,6 +769,49 @@ def _parse_check(toks, base, line, suite, checks, seen_ids):
 
     checks.append(RawCheck(id_tok.text, suite, lhs, rhs, sep[2], mode, mu,
                            _src(lhs_toks), _src(tail)))
+
+
+# a family line: KIND ID : LHS == TARGET, then options; and its braces
+_FAMILY_LINE = re.compile(
+    r"\s*(levi|kron)\s+(\w+)\s*:(.*?)==(.*?)((?:\s+(?:mode|mu)\s*=\s*\w+)*)\s*")
+_BRACE = re.compile(r"\{([^{}]*)\}|[{}]")
+
+# each family's (u, v) pairs in the order of its components, and each
+# one's right side, with {} for the target
+_FAMILIES = {
+    "levi": dict.fromkeys(("xy", "yz", "zx"), "{}") | dict.fromkeys(("yx", "zy", "xz"), "-({})")
+    | dict.fromkeys(("xx", "yy", "zz"), "0"),
+    "kron": dict.fromkeys(("xx", "yy", "zz"), "{}")
+    | dict.fromkeys(("xy", "yx", "yz", "zy", "zx", "xz"), "0"),
+}
+
+
+def _parse_family(line, base, suite, checks, seen_ids):
+    """Expand a levi or kron line into its nine check lines and parse each
+    with _parse_check; a LangError anywhere in it spans the whole line."""
+    text = line.split("#", 1)[0].rstrip()
+    span = (base + len(text) - len(text.lstrip()), base + len(text))
+    m = _FAMILY_LINE.fullmatch(text)
+    if m is None:
+        raise LangError("a family line reads 'levi|kron ID : LHS == TARGET', then options",
+                        span)
+    kind, family, target = m.group(1), m.group(2), m.group(4).strip()
+    for brace in _BRACE.finditer(text):
+        at = (base + brace.start(), base + brace.end())
+        if brace.group(1) not in ("u", "v", "w"):
+            raise LangError("placeholders are {u}, {v} and {w}, not %r" % brace.group(), at)
+        if brace.group(1) == "w" and (kind == "kron" or brace.start() < m.start(4)):
+            raise LangError("{w} stands only in the target of a levi line", at)
+    for (u, v), rhs in _FAMILIES[kind].items():
+        axes = {"u": u, "v": v, "w": "".join(a for a in _AXES if a not in (u, v))}
+        component = _BRACE.sub(lambda b: axes[b.group(1)], "check %s_%s%s :%s== %s%s" % (
+            family, u, v, m.group(3), rhs.format(target), m.group(5)))
+        try:
+            _parse_check(tokenize(component, base), base, component, suite, checks, seen_ids)
+        except LangError as exc:
+            message = str(exc).rsplit(" (at ", 1)[0]   # the span within component
+            raise LangError("%s %s, component %s_%s%s: %s" % (kind, family, family, u, v,
+                                                               message), span) from exc
 
 
 def elaborate_definitions(defs, registry, mode):

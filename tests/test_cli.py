@@ -84,6 +84,19 @@ def test_missing_suite_file_exit_2(capsys, tmp_path, monkeypatch):
         # '²' is a digit to str.isdigit, but not one int() reads
         ("so3", "check l_cross_l", "check sq : r^² == r^2\ncheck l_cross_l",
          "check sq : r^² == r^2", "so3"),
+        # an error in a family line names that line, although each component
+        # is longer than it: here by four characters, into the next line
+        ("so3", "levi lp_cov : [l_{u}, p_{v}] == i*hbar*p_{w}",
+         "levi lp_cov : [l_x, p_y] == i*hbar*p_z +", "levi lp_cov : [l_x, p_y] == i*hbar*p_z +",
+         "so3"),
+        ("so3", "levi lr_cov : [l_{u}, r_{v}] == i*hbar*r_{w}",
+         "levi lr_cov : [l_{u}, r_{t}] == i*hbar*r_{w}",
+         "levi lr_cov : [l_{u}, r_{t}] == i*hbar*r_{w}", "so4"),
+        ("theorem", "kron Pi_r_cc : [idx(Pi,{u}), r_{v}] == -(i*hbar)",
+         "kron Pi_r_cc : [idx(Pi,{u}), r_{w}] == -(i*hbar)",
+         "kron Pi_r_cc : [idx(Pi,{u}), r_{w}] == -(i*hbar)", "theorem"),
+        ("spectrum_algebra", "== i*hbar*idx(R,{w})", "== i*hbar*idx(R,{w}",
+         "levi JR_cov : [J_{u}, idx(R,{v})] == i*hbar*idx(R,{w}", "spectrum_algebra"),
     ],
 )
 def test_malformed_suite_file_exit_2(capsys, tmp_path, monkeypatch, name, old, new, bad, command):
@@ -612,6 +625,19 @@ def test_all_checks_spectrum_input_before_any_work(capsys, argv, message):
     code, out, err = run(capsys, "all", *argv)
     assert code == 2
     assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["spectrum", "all"])
+def test_an_oversized_grid_is_refused_before_any_work(capsys, monkeypatch, command):
+    # 10^8 points would allocate until the process is killed; no grid is laid
+    def never(*args, **kwargs):
+        raise AssertionError("a grid was laid")
+    monkeypatch.setattr(spectrum, "_grid", never)
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", never)
+    code, out, err = run(capsys, command, "--grid-n", "100000000")
+    assert code == 2
+    assert "grid_n above 100000" in err
     assert out == ""
 
 

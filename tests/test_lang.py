@@ -300,6 +300,88 @@ def test_a_misplaced_or_malformed_use_is_rejected_at_its_span(text, fragment, at
     assert start >= text.rindex("use")
 
 
+# -- levi and kron lines ------------------------------------------------------
+
+_FAMILIES = [
+    ("levi V : [l_{u}, idx(cross(p,l),{v})] == i*hbar*idx(cross(p,l),{w})\n", """\
+check V_xy : [l_x, idx(cross(p,l),y)] == i*hbar*idx(cross(p,l),z)
+check V_yz : [l_y, idx(cross(p,l),z)] == i*hbar*idx(cross(p,l),x)
+check V_zx : [l_z, idx(cross(p,l),x)] == i*hbar*idx(cross(p,l),y)
+check V_yx : [l_y, idx(cross(p,l),x)] == -(i*hbar*idx(cross(p,l),z))
+check V_zy : [l_z, idx(cross(p,l),y)] == -(i*hbar*idx(cross(p,l),x))
+check V_xz : [l_x, idx(cross(p,l),z)] == -(i*hbar*idx(cross(p,l),y))
+check V_xx : [l_x, idx(cross(p,l),x)] == 0
+check V_yy : [l_y, idx(cross(p,l),y)] == 0
+check V_zz : [l_z, idx(cross(p,l),z)] == 0
+"""),
+    ("kron cc : [p_{u}, r_{v}]   ==  -(i*hbar)  # canonical\n", """\
+check cc_xx : [p_x, r_x] == -(i*hbar)
+check cc_yy : [p_y, r_y] == -(i*hbar)
+check cc_zz : [p_z, r_z] == -(i*hbar)
+check cc_xy : [p_x, r_y] == 0
+check cc_yx : [p_y, r_x] == 0
+check cc_yz : [p_y, r_z] == 0
+check cc_zy : [p_z, r_y] == 0
+check cc_zx : [p_z, r_x] == 0
+check cc_xz : [p_x, r_z] == 0
+"""),
+]
+
+
+@pytest.mark.parametrize("family, by_hand", _FAMILIES)
+def test_a_family_line_parses_as_its_nine_checks_written_out(family, by_hand):
+    checks = lang.parse_identity_file(family, "so3").checks
+    assert len(checks) == 9
+    assert checks == lang.parse_identity_file(by_hand, "so3").checks
+
+
+@pytest.mark.parametrize("options, mode, mu", [
+    ("", None, "all"), (" mu=1", None, "1"), (" mode=half  mu=symbolic", "half", "symbolic")])
+def test_a_family_lines_options_carry_over_to_each_component(options, mode, mu):
+    for family, by_hand in _FAMILIES:
+        line = family.split("#")[0].rstrip()
+        checks = lang.parse_identity_file(line + options + "\n").checks
+        assert {(c.mode, c.mu_policy) for c in checks} == {(mode, mu)}
+        written = "".join(row + options + "\n" for row in by_hand.splitlines())
+        assert checks == lang.parse_identity_file(written).checks
+
+
+@pytest.mark.parametrize("text, clash, at", [
+    ("check V_yz : 1 == 1\nlevi V : [l_{u}, r_{v}] == i*hbar*r_{w}\n", "V_yz", "levi"),
+    ("levi V : [l_{u}, r_{v}] == i*hbar*r_{w}\ncheck V_yz : 1 == 1\n", "V_yz", "V_yz"),
+    ("kron V : [p_{u}, r_{v}] == 1\nlevi V : [l_{u}, r_{v}] == i*hbar*r_{w}\n", "V_xy", "levi"),
+])
+def test_a_component_id_that_clashes_is_a_duplicate(text, clash, at):
+    with pytest.raises(LangError, match="duplicate check id '%s'" % clash) as exc:
+        lang.parse_identity_file(text)
+    assert exc.value.span[0] >= text.index(at)
+
+
+@pytest.mark.parametrize("family, fragment, at", [
+    ("levi V : [l_{u}, r_{t}] == i*hbar*r_{w}", "not '{t}'", "{t}"),
+    ("levi V : [l_{u}, r_{v}] == i*hbar*r_{w}}", "not '}'", "}"),
+    ("levi V : [l_{u}, r_{v] == i*hbar*r_{w}", "not '{'", "{"),
+    ("kron V : [p_{u}, r_{w}] == 1", "{w} stands only", "{w}"),
+    ("kron V : [p_{u}, r_{v}] == {w}", "{w} stands only", "{w}"),
+    ("levi V : [l_{w}, r_{v}] == i*hbar*r_{u}", "{w} stands only", "{w}"),
+    ("levi V : [l_{u}, r_{v}] == i*hbar*(r_{w}", "component V_xy: expected rparen", None),
+    ("levi V : [l_{u}, r_{v}] ==", "component V_xy: empty expression", None),
+    ("levi V : [l_{u}, r_{v}] == 0 mu=1 mu=0", "duplicate option 'mu'", None),
+    ("levi V : [l_{u}, r_{v}] != 0", "a family line reads", None),
+    ("kron : [p_{u}, r_{v}] == 1", "a family line reads", None),
+    # no placeholders: each component runs four characters past the line
+    ("levi V : [l_x, r_y] == i*hbar*r_z +", "component V_xy: unexpected end", None),
+])
+def test_a_malformed_family_line_is_rejected_at_the_line(family, fragment, at):
+    text = "let q = 1\n  %s  # note\ncheck later : 1 == 1\n" % family
+    with pytest.raises(LangError) as exc:
+        lang.parse_identity_file(text)
+    assert fragment in str(exc.value)
+    start, end = exc.value.span
+    assert text[start:end] == (family if at is None else at)
+    assert text.index(family) <= start <= end <= text.index(family) + len(family)
+
+
 def test_elaborate_definitions_resolves_in_order():
     parsed = lang.parse_identity_file(
         "let A = dot(p,p)\nlet B = A + hbar^2\ncheck x : B - A == hbar^2\n"

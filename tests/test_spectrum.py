@@ -224,6 +224,22 @@ def test_a_fractional_grid_fails_before_any_solve(monkeypatch, grid_n):
     assert calls == []
 
 
+def test_an_oversized_grid_fails_before_any_grid_is_laid(monkeypatch):
+    # the cap is checked first; at the cap itself the (patched) grid is laid
+    def never(*args, **kwargs):
+        raise AssertionError("a grid was laid")
+    monkeypatch.setattr(spectrum, "_grid", never)
+    sec = spectrum.RadialSector(0, l=0)
+    for grid_n in (100_001, 10 ** 8):
+        with pytest.raises(UsageError, match="grid_n above 100000"):
+            spectrum.solve_lowest(sec, grid_n=grid_n)
+        with pytest.raises(UsageError, match="grid_n above 100000"):
+            spectrum.coupled_levels(spectrum.RadialSector(1, j=HALF),
+                                    spectrum.CouplingParams(), grid_n, 200.0, 2)
+    with pytest.raises(AssertionError, match="a grid was laid"):
+        spectrum.solve_lowest(sec, grid_n=100_000)
+
+
 def test_grid_guardrails():
     sec = spectrum.RadialSector(0, l=0)
     with pytest.raises(UsageError):
