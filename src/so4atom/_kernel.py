@@ -37,13 +37,15 @@ middle: ``p^ma`` moves past ``r^pos_b r^rad_b`` (``_p_past``) and
 ``S^sa S^sb`` is normal-ordered (``spin_mul``).  The words this yields,
 with their Gaussian coefficients and powers of hbar, depend only on
 ``(ma, pos_b, rad_b, sa, sb)`` and the spin mode; ``pos_a``, ``rad_a``
-and ``mb`` merely shift each word.  ``_step`` fuses the two expansions
-into one structure-table entry per such shape, built on first use and
-kept for the process, and ``_fill`` stores it as ``(offset, a, b, d)``
-per word: the product of terms ``ka`` and ``kb`` has the key
-``ka + kb + offset``, hbar included.  So ``expr_mul`` and ``expr_comm``
-loop over term pairs times table entries, each an integer addition, and
-never expand a shape twice.
+and ``mb`` merely shift each word.  Each expansion is kept on its own,
+packed as ``(offset, a, b, d)`` per word: the momentum one by
+``(ma, pos_b, rad_b)`` (``_momenta``), the spin one by ``(sa, sb)`` and
+the mode (``_spins``).  ``_steps`` fuses the two into one structure-table
+entry per shape, built on first use and kept for the process: the
+product of terms ``ka`` and ``kb`` has the key ``ka + kb + offset``,
+hbar included, where each word's offset is the sum of its two parts'.
+So ``expr_mul`` and ``expr_comm`` loop over term pairs times table
+entries, each an integer addition, and never expand a shape twice.
 
 Normal form.  Positions and radial powers satisfy
 ``r^2 = r_x^2 + r_y^2 + r_z^2``.  The canonical form of the quotient keeps
@@ -72,7 +74,7 @@ from the rest of the package.
 
 from functools import cache
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 KERNEL_NAME = "pure"
 
@@ -162,11 +164,14 @@ HBAR_UNIT = _unit(SIG_FIELDS + HBAR_INDEX)
 
 # the r_x, r_y, r_z and r fields, which the quotient rewrite moves
 _PX, _PY, _PZ, _RAD = _unit(0), _unit(1), _unit(2), _unit(3)
+# the (pos, rad), mom and spin fields of a word
+_POS_MASK = _FIELD * (_unit(0) + _unit(1) + _unit(2) + _unit(3))
+_MOM_MASK = _FIELD * (_unit(4) + _unit(5) + _unit(6))
+_SPIN_MASK = _FIELD * (_unit(7) + _unit(8) + _unit(9))
 # a structure-table row is keyed by the left word's (mom, spin) fields and
 # an entry in it by the right word's (pos, rad, spin) fields
-_ROW_MASK = _FIELD * (_unit(4) + _unit(5) + _unit(6) + _unit(7) + _unit(8) + _unit(9))
-_COL_MASK = _FIELD * (_unit(0) + _unit(1) + _unit(2) + _unit(3) + _unit(7) + _unit(8) + _unit(9))
-_SPIN_MASK = _FIELD * (_unit(7) + _unit(8) + _unit(9))
+_ROW_MASK = _MOM_MASK | _SPIN_MASK
+_COL_MASK = _POS_MASK | _SPIN_MASK
 _SPIN_ZERO = ID_WORD & _SPIN_MASK
 
 
@@ -520,48 +525,71 @@ def _p_past(mom, pos, rad):
 # Per spin mode (index ``half``): left word's (mom, spin) fields -> right
 # word's (pos, rad, spin) fields -> entries.
 _STEPS = ({}, {})
+# the two expansions an entry fuses, each as ``(offset, a, b, d)`` per
+# word: momentum past position, keyed by the left word's momentum fields
+# and the right word's position and radial fields, which never overlap;
+# and per spin mode, the spin product, keyed by both words' spin fields
+_MOMENTA = {}
+_SPINS = ({}, {})
 
 
-def _step(ma, pos_b, rad_b, sa, sb, half):
-    """Structure-table entry for ``p^ma S^sa * r^pos_b r^rad_b S^sb``.
+def _momenta(ka, kb):
+    """``p^ma`` of key ``ka`` moved past ``r^pos_b r^rad_b`` of key ``kb``
+    (``_p_past``): per word of the expansion, what its position, radial,
+    momentum and hbar fields add to ``pos_b``, ``rad_b``, ``ma``, with its
+    coefficient."""
+    key = (ka & _MOM_MASK) | (kb & _POS_MASK)
+    hit = _MOMENTA.get(key)
+    if hit is None:
+        pb0, pb1, pb2, rb, ma0, ma1, ma2 = word_fields(key)[:7]
+        hit = _MOMENTA[key] = tuple(
+            (_shift((p[0] - pb0, p[1] - pb1, p[2] - pb2, r - rb, m[0] - ma0, m[1] - ma1,
+                     m[2] - ma2)) + h * HBAR_UNIT, a, b, d)
+            for (p, r, m), (a, b, d, h) in _p_past((ma0, ma1, ma2), (pb0, pb1, pb2), rb))
+    return hit
 
-    One flat tuple ``(q0, ..., q6, w0, w1, w2, a, b, d, h)`` per word
-    ``r^(q0, q1, q2) r^q3 p^(q4, q5, q6) S^(w0, w1, w2)`` of the expansion,
-    whose coefficient is ``(a + b*i)/d * hbar**h``.  The product of the
-    full monomials adds ``pos_a``, ``rad_a`` and ``mb`` to the signature
-    offset ``q``.  Words come in the order of the sorted momentum and spin
-    expansions; no entry is zero, since Q(i) has no zero divisors.
-    """
-    spins = spin_mul(sa, sb, half)
-    out = []
-    for (p, r, m), (qa, qb, qd, qh) in _p_past(ma, pos_b, rad_b):
-        for w0, w1, w2, wa, wb, wd, wh in spins:
-            a, b, d = g_mul((qa, qb, qd), (wa, wb, wd))
-            out.append((p[0], p[1], p[2], r, m[0], m[1], m[2], w0, w1, w2, a, b, d, qh + wh))
-    return tuple(out)
+
+def _spins(ka, kb, half):
+    """``S^sa * S^sb`` of keys ``ka`` and ``kb`` (``spin_mul``): per word of
+    the product, what its spin and hbar fields add to ``sa + sb``, with its
+    coefficient."""
+    key = (ka & _SPIN_MASK, kb & _SPIN_MASK)
+    hit = _SPINS[half].get(key)
+    if hit is None:
+        sa, sb = word_fields(ka)[7:], word_fields(kb)[7:]
+        s0, s1, s2 = map(add, sa, sb)
+        hit = _SPINS[half][key] = tuple(
+            (_shift((0,) * 7 + (w0 - s0, w1 - s1, w2 - s2)) + h * HBAR_UNIT, a, b, d)
+            for w0, w1, w2, a, b, d, h in spin_mul(sa, sb, half))
+    return hit
 
 
 def _steps(rows, ka, kb, half):
     """The packed table entry of the word pair of keys ``ka`` and ``kb``:
     ``(offset, a, b, d)`` per word, where the word's term in ``ka * kb``
     has the key ``ka + kb + offset`` and the coefficient
-    ``(a + b*i)/d`` times the product of theirs."""
+    ``(a + b*i)/d`` times the product of theirs.
+
+    Each word is a word of the momentum expansion times one of the spin
+    product, in that order; its offset is the sum of theirs less
+    ``ID_WORD``, since ``ka + kb`` carries each word field's bias twice.
+    No entry is zero, since Q(i) has no zero divisors.
+    """
     row = rows.get(ka & _ROW_MASK)
     if row is None:
         row = rows[ka & _ROW_MASK] = {}
     steps = row.get(kb & _COL_MASK)
     if steps is None:
-        _, _, _, _, ma0, ma1, ma2, sa0, sa1, sa2 = word_fields(ka)
-        pb0, pb1, pb2, rb, _, _, _, sb0, sb1, sb2 = word_fields(kb)
-        # each word's key is ka + kb plus its signature minus the fields of
-        # ka and kb that the table reads, and ka + kb carries each word
-        # field's bias twice, hence ID_WORD
-        base = _shift((pb0, pb1, pb2, rb, ma0, ma1, ma2, sa0 + sb0, sa1 + sb1, sa2 + sb2))
-        base += ID_WORD
-        steps = row[kb & _COL_MASK] = tuple(
-            (_shift(e[:SIG_FIELDS]) - base + e[13] * HBAR_UNIT, e[10], e[11], e[12])
-            for e in _step((ma0, ma1, ma2), (pb0, pb1, pb2), rb, (sa0, sa1, sa2),
-                           (sb0, sb1, sb2), half))
+        spins = _spins(ka, kb, half)
+        out = []
+        for off, qa, qb, qd in _momenta(ka, kb):
+            off -= ID_WORD
+            for soff, wa, wb, wd in spins:
+                if wa == wd == 1 and not wb:
+                    out.append((off + soff, qa, qb, qd))
+                else:
+                    out.append((off + soff, *g_mul((qa, qb, qd), (wa, wb, wd))))
+        steps = row[kb & _COL_MASK] = tuple(out)
     return steps
 
 

@@ -253,7 +253,14 @@ class _Walk:
             raise
 
     def order(self, spec):
-        return max(self.info(spec.lhs)[1], self.info(spec.rhs)[1])
+        """The highest momentum order of spec's sides.  Each side is
+        described whole here, before any residual, so a LangError in one
+        is raised as the UsageError naming the check that the catalog
+        gives when it elaborates that side."""
+        try:
+            return max(self.info(spec.lhs)[1], self.info(spec.rhs)[1])
+        except LangError as exc:
+            raise UsageError("check %s: %s" % (spec.check_id, exc)) from exc
 
     def _describe(self, node):
         if isinstance(node, Sym) and node.name == "mu" and "mu" not in self.consts:

@@ -47,10 +47,20 @@ that produced it.  Only the levels that can become rows are bisected: a
 Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 386, 1967), one
 O(N) pass through the same stebz, first finds how many levels of the
 channel lie at or below half the trust cutoff on each grid, and the solve
-stops at the larger count.  A level left out has both grid values above
-that window; its estimate is exactly (E_N - L)/|L| for its limit L, so if
-L still reached the cutoff the estimate would exceed 1/2, and the row
-could not pass.  stebz is scipy's compiled routine, loaded at import from
+stops at the larger count, held.  A level left out has both grid values
+above that window; its estimate is exactly (E_N - L)/|L| for its limit L,
+so if L still reached the cutoff the estimate would exceed 1/2, and the
+row could not pass.  A channel's matrix is built once per grid, for the
+count and the solve.  A grid that counts exactly held levels in the
+window, as every grid of the default study does, is solved by value over
+(-1e300, window]: stebz bisects each level from that interval.  By index
+it would first bisect the Gershgorin interval (|T| ~ 2e7 on the default
+fine grid) for the bounds of levels 1 and held.  Any other grid is solved
+by index: the level count asked for caps held below the window's levels,
+which a solve by value would all bisect, or the other grid holds more of
+them.  A solve that returns other than held levels is a SolverError.  By
+value and by index, a level agrees to the bisection tolerance, not bit for
+bit.  stebz is scipy's compiled routine, loaded at import from
 scipy's LAPACK extension module alone: importing scipy.linalg for it took
 several times as long as the whole default study.  eigh_tridiagonal is
 the few lines of scipy's wrapper the solver uses.  coupled_levels() solves
@@ -252,19 +262,28 @@ dstebz = _load_flapack().dstebz
 
 
 def eigh_tridiagonal(d, e, *, eigvals_only, select, select_range, tol):
-    """Eigenvalues lo..hi (select_range, from 0) of the symmetric tridiagonal
-    with diagonal d and off-diagonal e, ascending: scipy.linalg's
-    eigh_tridiagonal on its stebz path, with its input checks, for the one
-    case the solver asks for, eigenvalues only by index."""
-    if not eigvals_only or select != "i":
-        raise ValueError("only eigenvalues by index are solved here")
+    """Eigenvalues of the symmetric tridiagonal with diagonal d and
+    off-diagonal e, ascending: scipy.linalg's eigh_tridiagonal on its stebz
+    path, with its input checks, for the two cases the solver asks for,
+    eigenvalues only by index (select "i": levels lo..hi of select_range,
+    from 0) or by value (select "v": the levels in (vl, vu] of
+    select_range)."""
+    if not eigvals_only or select not in ("i", "v"):
+        raise ValueError("only eigenvalues by index or by value are solved here")
     # stebz itself may not terminate on a nan
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
     lo, hi = select_range
-    if not 0 <= lo <= hi < len(d):
-        raise ValueError("select_range %r out of bounds for %d eigenvalues"
-                         % (tuple(select_range), len(d)))
-    m, w, _block, _split, info = dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, float(tol), "E")
+    if select == "v":
+        if not lo <= hi:
+            raise ValueError("select_range %r is not in nondecreasing order"
+                             % (tuple(select_range),))
+        bounds = (1, float(lo), float(hi), 1, 1)
+    else:
+        if not 0 <= lo <= hi < len(d):
+            raise ValueError("select_range %r out of bounds for %d eigenvalues"
+                             % (tuple(select_range), len(d)))
+        bounds = (2, 0.0, 1.0, lo + 1, hi + 1)
+    m, w, _block, _split, info = dstebz(d, e, *bounds, float(tol), "E")
     if info < 0:
         raise ValueError("illegal value in argument %d of stebz" % -info)
     if info > 0:
@@ -334,28 +353,44 @@ def _pair(sector, grid_n, r_max):
     return tuple(_stencil(sector, n, r_max) for n in (grid_n, grid_n // 2))
 
 
-def _extrapolate(pair, solve):
-    """Richardson's limit of a solve over a stencil pair, with its estimate.
+def _extrapolate(pair, fine, coarse):
+    """Richardson's limit of the levels fine and coarse, solved on the
+    stencil pair, with its estimate.
 
-    solve(stencil) gives the lowest levels on one grid.  The mapped stencil
-    is second order in the spacing, so with rho = N/Nc exact (an odd N
-    included), (rho^2 E_N - E_Nc)/(rho^2 - 1) cancels the leading error
-    term.  That term, |E_N - E_Nc|/((rho^2 - 1)|E|), is the estimate: the
-    relative error of the fine grid, which the limit improves on.
+    The mapped stencil is second order in the spacing, so with rho = N/Nc
+    exact (an odd N included), (rho^2 E_N - E_Nc)/(rho^2 - 1) cancels the
+    leading error term.  That term, |E_N - E_Nc|/((rho^2 - 1)|E|), is the
+    estimate: the relative error of the fine grid, which the limit improves
+    on.
     """
-    fine, coarse = (solve(stencil) for stencil in pair)
     rho2 = (len(pair[0][0]) / len(pair[1][0])) ** 2
     limit = (rho2 * fine - coarse) / (rho2 - 1)
     return limit, np.abs(fine - coarse) / ((rho2 - 1) * np.abs(limit))
 
 
-def _lowest(stencil, g, last):
-    """Levels 0..last of the mapped channel with charge g, eigenvalues only."""
+def _lowest(channel, held, window=None):
+    """The lowest `held` levels of a mapped channel (diag, off), eigenvalues
+    only.
+
+    Given a window that the Sturm count puts exactly `held` levels at or
+    below, they are solved by value over (-1e300, window]: by index, stebz
+    would first bisect the Gershgorin interval for the bounds of levels 1
+    and `held`.  Otherwise they are solved by index.  A solve that returns
+    any other number of levels is an error, never a shorter row list.
+    """
+    if window is None:
+        select, select_range = "i", (0, held - 1)
+    else:
+        select, select_range = "v", (-1e300, window)
     try:
-        return eigh_tridiagonal(*_channel(stencil, g), eigvals_only=True, select="i",
-                                select_range=(0, last), tol=_EIG_TOL)
+        levels = eigh_tridiagonal(*channel, eigvals_only=True, select=select,
+                                  select_range=select_range, tol=_EIG_TOL)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise SolverError("eigenvalue solve failed: %s" % exc) from exc
+    if len(levels) != held:
+        raise SolverError("eigenvalue solve by %s returned %d levels, not the %d counted"
+                          % ("value" if window is not None else "index", len(levels), held))
+    return levels
 
 
 def _charge(params, s_r):
@@ -370,13 +405,13 @@ def _channels(sector, params):
     return tuple((_charge(params, s_r), s_r) for s_r in labels)
 
 
-def _count_at_or_below(stencil, g, top):
-    """How many levels of the mapped channel with charge g lie at or below
-    top: stebz over (-1e300, top] with a tolerance so wide that it reports
-    the Sturm counts of the two ends and does not bisect."""
+def _count_at_or_below(channel, top):
+    """How many levels of a mapped channel (diag, off) lie at or below top:
+    stebz over (-1e300, top] with a tolerance so wide that it reports the
+    Sturm counts of the two ends and does not bisect."""
     try:
         # stebz itself may not terminate on a nan
-        diag, off = map(np.asarray_chkfinite, _channel(stencil, g))
+        diag, off = map(np.asarray_chkfinite, channel)
     except ValueError as exc:
         raise SolverError("eigenvalue solve failed: %s" % exc) from exc
     count, _w, _block, _split, info = dstebz(diag, off, 1, -1e300, top, 0, 0, 1e300, "E")
@@ -417,10 +452,14 @@ def solve_lowest(sector, params=None, grid_n=DEFAULT_GRID_N, r_max=200.0, count=
     levels = []
     for g, label in channels:
         if g not in solved:
-            held = min(count, grid_n // 2,
-                       max(_count_at_or_below(stencil, g, window) for stencil in pair))
-            solved[g] = (_extrapolate(pair, lambda stencil: _lowest(stencil, g, held - 1))
-                         if held else ((), ()))
+            grids = [_channel(stencil, g) for stencil in pair]
+            counted = [_count_at_or_below(channel, window) for channel in grids]
+            held = min(count, grid_n // 2, max(counted))
+            # a grid with exactly held levels in the window is solved by
+            # value over it; a capped or shorter one by index
+            solved[g] = (_extrapolate(pair, *(
+                _lowest(channel, held, window if n == held else None)
+                for channel, n in zip(grids, counted))) if held else ((), ()))
         # a level the coarse grid does not resolve has est >= 1: the pair
         # disagrees by more than the level, and its limit is spurious
         levels.extend((float(e), label, float(est)) for e, est in zip(*solved[g])
@@ -463,7 +502,7 @@ def coupled_levels(sector, params, grid_n, r_max, count):
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise SolverError("eigenvalue solve failed: %s" % exc) from exc
 
-    return tuple(float(v) for v in _extrapolate(pair, lowest)[0])
+    return tuple(float(v) for v in _extrapolate(pair, *map(lowest, pair))[0])
 
 
 # --- exact predictions ----------------------------------------------------

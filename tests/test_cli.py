@@ -433,6 +433,42 @@ def test_oracle_reports_a_failure_under_its_own_suite(capsys, tmp_path, monkeypa
     assert "[FAIL]" in lines["oracle so4"]
 
 
+@pytest.mark.parametrize("side, message", [
+    ("[l, q] == 0", "unbound name 'q' (at 265..266)"),
+    ("[l, r] == q", "unbound name 'q' (at 271..272)"),
+    ("[l, r^q] == 0", "exponent must be an integer literal (at 265..268)"),
+])
+def test_a_check_side_that_does_not_elaborate_exit_2_under_every_command(
+        capsys, tmp_path, monkeypatch, side, message):
+    # the oracle walks a check's sides without elaborating them; an error in
+    # one names the check, as under verify, and is a usage error
+    data = tmp_path / "data"
+    shutil.copytree(catalog.data_dir(), data)
+    path = data / "so3.ident"
+    text = path.read_text()
+    assert text.count("check l_radial : [l, r] == 0\n") == 1
+    path.write_text(text.replace("check l_radial : [l, r] == 0\n",
+                                 "check l_radial : %s\n" % side))
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(data))
+    for argv in (("verify", "--suite", "so3"), ("all",),
+                 ("oracle", "--suite", "so3", "--points", "2"), ("oracle", "--points", "2")):
+        code, _, err = run(capsys, *argv)
+        assert (code, err.splitlines()[-1]) == (2, "error: check l_radial: " + message), argv
+
+
+def test_a_bad_call_in_a_check_side_is_an_oracle_usage_error(capsys, tmp_path, monkeypatch):
+    # the oracle words this one its own way, but names the check all the same
+    data = tmp_path / "data"
+    shutil.copytree(catalog.data_dir(), data)
+    path = data / "so3.ident"
+    path.write_text(path.read_text().replace("check l_radial : [l, r] == 0\n",
+                                             "check l_radial : dot(l) == 0\n"))
+    monkeypatch.setenv("SO4ATOM_DATA_DIR", str(data))
+    code, out, err = run(capsys, "oracle", "--suite", "so3", "--points", "2")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: check l_radial: bad call of 'dot' (at 261..267)"
+
+
 def test_oracle_theorem_suite_passes(capsys):
     code, out, _ = run(capsys, "oracle", "--suite", "theorem", "--seed", "42")
     assert code == 0

@@ -220,6 +220,8 @@ def test_no_table_is_built_at_import():
         "import so4atom.cli, so4atom.catalog, so4atom.oracle, so4atom.ansatz\n"
         "from so4atom import _kernel as K\n"
         "assert K._STEPS == ({}, {}), K._STEPS\n"
+        "assert K._MOMENTA == {}, K._MOMENTA\n"
+        "assert K._SPINS == ({}, {}), K._SPINS\n"
     )
     src = str(Path(K.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
@@ -228,11 +230,56 @@ def test_no_table_is_built_at_import():
 def test_table_entry_fuses_momentum_and_spin():
     # p_x S_x * r_x S_y = r_x p_x S_x S_y - i hbar S_x S_y, and in the
     # spin-1/2 quotient S_x S_y = (i hbar / 2) S_z
-    steps = K._step((1, 0, 0), (1, 0, 0), 0, (1, 0, 0), (0, 1, 0), True)
-    assert sorted(steps) == sorted([
-        (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 2),
-        (1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 2, 1),
+    ka = K.pack((0, 0, 0, 0, 1, 0, 0, 1, 0, 0))
+    kb = K.pack((1, 0, 0, 0, 0, 0, 0, 0, 1, 0))
+    steps = K._steps({}, ka, kb, True)
+    hbar = K.HBAR_INDEX
+    assert sorted((K.unpack(ka + kb + off), (a, b, d)) for off, a, b, d in steps) == sorted([
+        (((0, 0, 0, 0, 0, 0, 0, 0, 0, 1), ((hbar, 2),)), (1, 0, 2)),
+        (((1, 0, 0, 0, 1, 0, 0, 0, 0, 1), ((hbar, 1),)), (0, 1, 2)),
     ])
+
+
+def reference_steps(ka, kb, half):
+    """The table entry of keys ka and kb built whole, as the kernel built
+    it before it kept the momentum and spin expansions apart: the two
+    expansions multiplied word by word, each word's signature packed and
+    less the fields of ka and kb that the table reads."""
+    _, _, _, _, ma0, ma1, ma2, sa0, sa1, sa2 = K.word_fields(ka)
+    pb0, pb1, pb2, rb, _, _, _, sb0, sb1, sb2 = K.word_fields(kb)
+    base = K._shift((pb0, pb1, pb2, rb, ma0, ma1, ma2, sa0 + sb0, sa1 + sb1, sa2 + sb2))
+    base += K.ID_WORD
+    spins = K.spin_mul((sa0, sa1, sa2), (sb0, sb1, sb2), half)
+    out = []
+    for (p, r, m), (qa, qb, qd, qh) in K._p_past((ma0, ma1, ma2), (pb0, pb1, pb2), rb):
+        for w0, w1, w2, wa, wb, wd, wh in spins:
+            a, b, d = K.g_mul((qa, qb, qd), (wa, wb, wd))
+            sig = (p[0], p[1], p[2], r, m[0], m[1], m[2], w0, w1, w2)
+            out.append((K._shift(sig) - base + (qh + wh) * K.HBAR_UNIT, a, b, d))
+    return tuple(out)
+
+
+def test_every_table_entry_of_a_cold_pass_is_the_whole_construction():
+    # a fresh process runs the five suites in both spin modes and hands back
+    # every entry it built; each must equal the reference, value and order.
+    # The spin-1/2 pass goes first: after an abstract pass a suite maps its
+    # abstract env to spin 1/2 and takes no spin-1/2 product
+    code = (
+        "from so4atom import catalog, _kernel as K\n"
+        "for mode in ('half', 'abstract'):\n"
+        "    for name in catalog.SUITE_NAMES:\n"
+        "        catalog.run_suite(name, mode=mode)\n"
+        "print(repr([[(row, col, steps) for row, cols in rows.items()\n"
+        "              for col, steps in cols.items()] for rows in K._STEPS]))\n"
+    )
+    src = str(Path(K.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env={"PYTHONPATH": src})
+    tables = ast.literal_eval(proc.stdout)
+    for half, entries in enumerate(tables):
+        assert len(entries) > 100, half
+        for row, col, steps in entries:
+            assert steps == reference_steps(row, col, bool(half)), (half, row, col)
 
 
 # -- the zero test at a value of mu -------------------------------------------

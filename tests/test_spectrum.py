@@ -36,23 +36,34 @@ def channel_charges(sector, params):
                  for s_r in (HALF, -HALF))
 
 
-def channel_solve(sector, params, grid_n, g, r_max=200.0, count=8, **kwargs):
-    """The lowest levels of one channel on one grid, solved directly."""
+def channel_solve(sector, params, grid_n, g, r_max=200.0, count=8, window=None, **kwargs):
+    """The lowest levels of one channel on one grid, solved directly: count
+    of them by index, or, given a window, those in (-1e300, window] by value."""
     stencil = spectrum._stencil(sector, grid_n, r_max)
-    return scipy.linalg.eigh_tridiagonal(*spectrum._channel(stencil, g), select="i",
-                                         select_range=(0, count - 1), **kwargs)
+    if window is None:
+        select, select_range = "i", (0, count - 1)
+    else:
+        select, select_range = "v", (-1e300, window)
+    return scipy.linalg.eigh_tridiagonal(*spectrum._channel(stencil, g), select=select,
+                                         select_range=select_range, **kwargs)
+
+
+def window_counts(sector, grid_n, g, r_max=200.0):
+    """How many levels of one channel lie at or below half the cutoff on
+    each grid of the pair, fine first, counted here by a full-precision
+    solve."""
+    window = spectrum.energy_cutoff(r_max) / 2
+    return tuple(len(scipy.linalg.eigh_tridiagonal(
+        *spectrum._channel(spectrum._stencil(sector, n, r_max), g),
+        eigvals_only=True, select="v", select_range=(-1e300, window), tol=1e-15))
+        for n in (grid_n, grid_n // 2))
 
 
 def held_count(sector, params, grid_n, g, r_max=200.0, count=8):
     """How many levels of one channel solve_lowest solves: those at or below
-    half the cutoff on either grid of the pair, counted here by a
-    full-precision solve, capped at count and at the coarse grid's size."""
-    window = spectrum.energy_cutoff(r_max) / 2
-    below = (scipy.linalg.eigh_tridiagonal(
-        *spectrum._channel(spectrum._stencil(sector, n, r_max), g),
-        eigvals_only=True, select="v", select_range=(-1e300, window), tol=1e-15)
-        for n in (grid_n, grid_n // 2))
-    return min(count, grid_n // 2, max(map(len, below)))
+    half the cutoff on either grid of the pair, capped at count and at the
+    coarse grid's size."""
+    return min(count, grid_n // 2, max(window_counts(sector, grid_n, g, r_max)))
 
 
 def merged(levels, count=8):
@@ -64,18 +75,23 @@ def merged(levels, count=8):
 def per_channel_levels(sector, params, grid_n=spectrum.DEFAULT_GRID_N, r_max=200.0,
                        count=8):
     """Reference: every channel solved on its own on both grids of the pair,
-    over the index range solve_lowest solves (held_count), eigenvectors
+    over the levels solve_lowest solves (held_count), eigenvectors
     included, extrapolated by hand, then merged and cut exactly as
-    solve_lowest merges and cuts."""
+    solve_lowest merges and cuts.  Like solve_lowest, a grid with exactly
+    held levels in the window is solved by value over it, any other by
+    index."""
     rho2 = (grid_n / (grid_n // 2)) ** 2
+    window = spectrum.energy_cutoff(r_max) / 2
     levels = []
     for g, label in channel_charges(sector, params):
         held = held_count(sector, params, grid_n, g, r_max, count)
         if not held:
             continue
-        (fine, _), (coarse, _) = (channel_solve(sector, params, n, g, r_max, held,
-                                                tol=spectrum._EIG_TOL)
-                                  for n in (grid_n, grid_n // 2))
+        (fine, _), (coarse, _) = (
+            channel_solve(sector, params, n, g, r_max, held,
+                          window if counted == held else None, tol=spectrum._EIG_TOL)
+            for n, counted in zip((grid_n, grid_n // 2),
+                                  window_counts(sector, grid_n, g, r_max)))
         levels.extend((float((rho2 * f - c) / (rho2 - 1)), label)
                       for f, c in zip(fine, coarse))
     return merged(levels, count)
@@ -425,11 +441,12 @@ def full_count_result(sector, params, grid_n, r_max, count):
     whose estimate is 1 or more dropped, then merged and cut to count."""
     res = spectrum.solve_lowest(sector, params, grid_n, r_max, count)
     pair = spectrum._pair(sector, grid_n, r_max)
-    last = min(count, grid_n // 2) - 1
+    held = min(count, grid_n // 2)
     levels = []
     for g, label in channel_charges(sector, params):
         limits, ests = spectrum._extrapolate(
-            pair, lambda stencil: spectrum._lowest(stencil, g, last))
+            pair, *(spectrum._lowest(spectrum._channel(stencil, g), held)
+                    for stencil in pair))
         levels.extend((float(e), label, float(est)) for e, est in zip(limits, ests)
                       if est < 1)
     levels = sorted(levels, key=lambda lv: lv[0])[:count]
@@ -472,10 +489,11 @@ def test_sturm_count_is_the_length_of_a_full_solve():
             for grid_n in (spectrum.DEFAULT_GRID_N, spectrum.DEFAULT_GRID_N // 2):
                 stencil = spectrum._stencil(sector, grid_n, 200.0)
                 for top in (-0.0125, -0.025, -0.2, 0.0):
+                    channel = spectrum._channel(stencil, g)
                     full = scipy.linalg.eigh_tridiagonal(
-                        *spectrum._channel(stencil, g), eigvals_only=True, select="v",
+                        *channel, eigvals_only=True, select="v",
                         select_range=(-1e300, top), tol=1e-15)
-                    assert spectrum._count_at_or_below(stencil, g, top) == len(full), \
+                    assert spectrum._count_at_or_below(channel, top) == len(full), \
                         (sector, params.k2, g, grid_n, top)
 
 
@@ -498,13 +516,16 @@ def test_stebz_is_scipys_own_routine(first):
     assert proc.stdout.split() == [str(first == "scipy"), "True"]
 
 
-@pytest.mark.parametrize("select_range", [(0, 7), (3, 5)])
+@pytest.mark.parametrize("select_range", [(0, 7), (3, 5), (-1e300, -0.0125), (-0.2, -0.0125)])
 def test_eigh_tridiagonal_is_scipys_bit_for_bit(select_range):
+    # integer bounds are indices, as scipy requires of them; float bounds
+    # are values
+    select = "i" if isinstance(select_range[0], int) else "v"
     for sector, params in default_sweep():
         for g, _label in channel_charges(sector, params):
             for grid_n in (spectrum.DEFAULT_GRID_N, spectrum.DEFAULT_GRID_N // 2):
                 channel = spectrum._channel(spectrum._stencil(sector, grid_n, 200.0), g)
-                kwargs = dict(eigvals_only=True, select="i", select_range=select_range,
+                kwargs = dict(eigvals_only=True, select=select, select_range=select_range,
                               tol=spectrum._EIG_TOL)
                 got = spectrum.eigh_tridiagonal(*channel, **kwargs)
                 want = scipy.linalg.eigh_tridiagonal(*channel, **kwargs)
@@ -520,7 +541,17 @@ def test_eigh_tridiagonal_is_scipys_bit_for_bit(select_range):
 def test_a_bad_channel_solve_is_a_solver_error(g, last, message):
     stencil = spectrum._stencil(spectrum.RadialSector(0, l=0), 500, 200.0)
     with pytest.raises(SolverError, match=message):
-        spectrum._lowest(stencil, g, last)
+        spectrum._lowest(spectrum._channel(stencil, g), last + 1)
+
+
+@pytest.mark.parametrize("g, window, message", [
+    (math.nan, -0.0125, "must not contain infs or NaNs"),
+    (-1.0, math.nan, "not in nondecreasing order"),
+])
+def test_a_bad_solve_by_value_is_a_solver_error(g, window, message):
+    stencil = spectrum._stencil(spectrum.RadialSector(0, l=0), 500, 200.0)
+    with pytest.raises(SolverError, match=message):
+        spectrum._lowest(spectrum._channel(stencil, g), 8, window)
 
 
 @pytest.mark.parametrize("info, message", [
@@ -530,13 +561,13 @@ def test_a_lapack_error_is_a_solver_error(monkeypatch, info, message):
                         lambda *args: (0, np.zeros(len(args[0])), None, None, info))
     stencil = spectrum._stencil(spectrum.RadialSector(0, l=0), 500, 200.0)
     with pytest.raises(SolverError, match=message):
-        spectrum._lowest(stencil, -1.0, 7)
+        spectrum._lowest(spectrum._channel(stencil, -1.0), 8)
 
 
 def test_the_sturm_count_refuses_a_nan():
     stencil = spectrum._stencil(spectrum.RadialSector(0, l=0), 500, 200.0)
     with pytest.raises(SolverError, match="must not contain infs or NaNs"):
-        spectrum._count_at_or_below(stencil, math.nan, -0.0125)
+        spectrum._count_at_or_below(spectrum._channel(stencil, math.nan), -0.0125)
 
 
 def test_a_missing_lapack_module_names_where_it_looked(monkeypatch, tmp_path):
@@ -546,22 +577,92 @@ def test_a_missing_lapack_module_names_where_it_looked(monkeypatch, tmp_path):
         spectrum._load_flapack()
 
 
-@pytest.mark.parametrize("grid_n, count", [(spectrum.DEFAULT_GRID_N, 8), (500, 250)])
-def test_default_study_solves_only_the_windowed_levels(monkeypatch, grid_n, count):
-    # 224 indices without the window (8 per channel and grid); the window
-    # holds 134 at the default count, and as many when 250 are asked for
-    asked = []
+def recorded_solves(monkeypatch):
+    """(grid size, select, select_range, levels returned) of each channel
+    solve from now on."""
+    calls = []
     solve = spectrum.eigh_tridiagonal
 
-    def counted(*args, **kwargs):
-        first, last = kwargs["select_range"]
-        asked.append(last - first + 1)
-        return solve(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        levels = solve(*args, **kwargs)
+        calls.append((len(args[0]), kwargs["select"], kwargs["select_range"], len(levels)))
+        return levels
 
-    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("grid_n, count", [(spectrum.DEFAULT_GRID_N, 8), (500, 250)])
+def test_default_study_solves_only_the_windowed_levels(monkeypatch, grid_n, count):
+    # 224 levels without the window (8 per channel and grid); the window
+    # holds 134 at the default count, and as many when 250 are asked for.
+    # Each grid counts exactly the levels it solves, so each is solved by value
+    calls = recorded_solves(monkeypatch)
     rows, ok = spectrum.default_study(grid_n=grid_n, count=count)
     assert ok is True and len(rows) == 44
-    assert (len(asked), sum(asked)) == (28, 134)
+    assert (len(calls), sum(m for _n, _s, _r, m in calls)) == (28, 134)
+    window = spectrum.energy_cutoff(200.0) / 2
+    assert {(select, select_range) for _n, select, select_range, _m in calls} == \
+        {("v", (-1e300, window))}
+
+
+def test_value_levels_are_the_index_levels():
+    # by value stebz bisects each level from the window, by index from the
+    # bounds it first finds inside the Gershgorin interval: the two agree
+    # to the bisection tolerance, not bit for bit
+    window = spectrum.energy_cutoff(200.0) / 2
+    solved = 0
+    for sector, params in default_sweep():
+        for g, _label in channel_charges(sector, params):
+            for grid_n in (spectrum.DEFAULT_GRID_N, spectrum.DEFAULT_GRID_N // 2):
+                channel = spectrum._channel(spectrum._stencil(sector, grid_n, 200.0), g)
+                held = spectrum._count_at_or_below(channel, window)
+                if not held:
+                    continue
+                by_value = spectrum._lowest(channel, held, window)
+                by_index = spectrum._lowest(channel, held)
+                assert np.max(np.abs(by_value - by_index)) <= 2 * spectrum._EIG_TOL, \
+                    (sector, params.k2, g, grid_n)
+                solved += held
+    assert solved
+
+
+def test_a_count_below_the_window_is_solved_by_index(monkeypatch):
+    # the window holds more levels than asked for: a solve by value would
+    # bisect every one of them, so one level is asked for by index per grid
+    calls = recorded_solves(monkeypatch)
+    sector = spectrum.RadialSector(0, l=0)
+    assert min(window_counts(sector, spectrum.DEFAULT_GRID_N, -1.0)) > 1
+    res = spectrum.solve_lowest(sector, count=1, **PIN)
+    assert sorted(calls) == [(500, "i", (0, 0), 1), (1000, "i", (0, 0), 1)]
+    assert (res.energies, res.channels) == per_channel_levels(
+        sector, spectrum.CouplingParams(), count=1)
+
+
+def test_a_grid_short_of_the_held_count_is_solved_by_index(monkeypatch):
+    # in a 20-bohr box the coarse grid puts 2 levels below the window and
+    # the fine grid 1: both solve 2, the fine one by index
+    calls = recorded_solves(monkeypatch)
+    sector, params = spectrum.RadialSector(0, l=0), spectrum.CouplingParams()
+    assert window_counts(sector, 500, -1.0, 20.0) == (1, 2)
+    res = spectrum.solve_lowest(sector, params, 500, 20.0, 8)
+    window = spectrum.energy_cutoff(20.0) / 2
+    assert sorted(calls) == [(250, "v", (-1e300, window), 2), (500, "i", (0, 1), 2)]
+    assert (res.energies, res.channels) == per_channel_levels(sector, params, 500, 20.0)
+
+
+def test_a_value_solve_short_of_its_count_is_a_solver_error(monkeypatch):
+    # the count and the solve read the same Sturm sequence, so they cannot
+    # disagree; if they did, the rows would be silently shorter
+    solve = spectrum.eigh_tridiagonal
+
+    def short(*args, **kwargs):
+        levels = solve(*args, **kwargs)
+        return levels[:-1] if kwargs["select"] == "v" else levels
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", short)
+    with pytest.raises(SolverError, match="by value returned 5 levels, not the 6 counted"):
+        spectrum.solve_lowest(spectrum.RadialSector(0, l=0), **PIN)
 
 
 def test_a_channel_with_no_level_in_the_window_is_not_solved(monkeypatch):
